@@ -97,16 +97,13 @@ impl FileCtx {
         }
         // Contiguous comment block ending on the line above `first`.
         let mut line = first.saturating_sub(1);
-        loop {
-            let Some((i, c)) = self
-                .lexed
-                .comments
-                .iter()
-                .enumerate()
-                .find(|(_, c)| c.line <= line && c.end_line >= line)
-            else {
-                break;
-            };
+        while let Some((i, c)) = self
+            .lexed
+            .comments
+            .iter()
+            .enumerate()
+            .find(|(_, c)| c.line <= line && c.end_line >= line)
+        {
             if has_marker(c) {
                 hits.push(i);
                 break;

@@ -301,7 +301,12 @@ fn opens_generics(tokens: &[Token]) -> bool {
             if prev.text == "impl" || prev.text == "dyn" {
                 return true;
             }
-            if prev.text.chars().next().is_some_and(|c| c.is_ascii_uppercase()) {
+            if prev
+                .text
+                .chars()
+                .next()
+                .is_some_and(|c| c.is_ascii_uppercase())
+            {
                 return true;
             }
             // `fn name<…>`: lowercase name directly after `fn`.

@@ -108,7 +108,7 @@ pub fn check_workspace(files: &[FileCtx], out: &mut Vec<Finding>) {
                     line: c.line,
                     call_path: Vec::new(),
                     message: "`// ORACLE:` marker without a test path".into(),
-                                });
+                });
                 continue;
             }
             // The function the marker precedes: next `fn` token at or after

@@ -392,7 +392,7 @@ fn unsafe01(ctx: &FileCtx, out: &mut Vec<Finding>) {
                     message: "`unsafe` without an adjacent `// SAFETY: <invariant>` comment \
                               (within the two lines above)"
                         .into(),
-                                });
+                });
             }
         }
         // Intrinsic call sites: `_mm*`/`_mm256*` idents or `std::arch` /
@@ -412,7 +412,7 @@ fn unsafe01(ctx: &FileCtx, out: &mut Vec<Finding>) {
                           behind `#[cfg(target_arch = …)]`/`#[target_feature]` plus an \
                           `is_x86_feature_detected!`-style runtime check"
                     .into(),
-                        });
+            });
         }
     }
 }

@@ -31,9 +31,32 @@ use super::symbols::{FnId, SymbolTable};
 /// Keywords and std-prelude constructors that look like `name(…)` calls but
 /// never resolve to a workspace fn.
 const CALL_SKIP: &[&str] = &[
-    "if", "while", "match", "for", "loop", "return", "fn", "as", "in", "move", "else", "let",
-    "mut", "ref", "unsafe", "await", "Some", "None", "Ok", "Err", "Box", "Vec", "String",
-    "Default", "assert", "debug_assert",
+    "if",
+    "while",
+    "match",
+    "for",
+    "loop",
+    "return",
+    "fn",
+    "as",
+    "in",
+    "move",
+    "else",
+    "let",
+    "mut",
+    "ref",
+    "unsafe",
+    "await",
+    "Some",
+    "None",
+    "Ok",
+    "Err",
+    "Box",
+    "Vec",
+    "String",
+    "Default",
+    "assert",
+    "debug_assert",
 ];
 
 /// One call site inside a fn body.
@@ -55,10 +78,7 @@ pub struct CallGraph {
 impl CallGraph {
     pub fn build(ctxs: &[FileCtx], syms: &SymbolTable) -> CallGraph {
         let n = syms.fns.len();
-        let mut sites: Vec<Vec<CallSite>> = vec![Vec::new(); n];
-        for id in 0..n {
-            sites[id] = fn_call_sites(ctxs, syms, id);
-        }
+        let sites: Vec<Vec<CallSite>> = (0..n).map(|id| fn_call_sites(ctxs, syms, id)).collect();
         let mut callees: Vec<Vec<FnId>> = vec![Vec::new(); n];
         let mut callers: Vec<Vec<FnId>> = vec![Vec::new(); n];
         for (id, ss) in sites.iter().enumerate() {
@@ -106,7 +126,7 @@ fn fn_call_sites(ctxs: &[FileCtx], syms: &SymbolTable, id: FnId) -> Vec<CallSite
 
     let mut out = Vec::new();
     let mut i = f.span.0;
-    while i + 1 <= f.span.1 {
+    while i < f.span.1 {
         if in_nested(i) {
             i += 1;
             continue;
@@ -134,13 +154,9 @@ fn fn_call_sites(ctxs: &[FileCtx], syms: &SymbolTable, id: FnId) -> Vec<CallSite
             } else {
                 Some(qual)
             };
-            let type_name =
-                ty.filter(|t| t.chars().next().is_some_and(|c| c.is_ascii_uppercase()));
+            let type_name = ty.filter(|t| t.chars().next().is_some_and(|c| c.is_ascii_uppercase()));
             if let Some(ty) = type_name {
-                if let Some(cands) = syms
-                    .by_type_method
-                    .get(&(ty.to_string(), name.to_string()))
-                {
+                if let Some(cands) = syms.by_type_method.get(&(ty.to_string(), name.to_string())) {
                     targets.extend(cands.iter().copied());
                 }
             } else if let Some(head) = path_head(toks, i) {

@@ -45,7 +45,7 @@ pub fn check(ctxs: &[FileCtx], ws: &Workspace, cfg: &Config, out: &mut Vec<Findi
         if f.is_test {
             continue;
         }
-        let named = cfg.det03_sink_fns.iter().any(|n| *n == f.name);
+        let named = cfg.det03_sink_fns.contains(&f.name);
         let of_type = f
             .impl_type
             .as_ref()
@@ -81,7 +81,7 @@ pub fn check(ctxs: &[FileCtx], ws: &Workspace, cfg: &Config, out: &mut Vec<Findi
     }
 
     // 3. Sources in every reachable fn.
-    for (&id, _) in &pred {
+    for &id in pred.keys() {
         let f = &syms.fns[id];
         let ctx = &ctxs[f.file];
         let names = hash_names
@@ -163,9 +163,10 @@ fn fn_sources(
             continue;
         }
         let what: Option<String> = match t.text.as_str() {
-            "now" if i >= 2
-                && toks[i - 1].text == "::"
-                && matches!(toks[i - 2].text.as_str(), "Instant" | "SystemTime") =>
+            "now"
+                if i >= 2
+                    && toks[i - 1].text == "::"
+                    && matches!(toks[i - 2].text.as_str(), "Instant" | "SystemTime") =>
             {
                 Some(format!("`{}::now()` wall-clock read", toks[i - 2].text))
             }
@@ -183,7 +184,8 @@ fn fn_sources(
             {
                 Some(format!(
                     "hash-order iteration `{}.{}()`",
-                    toks[i - 2].text, m
+                    toks[i - 2].text,
+                    m
                 ))
             }
             "for" if allow_hash => {

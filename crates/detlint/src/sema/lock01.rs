@@ -289,47 +289,46 @@ fn fn_acquisitions(ctxs: &[FileCtx], ws: &Workspace, id: FnId) -> Vec<Acq> {
         if t.kind != TokenKind::Ident {
             continue;
         }
-        let expr: Option<Vec<Token>> = if t.text == "relock"
-            && toks.get(i + 1).is_some_and(|n| n.text == "(")
-        {
-            // `relock(&EXPR)` — tokens to the matching `)`.
-            let mut depth = 0i32;
-            let mut j = i + 1;
-            let mut arg = Vec::new();
-            while j <= f.span.1 {
-                match toks[j].text.as_str() {
-                    "(" => {
-                        depth += 1;
-                        if depth > 1 {
+        let expr: Option<Vec<Token>> =
+            if t.text == "relock" && toks.get(i + 1).is_some_and(|n| n.text == "(") {
+                // `relock(&EXPR)` — tokens to the matching `)`.
+                let mut depth = 0i32;
+                let mut j = i + 1;
+                let mut arg = Vec::new();
+                while j <= f.span.1 {
+                    match toks[j].text.as_str() {
+                        "(" => {
+                            depth += 1;
+                            if depth > 1 {
+                                arg.push(toks[j].clone());
+                            }
+                        }
+                        ")" => {
+                            depth -= 1;
+                            if depth == 0 {
+                                break;
+                            }
                             arg.push(toks[j].clone());
                         }
-                    }
-                    ")" => {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                        arg.push(toks[j].clone());
-                    }
-                    _ => {
-                        if depth >= 1 {
-                            arg.push(toks[j].clone());
+                        _ => {
+                            if depth >= 1 {
+                                arg.push(toks[j].clone());
+                            }
                         }
                     }
+                    j += 1;
                 }
-                j += 1;
-            }
-            Some(arg)
-        } else if t.text == "lock"
-            && i >= 1
-            && toks[i - 1].text == "."
-            && toks.get(i + 1).is_some_and(|n| n.text == "(")
-        {
-            // `RECV.lock()` — walk the receiver chain backwards.
-            Some(receiver_chain(toks, i - 1, f.span.0))
-        } else {
-            None
-        };
+                Some(arg)
+            } else if t.text == "lock"
+                && i >= 1
+                && toks[i - 1].text == "."
+                && toks.get(i + 1).is_some_and(|n| n.text == "(")
+            {
+                // `RECV.lock()` — walk the receiver chain backwards.
+                Some(receiver_chain(toks, i - 1, f.span.0))
+            } else {
+                None
+            };
         let Some(expr) = expr else {
             continue;
         };
@@ -395,9 +394,7 @@ fn receiver_chain(toks: &[Token], dot: usize, span_start: usize) -> Vec<Token> {
                 j -= 1;
                 start = j;
                 // An ident not preceded by `.`/`::`/`]` ends the chain.
-                if j == span_start
-                    || !matches!(toks[j - 1].text.as_str(), "." | "::")
-                {
+                if j == span_start || !matches!(toks[j - 1].text.as_str(), "." | "::") {
                     break;
                 }
             }
@@ -452,9 +449,7 @@ fn canonical_lock_name(expr: &[Token], f: &super::symbols::FnSym) -> Option<Stri
         for p in parts {
             match p {
                 Part::Ident(name) => {
-                    if !s.is_empty() && !s.ends_with("[_]") {
-                        s.push('.');
-                    } else if s.ends_with("[_]") {
+                    if !s.is_empty() {
                         s.push('.');
                     }
                     s.push_str(name);

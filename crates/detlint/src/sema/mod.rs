@@ -33,10 +33,7 @@ impl Workspace {
 
     /// Fn id by display name (`crate::[Type::]name`), for tests.
     pub fn fn_id(&self, display: &str) -> Option<symbols::FnId> {
-        self.symbols
-            .fns
-            .iter()
-            .position(|f| f.display() == display)
+        self.symbols.fns.iter().position(|f| f.display() == display)
     }
 }
 

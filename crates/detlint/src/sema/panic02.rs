@@ -88,7 +88,7 @@ pub fn check(ctxs: &[FileCtx], ws: &Workspace, cfg: &Config, out: &mut Vec<Findi
     }
 
     // 3. Scan each reachable fn in scope for panic sites.
-    for (&id, _) in &pred {
+    for &id in pred.keys() {
         let f = &syms.fns[id];
         if !cfg.panic02_crates.contains(&f.crate_name) {
             continue;

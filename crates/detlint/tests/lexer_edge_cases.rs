@@ -161,8 +161,10 @@ fn nested_generics_close_as_single_angle_tokens() {
     assert_eq!(toks.iter().filter(|t| *t == ">").count(), 2);
     assert_eq!(
         toks,
-        ["let", "v", ":", "Vec", "<", "Vec", "<", "u8", ">", ">", "=", "Vec", "::", "new", "(",
-         ")", ";"]
+        [
+            "let", "v", ":", "Vec", "<", "Vec", "<", "u8", ">", ">", "=", "Vec", "::", "new", "(",
+            ")", ";"
+        ]
     );
 }
 

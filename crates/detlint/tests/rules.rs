@@ -421,10 +421,7 @@ fn panic02_flags_sites_reachable_from_catch_unwind() {
     assert_eq!(rules_of(&findings), ["PANIC02", "PANIC02"], "{findings:?}");
     // Witness chains start at the supervision boundary.
     for f in &findings {
-        assert!(
-            f.call_path.iter().any(|s| s.contains("supervise")),
-            "{f:?}"
-        );
+        assert!(f.call_path.iter().any(|s| s.contains("supervise")), "{f:?}");
     }
 }
 

@@ -25,7 +25,11 @@ fn callee_names(ws: &Workspace, display: &str) -> Vec<String> {
     let id = ws.fn_id(display).unwrap_or_else(|| {
         panic!(
             "fn {display} not in symbol table; have: {:?}",
-            ws.symbols.fns.iter().map(|f| f.display()).collect::<Vec<_>>()
+            ws.symbols
+                .fns
+                .iter()
+                .map(|f| f.display())
+                .collect::<Vec<_>>()
         )
     });
     let mut names: Vec<String> = ws.graph.callees[id]
@@ -79,7 +83,10 @@ fn bare_calls_resolve_own_crate_first() {
     // `normalize(trace)` inside engine::Engine::run resolves to the engine
     // free fn only, even though workload exports a fn of the same name.
     let callees = callee_names(&ws, "engine::Engine::run");
-    assert!(callees.contains(&"engine::normalize".to_string()), "{callees:?}");
+    assert!(
+        callees.contains(&"engine::normalize".to_string()),
+        "{callees:?}"
+    );
     assert!(
         !callees.contains(&"workload::normalize".to_string()),
         "bare call must not leak to the imported crate: {callees:?}"
@@ -94,7 +101,10 @@ fn qualified_and_self_calls_dispatch_by_type() {
     // `Trace::size(trace)` resolves cross-crate through by_type_method, and
     // `self.step()` resolves to the method on the surrounding impl type.
     let run = callee_names(&ws, "engine::Engine::run");
-    assert!(run.contains(&"workload::Trace::size".to_string()), "{run:?}");
+    assert!(
+        run.contains(&"workload::Trace::size".to_string()),
+        "{run:?}"
+    );
     assert!(run.contains(&"engine::Engine::step".to_string()), "{run:?}");
 
     // `Self::clear(self)` rewrites Self to the impl type.
@@ -115,7 +125,10 @@ fn call_edges_are_directional_and_callers_invert() {
     // step() calls the private free fn bump(); workload has no edge back
     // into engine.
     assert_eq!(callee_names(&ws, "engine::Engine::step"), ["engine::bump"]);
-    assert_eq!(callee_names(&ws, "workload::Trace::size"), Vec::<String>::new());
+    assert_eq!(
+        callee_names(&ws, "workload::Trace::size"),
+        Vec::<String>::new()
+    );
 
     // callers[] is the exact inverse of callees[].
     let normalize = ws.fn_id("engine::normalize").expect("normalize");

@@ -22,31 +22,24 @@
 //! energies are integer picojoules so even floating-point energy sums are
 //! exact in `f64` and therefore order-independent. Partitioning by row
 //! keeps every row's write sequence (and every line's counter stream)
-//! byte-for-byte identical to a sequential replay, so with
-//! [`ShardKeying::Unified`] (the default) the merged aggregate statistics
+//! byte-for-byte identical to a sequential replay, and every shard is keyed
+//! with the engine's one crypt seed, so the merged aggregate statistics
 //! ([`MemoryStats::merge`], [`controller::PipelineStats::merge`]) of an
 //! `N`-shard run are **bit-identical** to the 1-shard run and to a plain
 //! sequential [`WritePipeline`] replay — for any shard count and any
 //! worker-thread count. The `determinism` integration tests pin this down.
 //!
-//! [`ShardKeying::PerShard`] instead keys each shard's encryption with an
-//! independent sub-key derived through a SplitMix64 finalizer
-//! ([`mix_shard_seed`]), modeling per-bank memory-controller keys. Results
-//! are still fully deterministic and thread-count-invariant, but aggregate
-//! statistics then legitimately differ across shard counts (different
-//! keystreams produce different ciphertext).
-//!
 //! # Streaming replay
 //!
 //! [`ShardedEngine::stream_replay`] (the [`stream`] module) feeds the same
 //! shard pool from a [`workload::TraceSource`] through bounded per-shard
-//! queues with backpressure instead of a materialized [`Trace`]: peak
+//! [`mailbox`]es with backpressure instead of a materialized [`Trace`]: peak
 //! memory is `shards × queue capacity` in-flight events regardless of
 //! stream length, and cache-miss fills are serviced from the modeled
 //! memory itself ([`controller::WritePipeline::read_line`], decode +
 //! decrypt) so the cache re-reads the bytes the array actually stores.
-//! The determinism contract extends unchanged: under unified keying a
-//! streamed N-shard replay is bit-identical to the sequential
+//! The determinism contract extends unchanged: a streamed N-shard replay
+//! is bit-identical to the sequential
 //! [`controller::WritePipeline::stream_replay`] and, for materialized
 //! traces, to [`ShardedEngine::replay_trace`].
 //!
@@ -56,7 +49,8 @@
 //! long-running memory-controller service: one engine's worth of per-shard
 //! pipelines **per tenant** (each tenant keyed with its own
 //! [`mix_shard_seed`]-derived seed, see `service::tenant_seed`), with one
-//! worker per bank shard serving all tenants' queues round-robin.
+//! worker per bank shard serving all tenants' lanes of the same
+//! [`mailbox::ShardMailbox`] round-robin.
 //! [`ShardedEngine::into_pipelines`] is the hand-off point; the per-tenant
 //! determinism contract documented in `docs/SERVICE.md` is this crate's
 //! contract applied tenant-by-tenant.
@@ -101,6 +95,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod mailbox;
 pub mod stream;
 
 pub use stream::{StreamSummary, DEFAULT_STREAM_QUEUE_CAPACITY};
@@ -133,42 +128,17 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Derives the crypt seed of one shard from a base seed with a
-/// SplitMix64-style finalizer.
+/// Derives an independent sub-seed (the service's per-tenant keys, see
+/// `service::tenant_seed`) from a base seed with a SplitMix64-style
+/// finalizer.
 ///
-/// A raw `base + shard_id` would hand adjacent shards nearly identical
-/// keys, and the keystream generator is seeded by mixing the key with
-/// per-line values — correlated keys risk correlated pads. The finalizer's
-/// avalanche property makes every shard key differ from its neighbours in
-/// about half of all bits.
+/// A raw `base + shard_id` would hand adjacent ids nearly identical keys,
+/// and the keystream generator is seeded by mixing the key with per-line
+/// values — correlated keys risk correlated pads. The finalizer's
+/// avalanche property makes every derived key differ from its neighbours
+/// in about half of all bits.
 pub fn mix_shard_seed(base: u64, shard_id: u64) -> u64 {
     SplitMix64::mix(base ^ SplitMix64::mix(shard_id.wrapping_add(0x9E37_79B9_7F4A_7C15)))
-}
-
-/// How the engine keys each shard's encryption engine.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum ShardKeying {
-    /// Every shard shares the base crypt seed. This is the mode under which
-    /// aggregate statistics are bit-identical to a sequential
-    /// [`WritePipeline`] replay at any shard count (the determinism
-    /// contract), because each line is encrypted exactly as the sequential
-    /// pipeline would encrypt it.
-    #[default]
-    Unified,
-    /// Shard `i` is keyed with [`mix_shard_seed`]`(base, i)`, modeling
-    /// independent per-bank controller keys. Deterministic and
-    /// thread-count-invariant, but aggregates differ across shard counts.
-    PerShard,
-}
-
-impl ShardKeying {
-    /// The crypt seed shard `shard_id` receives under this policy.
-    pub fn shard_seed(self, base: u64, shard_id: u64) -> u64 {
-        match self {
-            ShardKeying::Unified => base,
-            ShardKeying::PerShard => mix_shard_seed(base, shard_id),
-        }
-    }
 }
 
 /// Configuration of a [`ShardedEngine`].
@@ -182,8 +152,6 @@ pub struct EngineConfig {
     /// replays always run one worker per shard — see the [`stream`] module
     /// — so this cap applies to materialized replays only.)
     pub threads: usize,
-    /// Per-shard encryption keying policy.
-    pub keying: ShardKeying,
 }
 
 impl Default for EngineConfig {
@@ -191,7 +159,6 @@ impl Default for EngineConfig {
         EngineConfig {
             shards: 1,
             threads: 0,
-            keying: ShardKeying::Unified,
         }
     }
 }
@@ -208,13 +175,6 @@ impl EngineConfig {
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Sets the keying policy.
-    #[must_use]
-    pub fn with_keying(mut self, keying: ShardKeying) -> Self {
-        self.keying = keying;
         self
     }
 
@@ -242,9 +202,6 @@ pub struct ShardSpec {
     pub shard_id: usize,
     /// Total shard count.
     pub shards: usize,
-    /// The crypt seed this shard's pipeline will be keyed with (already
-    /// derived through the configured [`ShardKeying`]).
-    pub crypt_seed: u64,
 }
 
 /// Result of a sharded lifetime replay (the writes-to-failure quantity the
@@ -266,7 +223,7 @@ pub struct LifetimeSummary {
 /// Construct with [`ShardedEngine::from_factory`]; the factory is called
 /// once per shard and must build identical pipelines (same memory
 /// configuration, encoder, correction scheme and cost function) — the
-/// engine re-keys each one according to the [`ShardKeying`] policy. Shard
+/// engine keys each one with the base crypt seed. Shard
 /// state persists across calls, so repeated [`ShardedEngine::replay_trace`]
 /// calls accumulate wear and statistics exactly like repeated sequential
 /// replays.
@@ -297,9 +254,9 @@ impl std::fmt::Debug for ShardedEngine {
 impl ShardedEngine {
     /// Builds an engine by calling `build` once per shard.
     ///
-    /// The engine applies the crypt seed from the keying policy itself
-    /// (overriding whatever seed the factory left on the pipeline), so the
-    /// factory only has to assemble memory + encoder + correction + cost.
+    /// The engine applies the base crypt seed itself (overriding whatever
+    /// seed the factory left on the pipeline), so the factory only has to
+    /// assemble memory + encoder + correction + cost.
     ///
     /// # Panics
     ///
@@ -312,13 +269,11 @@ impl ShardedEngine {
         assert!(config.shards > 0, "engine needs at least one shard");
         let shards: Vec<WritePipeline> = (0..config.shards)
             .map(|shard_id| {
-                let crypt_seed = config.keying.shard_seed(base_crypt_seed, shard_id as u64);
                 let spec = ShardSpec {
                     shard_id,
                     shards: config.shards,
-                    crypt_seed,
                 };
-                build(spec).with_crypt_seed(crypt_seed)
+                build(spec).with_crypt_seed(base_crypt_seed)
             })
             .collect();
         for p in &shards[1..] {
@@ -406,7 +361,7 @@ impl ShardedEngine {
     ///
     /// This is the seam the multi-tenant service frontend
     /// (`crates/service`) builds on: it constructs one engine per tenant —
-    /// inheriting the keying policy and the identical-shard validation of
+    /// inheriting the unified keying and the identical-shard validation of
     /// [`ShardedEngine::from_factory`] — then takes the pipelines and
     /// drives all tenants' shard `s` pipelines from one bank-`s` worker
     /// with fair round-robin queueing. Anything proven about a shard
@@ -725,19 +680,6 @@ mod tests {
                 assert_eq!(a, mix_shard_seed(base, shard));
             }
         }
-    }
-
-    #[test]
-    fn keying_policies() {
-        assert_eq!(ShardKeying::Unified.shard_seed(42, 3), 42);
-        assert_eq!(
-            ShardKeying::PerShard.shard_seed(42, 3),
-            mix_shard_seed(42, 3)
-        );
-        assert_ne!(
-            ShardKeying::PerShard.shard_seed(42, 0),
-            ShardKeying::PerShard.shard_seed(42, 1)
-        );
     }
 
     #[test]

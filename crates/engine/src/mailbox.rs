@@ -1,43 +1,47 @@
-//! Per-bank mailboxes: bounded per-tenant lanes with blocking producers,
-//! round-robin consumers and fail-fast panic coupling.
+//! Per-bank mailboxes: bounded per-producer lanes with blocking producers,
+//! round-robin consumers and fail-fast panic coupling — the one queueing
+//! core of [`crate::ShardedEngine::stream_replay`] (one lane per shard) and
+//! the multi-tenant service (one lane per tenant).
 //!
-//! Each bank shard owns one [`ShardMailbox`] holding one *lane* per
-//! tenant. Tenant producers push commands into their own lane and block
-//! while it is at capacity (backpressure, counted in write-back events, not
-//! commands, so batching cannot inflate the memory bound); the shard's one
-//! worker pops commands across lanes in round-robin order, giving every
-//! tenant one command per scheduling turn regardless of how fast the other
-//! tenants produce.
-//!
-//! The structure mirrors the single-tenant bounded queue of
-//! `engine::stream` (PR 5), generalized to N lanes and extended with the
-//! same fail-fast markers: a dying worker marks the mailbox so blocked
-//! producers panic instead of waiting forever, and a dying producer closes
-//! its lanes so workers drain and exit.
+//! Each bank shard owns one [`ShardMailbox`]. Producers push commands into
+//! their own lane and block while it is at capacity (backpressure, counted
+//! in write-back events, not commands, so batching cannot inflate the
+//! memory bound); the shard's one worker pops across lanes round-robin, one
+//! command per lane per turn, and runs each through [`execute`], where
+//! pipeline panics are caught. A dying worker thread marks its mailbox so
+//! blocked producers panic instead of waiting forever ([`WorkerGuard`]),
+//! and an exiting producer closes its lanes so workers drain and exit
+//! ([`LaneCloser`]).
 
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 
-use engine::relock;
+use controller::WritePipeline;
 use workload::{LineData, WriteBack};
+
+use crate::{panic_message, relock};
 
 /// Continues a condvar wait even when the lock was poisoned by an
 /// unwinding sibling: the mailbox/reply state is a plain value, consistent
-/// at every mutation boundary (the lock-free analogue of
-/// [`engine::relock`]). Worker panics are supervised inside the worker
-/// loop, so poisoning can only come from an unexpected infrastructure
-/// failure — and even then the data stays usable.
-pub(crate) fn rewait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+/// at every mutation boundary (the lock-free analogue of [`relock`]).
+/// Pipeline panics are supervised inside [`execute`], so poisoning can only
+/// come from an unexpected infrastructure failure — and even then the data
+/// stays usable.
+fn rewait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
     cv.wait(guard)
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// One command in a tenant's lane: a batch of write-backs to commit or a
-/// fill read to answer through the tenant's [`ReplySlot`].
-pub(crate) enum Cmd {
+/// One command in a lane: a batch of write-backs to commit or a fill read
+/// to answer through the producer's [`ReplySlot`].
+pub enum Cmd {
     /// Commit every write-back, in order.
     Batch(Vec<WriteBack>),
+    /// Commit one write-back: a batch of one without the heap allocation,
+    /// for producers that enqueue every write-back on its own.
+    Write(WriteBack),
     /// Read the current contents of a line (fill-read rendezvous).
     Read(u64),
 }
@@ -45,10 +49,19 @@ pub(crate) enum Cmd {
 impl Cmd {
     /// How many in-flight events this command represents (a read counts as
     /// one event; a batch as its length).
-    pub(crate) fn events(&self) -> usize {
+    fn events(&self) -> usize {
         match self {
-            Cmd::Batch(batch) => batch.len(),
             Cmd::Read(_) => 1,
+            writes => writes.writes().len(),
+        }
+    }
+
+    /// The write-backs this command commits, in order (none for a read).
+    fn writes(&self) -> &[WriteBack] {
+        match self {
+            Cmd::Batch(batch) => batch,
+            Cmd::Write(wb) => std::slice::from_ref(wb),
+            Cmd::Read(_) => &[],
         }
     }
 }
@@ -57,26 +70,30 @@ impl Cmd {
 /// value it ever reached (a single gauge across all mailboxes — the true
 /// peak, not a sum of per-lane peaks observed at different times).
 #[derive(Default)]
-pub(crate) struct InFlightGauge {
+pub struct InFlightGauge {
     current: AtomicUsize,
     peak: AtomicUsize,
 }
 
 impl InFlightGauge {
-    pub(crate) fn add(&self, n: usize) {
+    /// Records `n` events entering a lane.
+    fn add(&self, n: usize) {
         let now = self.current.fetch_add(n, Ordering::Relaxed) + n;
         self.peak.fetch_max(now, Ordering::Relaxed);
     }
 
-    pub(crate) fn sub(&self, n: usize) {
+    /// Records `n` events leaving a lane.
+    fn sub(&self, n: usize) {
         self.current.fetch_sub(n, Ordering::Relaxed);
     }
 
-    pub(crate) fn current(&self) -> usize {
+    /// Events in flight right now.
+    pub fn current(&self) -> usize {
         self.current.load(Ordering::Relaxed)
     }
 
-    pub(crate) fn peak(&self) -> usize {
+    /// The highest number of events ever in flight at once.
+    pub fn peak(&self) -> usize {
         self.peak.load(Ordering::Relaxed)
     }
 }
@@ -95,8 +112,8 @@ struct MailboxState {
     consumer_gone: bool,
 }
 
-/// A bank shard's work queues: one bounded lane per tenant, one consumer.
-pub(crate) struct ShardMailbox {
+/// A bank shard's work queues: one bounded lane per producer, one consumer.
+pub struct ShardMailbox {
     /// Per-lane bound, in events.
     capacity: usize,
     state: Mutex<MailboxState>,
@@ -105,12 +122,17 @@ pub(crate) struct ShardMailbox {
 }
 
 impl ShardMailbox {
-    pub(crate) fn new(tenants: usize, capacity: usize) -> Self {
+    /// A mailbox with `lanes` open, empty lanes of `capacity` events each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
+    pub fn new(lanes: usize, capacity: usize) -> Self {
         assert!(capacity > 0, "lanes need a non-zero event bound");
         ShardMailbox {
             capacity,
             state: Mutex::new(MailboxState {
-                lanes: (0..tenants)
+                lanes: (0..lanes)
                     .map(|_| Lane {
                         items: VecDeque::new(),
                         events: 0,
@@ -124,18 +146,17 @@ impl ShardMailbox {
         }
     }
 
-    /// Blocks while the tenant's lane lacks room for `cmd` (backpressure),
-    /// then enqueues it. Commands must fit the lane (`events() ≤
-    /// capacity`); the service enforces `batch ≤ queue_capacity` at
-    /// construction.
+    /// Blocks while the lane lacks room for `cmd` (backpressure), then
+    /// enqueues it. Commands must fit the lane (`events() ≤ capacity`); the
+    /// service enforces `batch ≤ queue_capacity` at construction.
     ///
     /// # Panics
     ///
     /// Panics if the consuming worker died (fail-fast instead of a silent
     /// producer deadlock; the worker's own panic is re-raised at scope
     /// join), or on a closed lane (producer bug).
-    // PANIC-OK: `lanes[tenant]` — tenant ids are assigned densely at service construction; out-of-bounds is a wiring bug that should fail loudly.
-    pub(crate) fn push(&self, tenant: usize, cmd: Cmd, gauge: &InFlightGauge) {
+    // PANIC-OK: `lanes[lane]` — lane ids are assigned densely at construction; out-of-bounds is a wiring bug that should fail loudly.
+    pub fn push(&self, lane: usize, cmd: Cmd, gauge: &InFlightGauge) {
         let n = cmd.events();
         debug_assert!(n <= self.capacity, "command exceeds the lane bound");
         let mut st = relock(&self.state);
@@ -144,47 +165,46 @@ impl ShardMailbox {
                 !st.consumer_gone,
                 "bank worker terminated; cannot enqueue further commands"
             );
-            let lane = &st.lanes[tenant];
-            assert!(!lane.closed, "push into a closed lane");
-            if lane.events + n <= self.capacity {
+            let queued = &st.lanes[lane];
+            assert!(!queued.closed, "push into a closed lane");
+            if queued.events + n <= self.capacity {
                 break;
             }
             st = rewait(&self.not_full, st);
         }
-        let lane = &mut st.lanes[tenant];
-        lane.events += n;
-        lane.items.push_back(cmd);
+        let queued = &mut st.lanes[lane];
+        queued.events += n;
+        queued.items.push_back(cmd);
         gauge.add(n);
         drop(st);
         self.not_empty.notify_one();
     }
 
     /// Pops the next command round-robin across lanes, starting the scan at
-    /// `*cursor` and advancing it past the served tenant (each tenant gets
-    /// at most one command per turn — the fairness policy). Blocks while
+    /// `*cursor` and advancing it past the served lane (each lane gets at
+    /// most one command per turn — the fairness policy). Blocks while
     /// all lanes are empty but at least one is open; returns `None` once
     /// every lane is closed and drained.
     ///
     /// The returned `depth` is the number of events the served lane held
     /// when the worker turned to it (popped command included) — the queue
     /// occupancy sample the p50 depth statistics are built from.
-    // PANIC-OK: `lanes[t]` with t = turn % lanes.len(), in bounds by construction.
-    pub(crate) fn pop_round_robin(
+    pub fn pop_round_robin(
         &self,
         cursor: &mut usize,
         gauge: &InFlightGauge,
     ) -> Option<(usize, usize, Cmd)> {
         let mut st = relock(&self.state);
         loop {
-            let tenants = st.lanes.len();
-            for turn in 0..tenants {
-                let t = (*cursor + turn) % tenants;
+            let lanes = st.lanes.len();
+            for turn in 0..lanes {
+                let t = (*cursor + turn) % lanes;
                 let lane = &mut st.lanes[t];
                 if let Some(cmd) = lane.items.pop_front() {
                     let depth = lane.events;
                     lane.events -= cmd.events();
                     gauge.sub(cmd.events());
-                    *cursor = (t + 1) % tenants;
+                    *cursor = (t + 1) % lanes;
                     drop(st);
                     self.not_full.notify_all();
                     return Some((t, depth, cmd));
@@ -197,67 +217,63 @@ impl ShardMailbox {
         }
     }
 
-    /// Closes one tenant's lane (no further pushes; the worker drains what
-    /// remains and then skips it).
-    pub(crate) fn close_lane(&self, tenant: usize) {
+    /// Closes one lane (no further pushes; the worker drains what remains
+    /// and then skips it).
+    fn close_lane(&self, lane: usize) {
         let mut st = relock(&self.state);
-        st.lanes[tenant].closed = true;
+        st.lanes[lane].closed = true;
         drop(st);
         self.not_empty.notify_all();
     }
 
     /// Marks the consuming worker dead so blocked producers fail fast.
-    pub(crate) fn mark_consumer_gone(&self) {
+    fn mark_consumer_gone(&self) {
         relock(&self.state).consumer_gone = true;
         self.not_full.notify_all();
     }
 
-    /// Events currently queued in one tenant's lane (live gauge for the
-    /// stats snapshot).
-    // PANIC-OK: `lanes[tenant]` — tenant ids are dense by construction.
-    pub(crate) fn lane_depth(&self, tenant: usize) -> usize {
-        relock(&self.state).lanes[tenant].events
+    /// Events currently queued in one lane (live gauge for the stats
+    /// snapshot).
+    pub fn lane_depth(&self, lane: usize) -> usize {
+        relock(&self.state).lanes[lane].events
     }
 }
 
 /// The current state of a pending fill-read answer.
+#[derive(Default)]
 struct ReplyState {
     value: Option<Option<LineData>>,
     poisoned: bool,
 }
 
-/// A tenant producer's one-slot rendezvous for fill-read answers (each
-/// producer issues at most one read at a time, so one slot per tenant
-/// suffices).
-pub(crate) struct ReplySlot {
+/// A producer's one-slot rendezvous for fill-read answers (each producer
+/// issues at most one read at a time, so one slot per producer suffices).
+#[derive(Default)]
+pub struct ReplySlot {
     slot: Mutex<ReplyState>,
     ready: Condvar,
 }
 
 impl ReplySlot {
-    pub(crate) fn new() -> Self {
-        ReplySlot {
-            slot: Mutex::new(ReplyState {
-                value: None,
-                poisoned: false,
-            }),
-            ready: Condvar::new(),
-        }
-    }
-
-    pub(crate) fn put(&self, value: Option<LineData>) {
+    /// Hands the producer its answer.
+    pub fn put(&self, value: Option<LineData>) {
         relock(&self.slot).value = Some(value);
         self.ready.notify_one();
     }
 
     /// Marks the slot dead so a producer waiting for an answer fails fast
-    /// (used when a bank worker panics).
-    pub(crate) fn poison(&self) {
+    /// (used when a bank worker thread dies outside [`execute`]).
+    fn poison(&self) {
         relock(&self.slot).poisoned = true;
         self.ready.notify_all();
     }
 
-    pub(crate) fn take(&self) -> Option<LineData> {
+    /// Blocks until the worker answers, then returns the answer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot was poisoned (the worker died).
+    pub fn take(&self) -> Option<LineData> {
         let mut st = relock(&self.slot);
         loop {
             if let Some(value) = st.value.take() {
@@ -268,6 +284,113 @@ impl ReplySlot {
                 "bank worker terminated while a fill read was pending"
             );
             st = rewait(&self.ready, st);
+        }
+    }
+}
+
+/// What one supervised [`execute`] call did.
+pub struct Executed {
+    /// Write-backs of the command that never landed: everything from the
+    /// panicking write onward (the panic fires before any mutation, so
+    /// that write is lost too), or the whole batch on a dead pipeline.
+    pub discarded: u64,
+    /// Whether the command was a fill read (answered through the reply
+    /// slot, with `None` on a dead pipeline).
+    pub read: bool,
+    /// The caught panic's message, when this command killed the pipeline.
+    pub failure: Option<String>,
+}
+
+/// Runs one command against `pipeline` under supervision — the one place
+/// pipeline panics are caught. A panic (injected or real) sets `*dead`;
+/// a dead pipeline discards writes and answers reads with `None`, so the
+/// worker keeps draining its lanes and no producer ever blocks on it. Read
+/// answers go to `reply`.
+pub fn execute(
+    pipeline: &mut WritePipeline,
+    cmd: Cmd,
+    dead: &mut bool,
+    reply: &ReplySlot,
+) -> Executed {
+    let mut failure = None;
+    let (discarded, read) = match cmd {
+        Cmd::Read(line_addr) => {
+            reply.put(supervised(dead, &mut failure, || pipeline.read_line(line_addr)).flatten());
+            (0, true)
+        }
+        writes => {
+            let batch = writes.writes();
+            let landed = batch
+                .iter()
+                .take_while(|wb| {
+                    supervised(dead, &mut failure, || pipeline.write_back(wb)).is_some()
+                })
+                .count();
+            ((batch.len() - landed) as u64, false)
+        }
+    };
+    Executed {
+        discarded,
+        read,
+        failure,
+    }
+}
+
+/// Runs `op` unless the pipeline is already dead; a caught panic kills the
+/// pipeline and records its message. `None` when `op` did not complete.
+fn supervised<R>(
+    dead: &mut bool,
+    failure: &mut Option<String>,
+    op: impl FnOnce() -> R,
+) -> Option<R> {
+    if *dead {
+        return None;
+    }
+    catch_unwind(AssertUnwindSafe(op))
+        .map_err(|payload| {
+            *dead = true;
+            *failure = Some(panic_message(payload));
+        })
+        .ok()
+}
+
+/// Held by a worker for its whole run: if the worker thread unwinds (a
+/// failure outside [`execute`]), marks its mailbox consumer-gone and
+/// poisons every reply slot, so blocked producers fail fast instead of
+/// waiting forever. A no-op on a normal exit; the worker's own panic is
+/// re-raised when the thread scope joins.
+pub struct WorkerGuard<'a> {
+    /// The mailbox the worker consumes.
+    pub mailbox: &'a ShardMailbox,
+    /// Every producer's reply slot the worker may answer.
+    pub replies: &'a [ReplySlot],
+}
+
+impl Drop for WorkerGuard<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.mailbox.mark_consumer_gone();
+            for slot in self.replies {
+                slot.poison();
+            }
+        }
+    }
+}
+
+/// Held by a producer for its whole run: closes its lane in every mailbox
+/// when it exits — normally (workers drain what remains and move on) or by
+/// panic (workers are not left waiting on a lane nobody will fill).
+pub struct LaneCloser<'a> {
+    /// Every mailbox the producer pushes into.
+    pub mailboxes: &'a [ShardMailbox],
+    /// The producer's lane id.
+    pub lane: usize,
+}
+
+impl Drop for LaneCloser<'_> {
+    fn drop(&mut self) {
+        for mailbox in self.mailboxes {
+            mailbox.close_lane(self.lane);
         }
     }
 }
@@ -351,7 +474,7 @@ mod tests {
 
     #[test]
     fn reply_slot_round_trip_and_poison() {
-        let slot = ReplySlot::new();
+        let slot = ReplySlot::default();
         std::thread::scope(|scope| {
             scope.spawn(|| slot.put(Some([3u64; 8])));
             assert_eq!(slot.take(), Some([3u64; 8]));

@@ -3,10 +3,12 @@
 //!
 //! [`ShardedEngine::stream_replay`] pulls events from a
 //! [`workload::TraceSource`] one at a time on the calling thread (the
-//! *producer*) and routes each write-back into a bounded per-shard queue;
-//! one dedicated worker per shard drains its queue into the shard's
-//! pipeline. Backpressure is built in: when a queue is full the producer
-//! blocks until the worker catches up, so peak memory is `shards ×
+//! *producer*) and routes each write-back into its shard's
+//! [`ShardMailbox`] — the same bounded mailbox the multi-tenant service
+//! runs, here with a single lane per shard, each write-back one
+//! [`Cmd::Write`]. One dedicated worker per shard drains its mailbox into
+//! the shard's pipeline. Backpressure is built in: when a lane is full the
+//! producer blocks until the worker catches up, so peak memory is `shards ×
 //! queue_capacity` in-flight events plus the source's own state —
 //! independent of how many events the stream produces. A 10-million-line
 //! workload replays in the same footprint as a 10-thousand-line one.
@@ -28,10 +30,10 @@
 //! The per-shard command sequences are fixed by the producer's sequential
 //! loop — worker scheduling can only change *when* a command runs, never
 //! *which state* it sees (shards own disjoint rows; reads synchronize
-//! through the queue). Under [`crate::ShardKeying::Unified`] the merged
-//! statistics of an N-shard streaming replay are therefore bit-identical
-//! to a 1-shard run, to [`ShardedEngine::replay_trace`] over the
-//! materialized trace, and to a sequential
+//! through the queue). Every shard is keyed with the engine's one crypt
+//! seed, so the merged statistics of an N-shard streaming replay are
+//! bit-identical to a 1-shard run, to [`ShardedEngine::replay_trace`] over
+//! the materialized trace, and to a sequential
 //! [`controller::WritePipeline::stream_replay`] — the PR-2 determinism
 //! contract extended to the streaming frontend (pinned by the `streaming`
 //! integration tests).
@@ -41,28 +43,27 @@
 //! cap: a fill read can only be serviced by the worker owning that shard,
 //! so sharing workers across shards would let a busy neighbour delay —
 //! though never deadlock or reorder — another shard's reads.
-
-use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+//!
+//! # Supervision
+//!
+//! Workers run every command through [`crate::mailbox::execute`]: a
+//! pipeline panic quarantines the shard, whose worker keeps draining —
+//! discarding writes and answering reads with `None` — so the stream
+//! always runs to completion (see [`StreamSummary::events_discarded`]).
 
 use pcm::PcmConfig;
-use workload::{LineData, MemoryReader, TraceSource, WriteBack};
+use workload::{LineData, MemoryReader, TraceSource};
 
-use crate::{panic_message, relock, ShardedEngine};
+use crate::mailbox::{
+    execute, Cmd, InFlightGauge, LaneCloser, ReplySlot, ShardMailbox, WorkerGuard,
+};
+use crate::ShardedEngine;
 
-/// Continues a condvar wait even when the lock was poisoned by an
-/// unwinding thread: the queue/reply state is a plain value that is
-/// consistent at every mutation boundary, so it stays safe to use (the
-/// lock-free analogue of [`crate::relock`]).
-fn rewait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-    cv.wait(guard)
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+/// The one lane of each shard's mailbox (the engine has one producer).
+const LANE: usize = 0;
 
 /// Default bound on each shard's in-flight event queue (events, not bytes;
-/// a [`WriteBack`] is 72 bytes, so the default is ~288 KiB per shard).
+/// a [`workload::WriteBack`] is 72 bytes, so the default is ~288 KiB per shard).
 pub const DEFAULT_STREAM_QUEUE_CAPACITY: usize = 4096;
 
 /// Outcome of one [`ShardedEngine::stream_replay`] call (the engine's
@@ -101,210 +102,30 @@ pub struct StreamSummary {
     pub shards_quarantined: u32,
 }
 
-/// One command in a shard's work queue: either a write-back to commit or a
-/// fill read to answer (reads synchronize producer and worker, so they
-/// always observe the memory state of a sequential replay).
-enum ShardCmd {
-    Write(WriteBack),
-    Read(u64),
-}
-
-/// Tracks the *global* number of commands sitting in shard queues and the
-/// highest value it ever reached — the true peak, not a sum of per-queue
-/// peaks observed at different times.
-#[derive(Default)]
-struct InFlightGauge {
-    current: AtomicUsize,
-    peak: AtomicUsize,
-}
-
-impl InFlightGauge {
-    fn inc(&self) {
-        let now = self.current.fetch_add(1, Ordering::Relaxed) + 1;
-        self.peak.fetch_max(now, Ordering::Relaxed);
-    }
-
-    fn dec(&self) {
-        self.current.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    fn peak(&self) -> usize {
-        self.peak.load(Ordering::Relaxed)
-    }
-}
-
-struct QueueState {
-    items: VecDeque<ShardCmd>,
-    closed: bool,
-    /// Set when the consuming worker died without draining (panic); the
-    /// producer then fails fast instead of blocking forever on a queue
-    /// nobody will ever pop.
-    consumer_gone: bool,
-}
-
-/// A bounded SPSC queue with blocking push (backpressure) and blocking pop.
-struct BoundedQueue {
-    capacity: usize,
-    state: Mutex<QueueState>,
-    not_empty: Condvar,
-    not_full: Condvar,
-}
-
-impl BoundedQueue {
-    fn new(capacity: usize) -> Self {
-        BoundedQueue {
-            capacity,
-            state: Mutex::new(QueueState {
-                items: VecDeque::new(),
-                closed: false,
-                consumer_gone: false,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-        }
-    }
-
-    /// Blocks while the queue is at capacity (backpressure), then enqueues.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the consuming worker *thread* died without draining — a
-    /// last-resort fail-fast for infrastructure bugs only. Pipeline panics
-    /// (including injected ones) are caught inside the worker, which keeps
-    /// draining its queue, so this path is unreachable under chaos plans.
-    fn push(&self, cmd: ShardCmd, gauge: &InFlightGauge) {
-        let mut st = relock(&self.state);
-        loop {
-            assert!(
-                !st.consumer_gone,
-                "shard worker terminated; cannot stream further events"
-            );
-            if st.items.len() < self.capacity {
-                break;
-            }
-            st = rewait(&self.not_full, st);
-        }
-        st.items.push_back(cmd);
-        gauge.inc();
-        drop(st);
-        self.not_empty.notify_one();
-    }
-
-    /// Blocks until a command is available; `None` once the queue is closed
-    /// and drained.
-    fn pop(&self, gauge: &InFlightGauge) -> Option<ShardCmd> {
-        let mut st = relock(&self.state);
-        loop {
-            if let Some(cmd) = st.items.pop_front() {
-                gauge.dec();
-                drop(st);
-                self.not_full.notify_one();
-                return Some(cmd);
-            }
-            if st.closed {
-                return None;
-            }
-            st = rewait(&self.not_empty, st);
-        }
-    }
-
-    fn close(&self) {
-        relock(&self.state).closed = true;
-        self.not_empty.notify_all();
-    }
-
-    fn mark_consumer_gone(&self) {
-        relock(&self.state).consumer_gone = true;
-        self.not_full.notify_all();
-    }
-}
-
-struct ReplyState {
-    value: Option<Option<LineData>>,
-    poisoned: bool,
-}
-
-/// The producer's one-slot rendezvous for fill-read answers (the producer
-/// issues at most one read at a time, so a single slot suffices).
-struct ReplySlot {
-    slot: Mutex<ReplyState>,
-    ready: Condvar,
-}
-
-impl ReplySlot {
-    fn new() -> Self {
-        ReplySlot {
-            slot: Mutex::new(ReplyState {
-                value: None,
-                poisoned: false,
-            }),
-            ready: Condvar::new(),
-        }
-    }
-
-    fn put(&self, value: Option<LineData>) {
-        relock(&self.slot).value = Some(value);
-        self.ready.notify_one();
-    }
-
-    /// Marks the slot dead so a producer waiting for an answer fails fast
-    /// instead of blocking forever (last-resort, used only when a worker
-    /// *thread* dies outside the supervised command loop).
-    fn poison(&self) {
-        relock(&self.slot).poisoned = true;
-        self.ready.notify_all();
-    }
-
-    fn take(&self) -> Option<LineData> {
-        let mut st = relock(&self.slot);
-        loop {
-            if let Some(value) = st.value.take() {
-                return value;
-            }
-            assert!(
-                !st.poisoned,
-                "shard worker terminated while a fill read was pending"
-            );
-            st = rewait(&self.ready, st);
-        }
-    }
-}
-
-/// Unblocks the producer if a worker unwinds: a panicking worker will
-/// never pop its queue or answer a pending read again, so leave fail-fast
-/// markers behind instead of letting the producer wait forever. (On a
-/// normal exit this is a no-op; the worker's own panic is re-raised when
-/// the thread scope joins.)
-struct WorkerPanicGuard<'a> {
-    queue: &'a BoundedQueue,
-    reply: &'a ReplySlot,
-}
-
-impl Drop for WorkerPanicGuard<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.queue.mark_consumer_gone();
-            self.reply.poison();
-        }
-    }
-}
-
 /// The [`MemoryReader`] the producer hands the source: routes each fill
-/// read through the owning shard's queue and waits for the worker's
+/// read through the owning shard's mailbox and waits for the worker's
 /// answer.
 struct ShardedReader<'a> {
-    queues: &'a [BoundedQueue],
+    mailboxes: &'a [ShardMailbox],
     reply: &'a ReplySlot,
     gauge: &'a InFlightGauge,
     config: &'a PcmConfig,
     memory_fills: u64,
 }
 
-impl MemoryReader for ShardedReader<'_> {
+impl ShardedReader<'_> {
+    /// The mailbox of the shard owning a line address.
     // PANIC-OK: the shard index is row % shard-count, in bounds by construction.
+    fn mailbox_of(&self, line_addr: u64) -> &ShardMailbox {
+        let shards = self.mailboxes.len() as u64;
+        &self.mailboxes[(self.config.row_of_byte_addr(line_addr) % shards) as usize]
+    }
+}
+
+impl MemoryReader for ShardedReader<'_> {
     fn read_line(&mut self, line_addr: u64) -> Option<LineData> {
-        let shard = (self.config.row_of_byte_addr(line_addr) % self.queues.len() as u64) as usize;
-        self.queues[shard].push(ShardCmd::Read(line_addr), self.gauge);
+        self.mailbox_of(line_addr)
+            .push(LANE, Cmd::Read(line_addr), self.gauge);
         let answer = self.reply.take();
         if answer.is_some() {
             self.memory_fills += 1;
@@ -329,125 +150,90 @@ impl ShardedEngine {
     /// # Panics
     ///
     /// Panics if `queue_capacity` is zero.
-    // PANIC-OK: per-shard indices come from enumerate over vectors this fn builds with matching lengths; the supervised jobs are the closures, not this driver.
     pub fn stream_replay_with(
         &mut self,
         source: &mut dyn TraceSource,
         queue_capacity: usize,
     ) -> StreamSummary {
         assert!(queue_capacity > 0, "streaming needs a non-zero queue bound");
-        let mem_config = self.shards[0].memory().config().clone();
-        let shards = self.config.shards as u64;
-        let queues: Vec<BoundedQueue> = (0..self.config.shards)
-            .map(|_| BoundedQueue::new(queue_capacity))
+        let mailboxes: Vec<ShardMailbox> = (0..self.config.shards)
+            .map(|_| ShardMailbox::new(1, queue_capacity))
             .collect();
-        let reply = ReplySlot::new();
-
-        /// What one supervised worker reports back after draining.
-        struct WorkerOutcome {
-            /// Message of the first caught pipeline panic, if any.
-            failure: Option<String>,
-            /// Writes discarded while the shard was quarantined (including
-            /// the write whose commit panicked — it never landed).
-            discarded: u64,
-        }
-
-        let pre_quarantined: Vec<bool> = self.quarantined.clone();
-        let outcomes: Vec<Mutex<Option<WorkerOutcome>>> =
-            (0..self.config.shards).map(|_| Mutex::new(None)).collect();
-
+        let mem_config = self.shards[0].memory().config().clone();
+        let reply = ReplySlot::default();
         let gauge = InFlightGauge::default();
+        let mut reader = ShardedReader {
+            mailboxes: &mailboxes,
+            reply: &reply,
+            gauge: &gauge,
+            config: &mem_config,
+            memory_fills: 0,
+        };
         let mut events = 0u64;
-        let mut memory_fills = 0u64;
-        std::thread::scope(|scope| {
-            for (i, (pipeline, queue)) in self.shards.iter_mut().zip(&queues).enumerate() {
-                let (reply, gauge) = (&reply, &gauge);
-                let (dead_at_entry, outcome_slot) = (pre_quarantined[i], &outcomes[i]);
-                scope.spawn(move || {
-                    let _guard = WorkerPanicGuard { queue, reply };
-                    // Supervision: a pipeline panic (injected or real)
-                    // quarantines this shard, but the worker keeps
-                    // draining — discarding writes and answering reads
-                    // with `None` — so the producer never blocks and the
-                    // stream always runs to completion.
-                    let mut dead = dead_at_entry;
-                    let mut failure = None;
-                    let mut discarded = 0u64;
-                    while let Some(cmd) = queue.pop(gauge) {
-                        match cmd {
-                            ShardCmd::Write(wb) => {
-                                let committed = !dead
-                                    && catch_unwind(AssertUnwindSafe(|| {
-                                        pipeline.write_back(&wb);
-                                    }))
-                                    .map_err(|payload| {
-                                        dead = true;
-                                        failure = Some(panic_message(payload));
-                                    })
-                                    .is_ok();
-                                if !committed {
-                                    discarded += 1;
-                                }
-                            }
-                            ShardCmd::Read(line_addr) => {
-                                let answer = if dead {
-                                    None
-                                } else {
-                                    catch_unwind(AssertUnwindSafe(|| pipeline.read_line(line_addr)))
-                                        .unwrap_or_else(|payload| {
-                                            dead = true;
-                                            failure = Some(panic_message(payload));
-                                            None
-                                        })
-                                };
-                                reply.put(answer);
-                            }
-                        }
-                    }
-                    *relock(outcome_slot) = Some(WorkerOutcome { failure, discarded });
-                });
-            }
 
-            // Producer: this thread. Queues close when the guard drops —
-            // on normal exit *and* on a panicking unwind of the source —
+        // Each worker reports the first caught panic and the writes it
+        // discarded while its shard was quarantined.
+        let outcomes: Vec<(Option<String>, u64)> = std::thread::scope(|scope| {
+            let workers: Vec<_> = self
+                .shards
+                .iter_mut()
+                .zip(&self.quarantined)
+                .zip(&mailboxes)
+                .map(|((pipeline, &dead_at_entry), mailbox)| {
+                    let (reply, gauge) = (&reply, &gauge);
+                    scope.spawn(move || {
+                        let _guard = WorkerGuard {
+                            mailbox,
+                            replies: std::slice::from_ref(reply),
+                        };
+                        let (mut dead, mut cursor) = (dead_at_entry, 0);
+                        let (mut failure, mut discarded) = (None, 0u64);
+                        while let Some((_, _, cmd)) = mailbox.pop_round_robin(&mut cursor, gauge) {
+                            let done = execute(pipeline, cmd, &mut dead, reply);
+                            discarded += done.discarded;
+                            failure = failure.or(done.failure);
+                        }
+                        (failure, discarded)
+                    })
+                })
+                .collect();
+
+            // Producer: this thread. The lanes close when the closer drops
+            // — on normal exit *and* on a panicking unwind of the source —
             // so the workers always drain and the scope always joins.
-            struct CloseOnDrop<'a>(&'a [BoundedQueue]);
-            impl Drop for CloseOnDrop<'_> {
-                fn drop(&mut self) {
-                    for queue in self.0 {
-                        queue.close();
-                    }
+            {
+                let _closer = LaneCloser {
+                    mailboxes: &mailboxes,
+                    lane: LANE,
+                };
+                while let Some(wb) = source.next_event(&mut reader) {
+                    reader
+                        .mailbox_of(wb.line_addr)
+                        .push(LANE, Cmd::Write(wb), &gauge);
+                    events += 1;
                 }
             }
-            let _closer = CloseOnDrop(&queues);
-            let mut reader = ShardedReader {
-                queues: &queues,
-                reply: &reply,
-                gauge: &gauge,
-                config: &mem_config,
-                memory_fills: 0,
-            };
-            while let Some(wb) = source.next_event(&mut reader) {
-                let shard = (mem_config.row_of_byte_addr(wb.line_addr) % shards) as usize;
-                queues[shard].push(ShardCmd::Write(wb), &gauge);
-                events += 1;
-            }
-            memory_fills = reader.memory_fills;
+            workers
+                .into_iter()
+                .map(|worker| {
+                    worker
+                        .join()
+                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+                })
+                .collect()
         });
 
         // Fold the workers' supervision reports back into the engine's
         // degraded-state bookkeeping.
         let mut events_discarded = 0u64;
-        for (i, slot) in outcomes.iter().enumerate() {
-            if let Some(outcome) = relock(slot).take() {
-                if let Some(message) = outcome.failure {
-                    self.quarantined[i] = true;
-                    self.failures[i] = Some(message);
-                }
-                events_discarded += outcome.discarded;
-                self.discarded_events += outcome.discarded;
+        for (i, (failure, discarded)) in outcomes.into_iter().enumerate() {
+            if let Some(message) = failure {
+                self.quarantined[i] = true;
+                self.failures[i] = Some(message);
             }
+            events_discarded += discarded;
         }
+        self.discarded_events += events_discarded;
 
         // The latency percentiles come off the quiesced shards' merged
         // integer histograms — the same numbers a sequential replay
@@ -456,7 +242,7 @@ impl ShardedEngine {
         let writes = self.timing_stats().writes;
         StreamSummary {
             events,
-            memory_fills,
+            memory_fills: reader.memory_fills,
             max_in_flight: gauge.peak(),
             queue_capacity,
             write_p50_cycles: writes.percentile_permille(500),
@@ -465,64 +251,5 @@ impl ShardedEngine {
             events_discarded,
             shards_quarantined: self.quarantined.iter().filter(|&&q| q).count() as u32,
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bounded_queue_backpressure_and_close() {
-        let q = BoundedQueue::new(2);
-        let gauge = InFlightGauge::default();
-        q.push(ShardCmd::Read(0), &gauge);
-        q.push(ShardCmd::Read(64), &gauge);
-        assert_eq!(gauge.peak(), 2);
-        // A third push must block until a pop frees a slot.
-        std::thread::scope(|scope| {
-            scope.spawn(|| q.push(ShardCmd::Read(128), &gauge));
-            assert!(q.pop(&gauge).is_some());
-        });
-        assert!(q.pop(&gauge).is_some());
-        assert!(q.pop(&gauge).is_some());
-        q.close();
-        assert!(q.pop(&gauge).is_none(), "closed and drained");
-        // The peak never exceeded the capacity bound.
-        assert_eq!(gauge.peak(), 2);
-        assert_eq!(gauge.current.load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
-    fn push_fails_fast_when_the_consumer_died() {
-        let q = BoundedQueue::new(1);
-        let gauge = InFlightGauge::default();
-        q.push(ShardCmd::Read(0), &gauge);
-        q.mark_consumer_gone();
-        // Both the blocked-on-full and the immediate path must panic
-        // rather than wait on a worker that will never pop again.
-        let full = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            q.push(ShardCmd::Read(64), &gauge)
-        }));
-        assert!(full.is_err(), "push into a dead queue must fail fast");
-    }
-
-    #[test]
-    fn reply_slot_round_trip_and_poison() {
-        let slot = ReplySlot::new();
-        std::thread::scope(|scope| {
-            scope.spawn(|| slot.put(Some([7u64; 8])));
-            assert_eq!(slot.take(), Some([7u64; 8]));
-        });
-        std::thread::scope(|scope| {
-            scope.spawn(|| slot.put(None));
-            assert_eq!(slot.take(), None);
-        });
-        slot.poison();
-        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| slot.take()));
-        assert!(
-            poisoned.is_err(),
-            "take from a poisoned slot must fail fast"
-        );
     }
 }

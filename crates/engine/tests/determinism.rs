@@ -11,7 +11,7 @@
 use controller::{PipelineStats, WritePipeline};
 use coset::cost::opt_saw_then_energy;
 use coset::Vcc;
-use engine::{EngineConfig, LifetimeSummary, ShardKeying, ShardedEngine};
+use engine::{EngineConfig, LifetimeSummary, ShardedEngine};
 use pcm::{FaultMap, MemoryStats, PcmConfig};
 use proptest::prelude::*;
 use workload::Trace;
@@ -122,24 +122,6 @@ fn thread_count_never_changes_results() {
             "{threads}-thread run diverged"
         );
     }
-}
-
-/// Per-shard keying stays deterministic and thread-count-invariant (the
-/// keystreams differ from the unified run, but every rerun is identical).
-#[test]
-fn per_shard_keying_is_deterministic_across_threads() {
-    let (seed, crypt_seed) = (0xABCD, 5);
-    let t = trace(11);
-    let config = EngineConfig::default()
-        .with_shards(4)
-        .with_keying(ShardKeying::PerShard);
-    let a = sharded_replay(seed, crypt_seed, &t, config.with_threads(1));
-    let b = sharded_replay(seed, crypt_seed, &t, config.with_threads(4));
-    assert_eq!(a, b);
-    // Sanity: the same trace volume flowed through both keying policies.
-    let unified = sharded_replay(seed, crypt_seed, &t, EngineConfig::default().with_shards(4));
-    assert_eq!(a.1.lines_written, unified.1.lines_written);
-    assert_eq!(a.0.row_writes, unified.0.row_writes);
 }
 
 /// The sharded lifetime replay reproduces the sequential stopping point

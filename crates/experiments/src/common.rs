@@ -268,9 +268,9 @@ impl Technique {
     /// and memory configuration in every shard; `cost` is invoked once per
     /// shard because cost functions are not cloneable).
     ///
-    /// Under the default [`engine::ShardKeying::Unified`] policy the
-    /// engine's aggregate statistics are bit-identical to replaying through
-    /// [`Technique::pipeline`] sequentially, so the `--shards` knob is purely
+    /// Every shard is keyed with `crypt_seed`, which makes the engine's
+    /// aggregate statistics bit-identical to replaying through
+    /// [`Technique::pipeline`] sequentially: the `--shards` knob is purely
     /// a wall-clock choice for every figure driver built on this.
     pub fn engine(
         &self,

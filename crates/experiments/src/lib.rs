@@ -46,7 +46,7 @@ pub mod service_cli;
 
 pub use common::{pipeline_for, Scale, Technique};
 pub use controller::{LineReport, PipelineStats, WritePipeline};
-pub use engine::{EngineConfig, ShardKeying, ShardedEngine};
+pub use engine::{EngineConfig, ShardedEngine};
 pub use runner::{
     reproduce, reproduce_all, reproduce_configured, reproduce_with_engine, ReplayMode, Report,
     Selection,

@@ -199,31 +199,6 @@ pub fn serve_main(args: &[String]) {
     println!("{}", report.render_text());
 }
 
-/// Like [`technique_pipeline`], but with the per-bank command issue
-/// interval overridden — the offered-load knob the saturation sweep turns.
-pub fn technique_pipeline_at(
-    ctx: &TenantCtx<'_>,
-    scale: Scale,
-    issue_interval_cycles: u64,
-) -> WritePipeline {
-    let technique = Technique::from_cli(ctx.technique)
-        // Deliberate abort in the CLI front-end, naming the unknown label.
-        .unwrap_or_else(|| panic!("unknown technique label {:?}", ctx.technique));
-    technique
-        .pipeline(
-            scale.pcm_config(ARRAY_SEED),
-            None,
-            ctx.crypt_seed,
-            ctx.crypt_seed,
-            Box::new(WriteEnergy::mlc()),
-        )
-        .with_timing(
-            technique
-                .timing_params()
-                .with_issue_interval(issue_interval_cycles),
-        )
-}
-
 /// `reproduce loadgen`: runs the default scenario matrix and prints the
 /// throughput/fairness table (`--json` prints the full JSON instead;
 /// `--fast` or `SERVICE_FAST=1` shrinks the per-tenant access counts).
@@ -332,7 +307,7 @@ pub fn run_saturation_sweep(
     loadgen::saturation_curve(
         scenario,
         &loadgen::DEFAULT_SATURATION_INTERVALS,
-        &mut |ctx, interval| technique_pipeline_at(ctx, scale, interval),
+        &mut |ctx| technique_pipeline(ctx, scale),
     )
 }
 
@@ -398,8 +373,8 @@ mod tests {
             .next()
             .expect("matrix is non-empty");
         scenario.accesses_per_tenant = 600;
-        let points = loadgen::saturation_curve(&scenario, &[200, 25], &mut |ctx, interval| {
-            technique_pipeline_at(ctx, Scale::Tiny, interval)
+        let points = loadgen::saturation_curve(&scenario, &[200, 25], &mut |ctx| {
+            technique_pipeline(ctx, Scale::Tiny)
         });
         assert_eq!(points.len(), 2);
         for p in &points {

@@ -83,7 +83,7 @@ pub use fault::FaultMap;
 pub use memory::{LineWriteScratch, PcmMemory};
 pub use row::Row;
 pub use stats::{
-    LatencyHistogram, LatencySummary, LineWriteOutcome, MemoryStats, WordWriteOutcome,
-    LATENCY_BUCKETS,
+    nearest_rank, LatencyHistogram, LatencySummary, LineWriteOutcome, MemoryStats,
+    WordWriteOutcome, LATENCY_BUCKETS,
 };
 pub use wearlevel::StartGap;

@@ -201,6 +201,28 @@ impl MemoryStats {
     }
 }
 
+/// Nearest-rank percentile of a histogram, in permille (`500` = p50, `990`
+/// = p99): the index of the bucket holding rank `ceil(total × permille /
+/// 1000)` in cumulative order, where `counts[i]` is the number of samples
+/// in bucket `i`. The rank is clamped to `1..=total`, so p0 picks the
+/// lowest occupied bucket and `permille ≥ 1000` the highest. `None` when
+/// every count is zero.
+pub fn nearest_rank(counts: &[u64], permille: u64) -> Option<usize> {
+    let total: u64 = counts.iter().sum();
+    if total == 0 {
+        return None;
+    }
+    let rank = total
+        .saturating_mul(permille)
+        .div_ceil(1000)
+        .clamp(1, total);
+    let mut seen = 0u64;
+    counts.iter().position(|&n| {
+        seen += n;
+        seen >= rank
+    })
+}
+
 /// Number of buckets in a [`LatencyHistogram`]: bucket `k > 0` holds
 /// latencies whose bit length is `k` (i.e. `2^(k-1) ..= 2^k - 1` cycles),
 /// bucket 0 holds zero-cycle samples. A `u64` latency has bit length at
@@ -293,28 +315,11 @@ impl LatencyHistogram {
     }
 
     /// Nearest-rank percentile in permille (`500` = p50, `990` = p99,
-    /// `999` = p99.9), reported as the selected bucket's upper bound —
-    /// a conservative (never under-reported) latency. Returns 0 for an
-    /// empty histogram. `permille` values of 1000 and above select the
-    /// highest non-empty bucket.
+    /// `999` = p99.9; see [`nearest_rank`]), reported as the selected
+    /// bucket's upper bound — a conservative (never under-reported)
+    /// latency. Returns 0 for an empty histogram.
     pub fn percentile_permille(&self, permille: u64) -> u64 {
-        let total: u64 = self.count();
-        if total == 0 {
-            return 0;
-        }
-        // Nearest-rank: the smallest rank r (1-based) with r >= ceil(total * p / 1000),
-        // clamped to at least rank 1 so p0 picks the lowest occupied bucket.
-        let rank = (total.saturating_mul(permille))
-            .div_ceil(1000)
-            .clamp(1, total);
-        let mut seen = 0u64;
-        for (k, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return Self::bucket_upper_bound(k);
-            }
-        }
-        Self::bucket_upper_bound(LATENCY_BUCKETS - 1)
+        nearest_rank(&self.buckets, permille).map_or(0, Self::bucket_upper_bound)
     }
 
     /// JSON form: bucket array trimmed after the last non-empty bucket,

@@ -6,9 +6,8 @@
 //!
 //! A *tenant* is one key domain plus one write-back stream: it owns an
 //! encryption seed derived from the service's base seed through
-//! [`tenant_seed`] (the same SplitMix64 derivation the engine's
-//! `ShardKeying::PerShard` uses for per-bank keys, under a distinct domain
-//! tag so tenant keys and bank keys can never collide), a
+//! [`tenant_seed`] (the engine's [`engine::mix_shard_seed`] SplitMix64
+//! derivation, under a tenant domain tag), a
 //! [`workload::TraceSource`] producing its write-backs, and its own encoder
 //! and technique configuration supplied through a pipeline factory.
 //!
@@ -60,23 +59,21 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-mod mailbox;
-
 pub mod control;
 pub mod loadgen;
 mod server;
 
 pub use control::{CommandLoop, ControlPlane, NoControl};
 pub use server::{
-    hist_percentile, MemoryService, ServiceHandle, ServiceReport, ServiceSnapshot, TenantReport,
-    TenantSnapshot,
+    MemoryService, ServiceHandle, ServiceReport, ServiceSnapshot, TenantReport, TenantSnapshot,
 };
 
 use engine::ShardSpec;
 
-/// Domain tag folded into the base seed before per-tenant derivation, so a
-/// tenant key can never collide with a per-bank `ShardKeying::PerShard` key
-/// derived from the same base seed.
+/// Domain tag folded into the base seed before per-tenant derivation, so
+/// tenant keys come from their own domain of [`engine::mix_shard_seed`]
+/// outputs instead of the raw base seed's. Every tenant seed derives from
+/// it: changing it re-keys every tenant.
 const TENANT_DOMAIN_TAG: u64 = 0x7E4A_4E54_5F4B_4559; // "tenant key"
 
 /// Derives tenant `tenant_id`'s encryption seed from the service base seed:
@@ -189,7 +186,7 @@ impl TenantSpec {
 /// [`ShardSpec`] for the shard being built. The factory must return
 /// identically configured memories for every shard (the engine asserts
 /// this) and should key nothing itself — the engine applies
-/// `with_crypt_seed(spec.shard.crypt_seed)` after the factory returns.
+/// `with_crypt_seed(crypt_seed)` after the factory returns.
 #[derive(Debug, Clone, Copy)]
 pub struct TenantCtx<'a> {
     /// Index of the tenant in admission order.
@@ -216,10 +213,10 @@ mod tests {
         seeds.sort_unstable();
         seeds.dedup();
         assert_eq!(seeds.len(), 64);
-        // Distinct from per-bank PerShard keys under the same base seed.
+        // Distinct from the same derivation without the tenant domain tag.
         for bank in 0..64u64 {
             let bank_key = engine::mix_shard_seed(base, bank);
-            assert!(!seeds.contains(&bank_key), "tenant/bank key collision");
+            assert!(!seeds.contains(&bank_key), "tenant key left its domain");
         }
     }
 

@@ -340,11 +340,11 @@ impl SaturationPoint {
     }
 }
 
-/// Runs `scenario` once per issue interval, handing the factory the
-/// interval so it can configure each pipeline's
-/// `controller::TimingParams::with_issue_interval` — the per-tenant
-/// saturation curve of the service. Latency percentiles are derived from
-/// the all-integer timing model, so every point is deterministic and
+/// Runs `scenario` once per issue interval, overriding each pipeline's
+/// per-bank issue interval (`controller::TimingParams::with_issue_interval`
+/// on the factory's own timing parameters) — the per-tenant saturation
+/// curve of the service. Latency percentiles are derived from the
+/// all-integer timing model, so every point is deterministic and
 /// shard-invariant even though the sweep varies offered load.
 pub fn saturation_curve<F>(
     scenario: &Scenario,
@@ -352,14 +352,16 @@ pub fn saturation_curve<F>(
     factory: &mut F,
 ) -> Vec<SaturationPoint>
 where
-    F: FnMut(&TenantCtx<'_>, u64) -> WritePipeline,
+    F: FnMut(&TenantCtx<'_>) -> WritePipeline,
 {
     intervals
         .iter()
         .map(|&interval| {
             let specs = scenario.tenant_specs();
             let mut service = MemoryService::build(scenario.service_config(), &specs, |ctx| {
-                factory(ctx, interval)
+                let pipeline = factory(ctx);
+                let timing = pipeline.timing_params().with_issue_interval(interval);
+                pipeline.with_timing(timing)
             });
             let report = service.run(scenario.sources());
             SaturationPoint {

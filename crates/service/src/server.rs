@@ -1,20 +1,21 @@
 //! The multi-tenant service runtime: per-tenant sharded state, bank
 //! workers, tenant producers, live snapshots and the final drain report.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
 use controller::{PipelineStats, RecoveryPolicy, TimingStats, WritePipeline};
-use engine::{panic_message, relock, EngineConfig, ShardedEngine};
+use engine::mailbox::{
+    execute, Cmd, InFlightGauge, LaneCloser, ReplySlot, ShardMailbox, WorkerGuard,
+};
+use engine::{relock, EngineConfig, ShardedEngine};
 use faultsim::{tenant_plan, FaultLog, FaultPlan};
-use pcm::{LatencySummary, MemoryStats, PcmConfig};
+use pcm::{nearest_rank, LatencySummary, MemoryStats, PcmConfig};
 use serde::json::Value;
 use workload::{LineData, MemoryReader, TraceSource, WriteBack};
 
 use crate::control::ControlPlane;
-use crate::mailbox::{Cmd, InFlightGauge, ReplySlot, ShardMailbox};
 use crate::{tenant_seed, NoControl, ServiceConfig, TenantCtx, TenantSpec};
 
 /// Resolved per-tenant admission data.
@@ -260,7 +261,6 @@ impl MemoryService {
     /// Panics if `sources.len()` differs from the admitted tenant count, or
     /// if a worker or producer thread panics (the panic is propagated at
     /// scope join after the fail-fast markers unblock the other threads).
-    // PANIC-OK: per-tenant and per-shard vectors are built in this fn with matching lengths; every index is enumerate-derived.
     pub fn serve<C: ControlPlane>(
         &mut self,
         sources: Vec<Box<dyn TraceSource + Send + '_>>,
@@ -274,7 +274,7 @@ impl MemoryService {
             mailboxes: (0..shards)
                 .map(|_| ShardMailbox::new(tenant_count, capacity))
                 .collect(),
-            replies: (0..tenant_count).map(|_| ReplySlot::new()).collect(),
+            replies: (0..tenant_count).map(|_| ReplySlot::default()).collect(),
             gauge: InFlightGauge::default(),
             drain: AtomicBool::new(false),
             slots: (0..shards)
@@ -322,7 +322,6 @@ impl MemoryService {
     /// Builds the final report from the quiesced pipelines (authoritative
     /// for the determinism contract) plus the run's queue-depth histograms
     /// and producer counters.
-    // PANIC-OK: iterates parallel per-tenant/per-shard vectors of equal length built by `serve`; indices are enumerate-derived.
     fn report(&self, shared: &RunShared, wall_secs: f64) -> ServiceReport {
         let mut tenants = Vec::with_capacity(self.tenants.len());
         let mut events_total = 0u64;
@@ -374,7 +373,7 @@ impl MemoryService {
                 write_latency: LatencySummary::of(&timing.writes),
                 timing,
                 faults,
-                queue_depth_p50: hist_percentile(&hist, 50),
+                queue_depth_p50: nearest_rank(&hist, 500).unwrap_or(0),
                 queue_depth_overflow: *hist.last().unwrap_or(&0),
                 queue_depth_max: depth_max,
                 active_secs: progress.active_secs,
@@ -396,109 +395,30 @@ impl MemoryService {
     }
 }
 
-/// Smallest depth `d` such that at least `pct` percent of the histogram's
-/// samples are ≤ `d` (0 when the histogram is empty) — the nearest-rank
-/// percentile: with `total` samples, the answer is the bucket holding rank
-/// `ceil(total * pct / 100)` in cumulative order.
-pub fn hist_percentile(hist: &[u64], pct: u64) -> usize {
-    let total: u64 = hist.iter().sum();
-    if total == 0 {
-        return 0;
-    }
-    let rank = (total * pct).div_ceil(100);
-    let mut cum = 0u64;
-    for (d, n) in hist.iter().enumerate() {
-        cum += n;
-        if cum >= rank {
-            return d;
-        }
-    }
-    hist.len() - 1
-}
-
-/// Marks the mailbox dead and poisons every reply slot if the bank worker
-/// unwinds, so blocked producers fail fast instead of deadlocking.
-struct WorkerGuard<'a> {
-    shard: usize,
-    shared: &'a RunShared,
-}
-
-impl Drop for WorkerGuard<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.shared.mailboxes[self.shard].mark_consumer_gone();
-            for slot in &self.shared.replies {
-                slot.poison();
-            }
-        }
-    }
-}
-
-// PANIC-OK: `row` and the shared vectors are sized per-shard/per-tenant by `serve`; a panic here quarantines the bank worker, which is the supervised degradation path.
 fn worker_loop(shard: usize, row: &mut [WritePipeline], shared: &RunShared) {
-    let _guard = WorkerGuard { shard, shared };
+    let mailbox = &shared.mailboxes[shard];
+    let _guard = WorkerGuard {
+        mailbox,
+        replies: &shared.replies,
+    };
     let mut cursor = 0usize;
     // Per-tenant quarantine flags, kept thread-local so the hot path never
     // takes a stats lock just to check them (Vec<bool>, not a hash set —
-    // iteration order must stay deterministic; DET01).
+    // iteration order must stay deterministic; DET01). A caught panic
+    // quarantines this (shard, tenant) cell only: every other tenant on
+    // this shard and every other shard of this tenant keep full service.
     let mut dead = vec![false; row.len()];
-    while let Some((t, depth, cmd)) =
-        shared.mailboxes[shard].pop_round_robin(&mut cursor, &shared.gauge)
-    {
+    while let Some((t, depth, cmd)) = mailbox.pop_round_robin(&mut cursor, &shared.gauge) {
         let pipeline = &mut row[t];
-        let mut reads = 0u64;
-        let mut discarded = 0u64;
-        let mut failure: Option<String> = None;
-        // Supervision: a pipeline panic (injected or real) quarantines this
-        // (shard, tenant) cell only. The worker keeps draining the cell's
-        // lane — discarding its writes and answering its reads with `None`
-        // — so producers never block, every other tenant on this shard and
-        // every other shard of this tenant keep full service, and the
-        // process never dies.
-        match cmd {
-            Cmd::Batch(batch) => {
-                for (done, wb) in batch.iter().enumerate() {
-                    if dead[t] {
-                        // Everything from the panicking write onward is
-                        // discarded (the panic fires before any mutation,
-                        // so that write never landed either).
-                        discarded = (batch.len() - done) as u64;
-                        break;
-                    }
-                    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| {
-                        pipeline.write_back(wb);
-                    })) {
-                        dead[t] = true;
-                        failure = Some(panic_message(payload));
-                        discarded = (batch.len() - done) as u64;
-                        break;
-                    }
-                }
-            }
-            Cmd::Read(addr) => {
-                let answer = if dead[t] {
-                    None
-                } else {
-                    catch_unwind(AssertUnwindSafe(|| pipeline.read_line(addr))).unwrap_or_else(
-                        |payload| {
-                            dead[t] = true;
-                            failure = Some(panic_message(payload));
-                            None
-                        },
-                    )
-                };
-                shared.replies[t].put(answer);
-                reads = 1;
-            }
-        }
+        let done = execute(pipeline, cmd, &mut dead[t], &shared.replies[t]);
         let mut slot = relock(&shared.slots[shard][t]);
         slot.pipeline = *pipeline.stats();
         slot.memory = *pipeline.memory_stats();
         slot.timing = *pipeline.timing_stats();
         slot.faults = pipeline.fault_log();
-        slot.reads += reads;
-        slot.discarded += discarded;
-        if let Some(message) = failure {
+        slot.reads += u64::from(done.read);
+        slot.discarded += done.discarded;
+        if let Some(message) = done.failure {
             slot.quarantined = true;
             slot.failure = Some(message);
         }
@@ -508,22 +428,6 @@ fn worker_loop(shard: usize, row: &mut [WritePipeline], shared: &RunShared) {
         let bucket = depth.min(shared.capacity + 1);
         slot.depth_hist[bucket] += 1;
         slot.depth_max = Some(slot.depth_max.map_or(depth, |m| m.max(depth)));
-    }
-}
-
-/// Closes the tenant's lane in every mailbox when the producer exits —
-/// normally (workers drain what remains and move on) or by panic (workers
-/// are not left waiting on a lane nobody will fill).
-struct LaneCloser<'a> {
-    tenant: usize,
-    shared: &'a RunShared,
-}
-
-impl Drop for LaneCloser<'_> {
-    fn drop(&mut self) {
-        for mailbox in &self.shared.mailboxes {
-            mailbox.close_lane(self.tenant);
-        }
     }
 }
 
@@ -548,7 +452,6 @@ impl Producer<'_> {
         (self.mem_config.row_of_byte_addr(line_addr) % self.shards as u64) as usize
     }
 
-    // PANIC-OK: `s` is a shard id < shard count; the batch buffers are sized at construction.
     fn flush_shard(&mut self, s: usize) {
         if self.pending[s].is_empty() {
             return;
@@ -568,7 +471,6 @@ impl Producer<'_> {
         }
     }
 
-    // PANIC-OK: the shard index is row % shard-count, in bounds by construction.
     fn push(&mut self, wb: WriteBack) {
         let s = self.shard_of(wb.line_addr);
         self.pending[s].push(wb);
@@ -579,7 +481,6 @@ impl Producer<'_> {
 }
 
 impl MemoryReader for Producer<'_> {
-    // PANIC-OK: the shard index is row % shard-count, in bounds by construction.
     fn read_line(&mut self, line_addr: u64) -> Option<LineData> {
         let s = self.shard_of(line_addr);
         // FIFO lane + flush-before-read: the read observes every earlier
@@ -595,7 +496,6 @@ impl MemoryReader for Producer<'_> {
     }
 }
 
-// PANIC-OK: per-shard buffers are sized by the mailbox count this fn reads; a panic aborts one producer and closes its lanes, the supervised degradation path.
 fn producer_loop(
     tenant: usize,
     mut source: Box<dyn TraceSource + Send + '_>,
@@ -609,7 +509,10 @@ fn producer_loop(
     // driven by the cycle-domain clock, not real time.
     let started = Instant::now();
     let shards = shared.mailboxes.len();
-    let _closer = LaneCloser { tenant, shared };
+    let _closer = LaneCloser {
+        mailboxes: &shared.mailboxes,
+        lane: tenant,
+    };
     let mut producer = Producer {
         tenant,
         batch,
@@ -671,7 +574,6 @@ impl ServiceHandle<'_> {
     /// cell is internally consistent (the worker publishes it under a
     /// lock after each command), but cells are read at slightly different
     /// instants.
-    // PANIC-OK: snapshot vectors mirror the per-tenant/per-shard layout fixed at construction; indices are enumerate-derived.
     pub fn snapshot(&self) -> ServiceSnapshot {
         let mut tenants = Vec::with_capacity(self.tenants.len());
         for (t, meta) in self.tenants.iter().enumerate() {
@@ -1100,24 +1002,5 @@ impl ServiceReport {
             }
         }
         out
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn hist_percentile_is_nearest_rank() {
-        // 6 samples: 3 at depth 0, 2 at depth 2, 1 at depth 4. Nearest
-        // rank: p50 targets rank ceil(6*50/100) = 3, and depth 0 holds
-        // cumulative ranks 1-3, so p50 = 0 (NOT "the 2nd smallest
-        // sample"). p80 targets rank ceil(6*80/100) = 5, held by depth 2
-        // (ranks 4-5); p100 targets rank 6, held by depth 4.
-        let hist = [3u64, 0, 2, 0, 1];
-        assert_eq!(hist_percentile(&hist, 50), 0);
-        assert_eq!(hist_percentile(&hist, 80), 2);
-        assert_eq!(hist_percentile(&hist, 100), 4);
-        assert_eq!(hist_percentile(&[0, 0], 50), 0);
     }
 }

@@ -1,5 +1,5 @@
-//! Property tests pinning [`service::hist_percentile`] against a sort-based
-//! nearest-rank reference.
+//! Property tests pinning [`pcm::nearest_rank`], as the service uses it
+//! for `queue_depth_p50`, against a sort-based nearest-rank reference.
 //!
 //! `hist_percentile(hist, pct)` treats `hist[d]` as "the queue was observed
 //! at depth `d` exactly `hist[d]` times" and returns the nearest-rank `pct`
@@ -8,8 +8,13 @@
 //! the multiset, sorts it, and indexes it — the definition straight from the
 //! textbook — so any divergence is the histogram walk's fault.
 
+use pcm::nearest_rank;
 use proptest::prelude::*;
-use service::hist_percentile;
+
+/// The service's queue-depth percentile (0 for an empty histogram).
+fn hist_percentile(hist: &[u64], pct: u64) -> usize {
+    nearest_rank(hist, pct * 10).unwrap_or(0)
+}
 
 /// Sort-based nearest-rank reference: expand the histogram into the sorted
 /// multiset of observed depths and index it at rank ceil(n * pct / 100).
@@ -33,11 +38,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The histogram walk equals the sort-based definition for every
-    /// percentile 1..=100.
+    /// percentile 0..=100 (p0 included: both clamp the rank to 1).
     #[test]
     fn matches_sort_based_reference(
         hist in proptest::collection::vec(0u64..20, 1..12),
-        pct in 1u64..=100,
+        pct in 0u64..=100,
     ) {
         prop_assert_eq!(hist_percentile(&hist, pct), sorted_reference(&hist, pct));
     }
@@ -116,4 +121,11 @@ proptest! {
         let hist = vec![0u64; len];
         prop_assert_eq!(hist_percentile(&hist, pct), 0);
     }
+}
+
+/// p0 clamps the rank to 1: the lowest occupied bucket, not bucket 0.
+#[test]
+fn p0_is_the_lowest_occupied_bucket() {
+    assert_eq!(nearest_rank(&[0, 3], 0), Some(1));
+    assert_eq!(nearest_rank(&[0, 0], 0), None);
 }
