@@ -18,7 +18,9 @@
 //! Row writes are independent in this model: a write-back touches exactly
 //! one row, encryption pads depend only on `(key, line address, per-line
 //! counter)`, initial row contents and per-cell endurance limits are pure
-//! functions of `(memory seed, row address)`, and Table-I programming
+//! functions of `(memory seed, row address)` (a row stores a floor for its
+//! limits and settles each exact limit from that function on demand, so
+//! the order of writes never changes a limit), and Table-I programming
 //! energies are integer picojoules so even floating-point energy sums are
 //! exact in `f64` and therefore order-independent. Partitioning by row
 //! keeps every row's write sequence (and every line's counter stream)

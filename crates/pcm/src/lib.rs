@@ -15,8 +15,11 @@
 //! [`coset::symbol::CellKind::bits_per_cell`] bits per cell): the stored
 //! data and auxiliary bits, and stuck-cell mask/value bit fields in which a
 //! stuck cell always covers all of its bits. Only wear counters and
-//! endurance limits remain per-cell arrays, because every cell carries an
-//! individual sampled limit.
+//! endurance limits remain per-cell arrays. A cell's limit is an exact
+//! pure function of `(seed, row, cell)`; a fresh row stores a per-row floor
+//! in its place (one hash per cell instead of a normal draw) and settles
+//! the exact value when the cell's wear reaches the floor, so cells die on
+//! exactly the same write as with exact limits stored up front.
 //!
 //! Committing a word ([`Row::commit_word`], driven by
 //! [`PcmMemory::commit_line`] for whole cache lines) is SWAR-style
@@ -78,7 +81,7 @@ pub mod stats;
 pub mod wearlevel;
 
 pub use config::PcmConfig;
-pub use endurance::EnduranceModel;
+pub use endurance::{EnduranceModel, RowEndurance};
 pub use fault::FaultMap;
 pub use memory::{LineWriteScratch, PcmMemory};
 pub use row::Row;

@@ -3,8 +3,10 @@
 //! [`PcmMemory`] models a byte-addressable PCM module at row (cache line)
 //! granularity. Rows are materialized lazily with pseudo-random initial
 //! contents (the paper initializes every address from a cryptographically
-//! strong generator), per-cell endurance limits are sampled on first touch,
-//! and every write goes through the read-modify-write encode path:
+//! strong generator), per-cell endurance limits are exact pure functions of
+//! `(seed, row, cell)` that a fresh row stores as a per-row floor and settles
+//! on demand (see [`Row`]), and every write goes through the
+//! read-modify-write encode path:
 //!
 //! 1. read the current row contents and stuck-cell state,
 //! 2. let the configured [`Encoder`] pick the cheapest codeword,

@@ -14,16 +14,28 @@
 //! * `stuck_aux_mask[w]` / `stuck_aux_value[w]` — the same for the
 //!   auxiliary region.
 //!
-//! Only wear counters and endurance limits remain per-cell arrays (each
-//! cell has an individual limit), and [`Row::commit_word`] touches them
-//! only for the cells a write actually programs.
+//! Only wear counters and stored endurance limits remain per-cell arrays,
+//! and [`Row::commit_word`] touches them only for the cells a write
+//! actually programs.
+//!
+//! # Endurance limits
+//!
+//! A cell's limit is a pure function of `(seed, row, cell)`
+//! ([`EnduranceModel::cell_limit`]), but a fresh row does not evaluate it
+//! for every cell. It stores [`RowEndurance::materialized_limit`]: the
+//! row's floor, a lower bound that costs one hash per cell, for almost all
+//! cells, and the exact limit for the few whose bound the hash cannot
+//! vouch for. When a cell's wear reaches its stored value, the row
+//! replaces the floor with the exact limit and only then decides whether
+//! the cell dies, so death happens on exactly the same programming event
+//! as with exact limits, and each cell settles its limit at most once.
 
 use coset::block::Block;
 use coset::symbol::CellKind;
 use coset::StuckBits;
 
 use crate::config::PcmConfig;
-use crate::endurance::EnduranceModel;
+use crate::endurance::{EnduranceModel, RowEndurance};
 use crate::energy::TransitionCosts;
 use crate::stats::WordWriteOutcome;
 
@@ -61,8 +73,12 @@ pub struct Row {
     stuck_aux_value: Vec<u64>,
     /// Programming events endured by each cell.
     wear: Vec<u64>,
-    /// Endurance limit of each cell.
+    /// Stored endurance limit of each cell: the row's floor until wear
+    /// reaches it, the cell's exact limit from then on (or from the start,
+    /// for cells whose floor does not hold).
     limit: Vec<u64>,
+    /// The row's endurance draw, which settles exact limits on demand.
+    endurance: RowEndurance,
     cells_per_word: usize,
     aux_cells_per_word: usize,
     bits_per_cell: usize,
@@ -70,8 +86,8 @@ pub struct Row {
 
 impl Row {
     /// Materializes a fresh row: data cells take `initial` contents, aux
-    /// cells start at zero, wear starts at zero, and every cell's endurance
-    /// limit is sampled from the endurance model.
+    /// cells start at zero, wear starts at zero, and every cell stores its
+    /// materialized endurance limit (see the module docs).
     pub fn new(
         config: &PcmConfig,
         endurance: &EnduranceModel,
@@ -83,10 +99,10 @@ impl Row {
         let cpw = config.cells_per_word();
         let acw = config.aux_cells_per_word();
         let total_cells = (cpw + acw) * words;
-        let mut limit = Vec::with_capacity(total_cells);
-        for c in 0..total_cells {
-            limit.push(endurance.cell_limit(row_addr, c));
-        }
+        let endurance = endurance.row(row_addr);
+        let limit = (0..total_cells)
+            .map(|c| endurance.materialized_limit(c))
+            .collect();
         Row {
             data: initial.to_vec(),
             aux: vec![0u64; words],
@@ -96,6 +112,7 @@ impl Row {
             stuck_aux_value: vec![0u64; words],
             wear: vec![0u64; total_cells],
             limit,
+            endurance,
             cells_per_word: cpw,
             aux_cells_per_word: acw,
             bits_per_cell: config.cell_kind.bits_per_cell(),
@@ -233,9 +250,26 @@ impl Row {
         self.wear[cell]
     }
 
-    /// Endurance limit of a cell.
+    /// Exact endurance limit of a cell.
     pub fn limit(&self, cell: usize) -> u64 {
-        self.limit[cell]
+        self.endurance.cell_limit(cell)
+    }
+
+    /// Whether a cell's wear has reached its endurance limit. Wear below the
+    /// stored value answers at once; otherwise [`Row::settle_limit`] decides.
+    #[inline]
+    fn reached_limit(&mut self, cell: usize) -> bool {
+        self.wear[cell] >= self.limit[cell] && self.settle_limit(cell)
+    }
+
+    /// Called once wear has reached the stored value: replaces the row's
+    /// floor with the cell's exact limit, then compares wear against it.
+    #[cold]
+    fn settle_limit(&mut self, cell: usize) -> bool {
+        if self.limit[cell] == self.endurance.floor() {
+            self.limit[cell] = self.endurance.cell_limit(cell);
+        }
+        self.wear[cell] >= self.limit[cell]
     }
 
     /// Adds `amount` programming events of wear to a cell. Returns `true`
@@ -243,7 +277,7 @@ impl Row {
     /// marks it stuck at its final value).
     pub fn add_wear(&mut self, cell: usize, amount: u64) -> bool {
         self.wear[cell] = self.wear[cell].saturating_add(amount);
-        self.wear[cell] >= self.limit[cell] && !self.is_stuck(cell)
+        self.reached_limit(cell) && !self.is_stuck(cell)
     }
 
     /// Number of stuck cells in the whole row.
@@ -402,7 +436,7 @@ impl Row {
                 costs.wear_low
             };
             self.wear[cell] = self.wear[cell].saturating_add(units);
-            if self.wear[cell] >= self.limit[cell] {
+            if self.reached_limit(cell) {
                 outcome.new_dead_cells += 1;
                 let shift = cell_offset * bpc;
                 let cell_mask = low_mask(bpc) << shift;
@@ -583,6 +617,85 @@ mod tests {
         row.commit_word(0, (frozen ^ 0b10) as u64, 0, 0, &costs, &mut outcome);
         assert_eq!(outcome.saw_cells, 1);
         assert_eq!(outcome.cells_programmed, 0);
+    }
+
+    /// Endurance models whose limits the floor path must reproduce: cells
+    /// settle well below their death (mean 50), and every cell at the
+    /// same small limit (mean 4, no variation).
+    fn death_models() -> [EnduranceModel; 2] {
+        [
+            EnduranceModel::new(50.0, 0.2, 0.3, 11),
+            EnduranceModel::new(4.0, 0.0, 0.0, 1),
+        ]
+    }
+
+    #[test]
+    fn commit_word_kills_each_cell_at_its_exact_endurance_limit() {
+        let cfg = small_config();
+        let costs = TransitionCosts::new(CellKind::Mlc, false);
+        let aux_bits = cfg.aux_cells_per_word() * 2;
+        for end in death_models() {
+            for row_addr in [0u64, 9, 1 << 40] {
+                let mut row = Row::new(&cfg, &end, row_addr, &[0u64; 8]);
+                let total = row.words() * row.cells_per_word_total();
+                let limits: Vec<u64> = (0..total).map(|c| end.cell_limit(row_addr, c)).collect();
+                for (c, &limit) in limits.iter().enumerate() {
+                    assert_eq!(row.limit(c), limit, "limit before any wear");
+                }
+                let last = *limits.iter().max().unwrap();
+                // Every program moves every live cell (00 <-> 10, one unit
+                // of wear each), so cell c dies on program limits[c].
+                for program in 1..=last {
+                    let desired = if program % 2 == 1 {
+                        0xAAAA_AAAA_AAAA_AAAA
+                    } else {
+                        0
+                    };
+                    let mut deaths = 0;
+                    for w in 0..row.words() {
+                        let mut outcome = WordWriteOutcome::default();
+                        row.commit_word(w, desired, desired, aux_bits, &costs, &mut outcome);
+                        deaths += outcome.new_dead_cells as usize;
+                    }
+                    let expected = limits.iter().filter(|&&l| l == program).count();
+                    assert_eq!(deaths, expected, "deaths on program {program}");
+                    for (c, &limit) in limits.iter().enumerate() {
+                        assert_eq!(
+                            row.is_stuck(c),
+                            program >= limit,
+                            "cell {c} program {program}"
+                        );
+                        assert_eq!(row.wear(c), program.min(limit));
+                    }
+                }
+                for (c, &limit) in limits.iter().enumerate() {
+                    assert_eq!(row.limit(c), limit, "limit after death");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn add_wear_fails_each_cell_at_its_exact_endurance_limit() {
+        let cfg = small_config();
+        for end in death_models() {
+            let row_addr = 21;
+            let mut row = Row::new(&cfg, &end, row_addr, &[0u64; 8]);
+            let total = row.words() * row.cells_per_word_total();
+            for cell in 0..total {
+                let limit = end.cell_limit(row_addr, cell);
+                assert_eq!(row.limit(cell), limit, "limit before any wear");
+                for wear in 1..=limit {
+                    assert_eq!(
+                        row.add_wear(cell, 1),
+                        wear == limit,
+                        "cell {cell} wear {wear}"
+                    );
+                }
+                row.stick_cell(cell, 0);
+                assert!(!row.add_wear(cell, 1), "a stuck cell fails only once");
+            }
+        }
     }
 
     #[test]

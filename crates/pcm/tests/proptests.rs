@@ -99,6 +99,29 @@ proptest! {
         prop_assert!((mean - 1e4).abs() / 1e4 < 0.05, "mean {mean}");
     }
 
+    /// The limit a fresh row stores for a cell never exceeds the cell's
+    /// exact limit, whatever the model's parameters, so settling on demand
+    /// cannot miss a death.
+    #[test]
+    fn endurance_floor_is_sound(
+        seed in any::<u64>(),
+        mean in 1.0f64..1e9,
+        cov in 0.0f64..0.99,
+        rho in 0.0f64..0.99,
+        first_row in any::<u64>(),
+    ) {
+        let m = EnduranceModel::new(mean, cov, rho, seed);
+        for row in (0..64u64).map(|r| first_row.wrapping_add(r)) {
+            let row_endurance = m.row(row);
+            for cell in 0..288 {
+                let exact = m.cell_limit(row, cell);
+                prop_assert_eq!(row_endurance.cell_limit(cell), exact);
+                let stored = row_endurance.materialized_limit(cell);
+                prop_assert!(stored <= exact, "row {row} cell {cell}: stored {stored} > exact {exact}");
+            }
+        }
+    }
+
     /// Stats counters add up: word writes = 8 × row writes, and SAW word
     /// events never exceed word writes.
     #[test]
@@ -115,4 +138,28 @@ proptest! {
         prop_assert!(stats.saw_word_events <= stats.word_writes);
         prop_assert!(stats.high_energy_programs <= stats.cells_programmed);
     }
+}
+
+/// A deterministic sweep at the paper's endurance model: no stored limit
+/// exceeds its exact limit, and only the ~e⁻⁸ share of cells whose deviate
+/// the hash cannot bound (~1 930 of 5.76 M) is stored exactly.
+#[test]
+fn endurance_floor_sweep_at_paper_default() {
+    let m = EnduranceModel::paper_default(1e8, 0x5EED);
+    let mut violations = 0u64;
+    let mut exact_stored = 0u64;
+    for row in 0..20_000u64 {
+        let row_endurance = m.row(row);
+        for cell in 0..288 {
+            let exact = row_endurance.cell_limit(cell);
+            let stored = row_endurance.materialized_limit(cell);
+            violations += u64::from(stored > exact);
+            exact_stored += u64::from(stored == exact);
+        }
+    }
+    assert_eq!(violations, 0);
+    assert!(
+        (1_700..=2_200).contains(&exact_stored),
+        "{exact_stored} cells stored exactly"
+    );
 }
