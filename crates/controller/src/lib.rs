@@ -403,6 +403,14 @@ impl WritePipeline {
         self.failed_rows.len()
     }
 
+    /// Which line address each logical row holds (see
+    /// [`WritePipeline::read_line`]): rows absent from the map hold no
+    /// encrypted line. Streaming frontends clone it to seed their
+    /// producer-side ownership mirror.
+    pub fn row_owners(&self) -> &HashMap<u64, u64> {
+        &self.row_owner
+    }
+
     /// The recovery policy in force.
     pub fn recovery(&self) -> &RecoveryPolicy {
         &self.recovery

@@ -289,6 +289,30 @@ pub fn generate_kernels_into(seed: &Block, config: GeneratorConfig, out: &mut Ke
     out.broadcasts.clear();
 }
 
+/// Kernel `idx` of [`generate_kernels`]`(seed, config)` and its complement
+/// (masked to the kernel width), without building the set: Algorithm 2
+/// emits kernels mask-major, so kernel `idx` is base vector `idx % b` of
+/// the seed XOR the repeated mask `idx / b`. The decoder needs one kernel
+/// per word, so this replaces a whole regeneration on the read path.
+///
+/// # Panics
+///
+/// Panics if the seed is shorter than one kernel width; debug builds also
+/// check `idx < config.num_kernels`.
+pub fn kernel_at(seed: &Block, config: GeneratorConfig, idx: usize) -> (u64, u64) {
+    let m = config.kernel_bits;
+    assert!(
+        seed.len() >= m,
+        "seed of {} bits cannot produce {m}-bit kernels",
+        seed.len()
+    );
+    debug_assert!(idx < config.num_kernels, "kernel index out of range");
+    let b = seed.len() / m;
+    let mask_bits = 1 + ceil_log2(config.num_kernels.div_ceil(b));
+    let kernel = seed.extract((idx % b) * m, m) ^ repeat_mask((idx / b) as u64, mask_bits, m);
+    (kernel, !kernel & KernelSet::mask_for(m))
+}
+
 /// Repeats the low `mask_bits` bits of `mask` across an `m`-bit word.
 fn repeat_mask(mask: u64, mask_bits: usize, m: usize) -> u64 {
     let mask = mask & ((1u64 << mask_bits) - 1);
@@ -469,6 +493,36 @@ mod tests {
         let seed = Block::random(&mut rng, 32);
         generate_kernels_into(&seed, GeneratorConfig::new(8, 8), &mut out);
         assert!(!out.has_broadcasts());
+    }
+
+    #[test]
+    fn kernel_at_matches_the_generated_set() {
+        let mut rng = StdRng::seed_from_u64(36);
+        // (seed bits, m, r): the `paper_mlc(32..=256)` family (the 32 left
+        // digits of a 64-bit block, m = 8, so b = 4 and r = 2..=16, with
+        // b > r at N = 32), plus seeds with b = 3 (r = 4 is not a multiple
+        // of b) and b = 2 with leftover seed bits.
+        let paper = [32, 64, 128, 256].map(|n| {
+            let vcc = crate::Vcc::paper_mlc(n);
+            (32, vcc.kernel_bits(), vcc.num_kernels())
+        });
+        let shapes = paper
+            .into_iter()
+            .chain([(48, 16, 2), (48, 16, 4), (40, 16, 8)]);
+        for (bits, m, r) in shapes {
+            let config = GeneratorConfig::new(m, r);
+            for _ in 0..20 {
+                let seed = Block::random(&mut rng, bits);
+                let ks = generate_kernels(&seed, config);
+                for i in 0..r {
+                    assert_eq!(
+                        kernel_at(&seed, config, i),
+                        (ks.kernel(i), ks.kernel_complement(i)),
+                        "kernel {i} of ({bits}, {m}, {r})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

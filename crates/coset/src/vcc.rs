@@ -27,9 +27,7 @@ use crate::block::Block;
 use crate::context::{CostModel, WriteContext};
 use crate::cost::{Cost, CostFunction, FixedCost};
 use crate::encoder::{EncodeScratch, Encoded, Encoder};
-use crate::kernel::{
-    ceil_log2, generate_kernels, generate_kernels_into, GeneratorConfig, KernelSet,
-};
+use crate::kernel::{ceil_log2, generate_kernels_into, kernel_at, GeneratorConfig, KernelSet};
 use crate::symbol::{
     extract_left_digits, extract_left_digits_into, extract_right_digits, extract_right_digits_into,
     interleave_digits, interleave_digits_into, interleave_word, spread_to_right_digits,
@@ -794,7 +792,7 @@ impl Encoder for Vcc {
                 // Left digits were written unmodified: recover the kernels
                 // from them, then undo the right-digit transformation.
                 let left = extract_left_digits(codeword);
-                let kernels = generate_kernels(&left, *config);
+                let (kernel, complement) = kernel_at(&left, *config, idx);
                 let enc_right = extract_right_digits(codeword);
                 let m = self.kernel_bits;
                 let mut right = Block::zeros(enc_right.len());
@@ -802,9 +800,9 @@ impl Encoder for Vcc {
                     let start = j * m;
                     let y = enc_right.extract(start, m);
                     let k = if (flags >> j) & 1 == 1 {
-                        kernels.kernel_complement(idx)
+                        complement
                     } else {
-                        kernels.kernel(idx)
+                        kernel
                     };
                     right.insert(start, m, y ^ k);
                 }

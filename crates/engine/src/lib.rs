@@ -97,6 +97,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod fill;
 pub mod mailbox;
 pub mod stream;
 

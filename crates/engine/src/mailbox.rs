@@ -3,9 +3,10 @@
 //! core of [`crate::ShardedEngine::stream_replay`] (one lane per shard) and
 //! the multi-tenant service (one lane per tenant).
 //!
-//! Each bank shard owns one [`ShardMailbox`]. Producers push commands into
-//! their own lane and block while it is at capacity (backpressure, counted
-//! in write-back events, not commands, so batching cannot inflate the
+//! Each bank shard owns one [`ShardMailbox`]. Producers (each a
+//! [`crate::fill::FillReader`]) push commands into their own lane and block
+//! while it is at capacity (backpressure, counted in events — one per
+//! write-back, read or probe — not commands, so batching cannot inflate the
 //! memory bound); the shard's one worker pops across lanes round-robin, one
 //! command per lane per turn, and runs each through [`execute`], where
 //! pipeline panics are caught. A dying worker thread marks its mailbox so
@@ -34,34 +35,41 @@ fn rewait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// One command in a lane: a batch of write-backs to commit or a fill read
-/// to answer through the producer's [`ReplySlot`].
+/// One command in a lane: a write-back to commit, a fill read to answer
+/// through the producer's [`ReplySlot`], a fill read whose answer the
+/// producer already knows ([`Cmd::Probe`]), or a batch of these.
 pub enum Cmd {
-    /// Commit every write-back, in order.
-    Batch(Vec<WriteBack>),
-    /// Commit one write-back: a batch of one without the heap allocation,
-    /// for producers that enqueue every write-back on its own.
+    /// Run every command, in order (producers batch writes and probes
+    /// routed to the same shard).
+    Batch(Vec<Cmd>),
+    /// Commit one write-back.
     Write(WriteBack),
-    /// Read the current contents of a line (fill-read rendezvous).
+    /// Read the current contents of a line and answer through the reply
+    /// slot (fill-read rendezvous).
     Read(u64),
+    /// Read a line and discard the value: a fill the producer answered
+    /// `None` itself (see [`crate::fill::FillReader`]). The read still runs
+    /// at its place in the bank's command sequence, so timing, fault
+    /// injection and read counters match a sequential replay.
+    Probe(u64),
 }
 
 impl Cmd {
-    /// How many in-flight events this command represents (a read counts as
-    /// one event; a batch as its length).
+    /// How many in-flight events this command represents: one per write
+    /// or read, a batch the sum of its commands.
     fn events(&self) -> usize {
         match self {
-            Cmd::Read(_) => 1,
-            writes => writes.writes().len(),
+            Cmd::Batch(cmds) => cmds.iter().map(Cmd::events).sum(),
+            _ => 1,
         }
     }
 
-    /// The write-backs this command commits, in order (none for a read).
-    fn writes(&self) -> &[WriteBack] {
+    /// How many write-backs this command commits.
+    pub(crate) fn writes(&self) -> u64 {
         match self {
-            Cmd::Batch(batch) => batch,
-            Cmd::Write(wb) => std::slice::from_ref(wb),
-            Cmd::Read(_) => &[],
+            Cmd::Batch(cmds) => cmds.iter().map(Cmd::writes).sum(),
+            Cmd::Write(_) => 1,
+            Cmd::Read(_) | Cmd::Probe(_) => 0,
         }
     }
 }
@@ -289,14 +297,15 @@ impl ReplySlot {
 }
 
 /// What one supervised [`execute`] call did.
+#[derive(Default)]
 pub struct Executed {
     /// Write-backs of the command that never landed: everything from the
     /// panicking write onward (the panic fires before any mutation, so
-    /// that write is lost too), or the whole batch on a dead pipeline.
+    /// that write is lost too), or every write on a dead pipeline.
     pub discarded: u64,
-    /// Whether the command was a fill read (answered through the reply
-    /// slot, with `None` on a dead pipeline).
-    pub read: bool,
+    /// Fill reads the command ran: reads and probes, counted on a dead
+    /// pipeline too (a read is then answered `None`, a probe is a no-op).
+    pub reads: u64,
     /// The caught panic's message, when this command killed the pipeline.
     pub failure: Option<String>,
 }
@@ -312,27 +321,38 @@ pub fn execute(
     dead: &mut bool,
     reply: &ReplySlot,
 ) -> Executed {
-    let mut failure = None;
-    let (discarded, read) = match cmd {
+    let mut done = Executed::default();
+    step(pipeline, cmd, dead, reply, &mut done);
+    done
+}
+
+/// Runs one command of [`execute`], recursing into batches.
+fn step(
+    pipeline: &mut WritePipeline,
+    cmd: Cmd,
+    dead: &mut bool,
+    reply: &ReplySlot,
+    done: &mut Executed,
+) {
+    match cmd {
+        Cmd::Batch(cmds) => {
+            for cmd in cmds {
+                step(pipeline, cmd, dead, reply, done);
+            }
+        }
+        Cmd::Write(wb) => {
+            let landed = supervised(dead, &mut done.failure, || pipeline.write_back(&wb));
+            done.discarded += u64::from(landed.is_none());
+        }
         Cmd::Read(line_addr) => {
-            reply.put(supervised(dead, &mut failure, || pipeline.read_line(line_addr)).flatten());
-            (0, true)
+            let answer = supervised(dead, &mut done.failure, || pipeline.read_line(line_addr));
+            reply.put(answer.flatten());
+            done.reads += 1;
         }
-        writes => {
-            let batch = writes.writes();
-            let landed = batch
-                .iter()
-                .take_while(|wb| {
-                    supervised(dead, &mut failure, || pipeline.write_back(wb)).is_some()
-                })
-                .count();
-            ((batch.len() - landed) as u64, false)
+        Cmd::Probe(line_addr) => {
+            supervised(dead, &mut done.failure, || pipeline.read_line(line_addr));
+            done.reads += 1;
         }
-    };
-    Executed {
-        discarded,
-        read,
-        failure,
     }
 }
 
@@ -399,11 +419,23 @@ impl Drop for LaneCloser<'_> {
 mod tests {
     use super::*;
 
-    fn wb(addr: u64) -> WriteBack {
-        WriteBack {
+    fn wb(addr: u64) -> Cmd {
+        Cmd::Write(WriteBack {
             line_addr: addr,
             data: [addr; 8],
-        }
+        })
+    }
+
+    fn pipeline() -> WritePipeline {
+        WritePipeline::new(
+            pcm::PcmConfig::scaled(1 << 20, 1e3),
+            Box::new(coset::Unencoded::new(64)),
+        )
+    }
+
+    /// Whether the slot holds an answer nobody has taken.
+    fn holds_answer(slot: &ReplySlot) -> bool {
+        relock(&slot.slot).value.is_some()
     }
 
     #[test]
@@ -482,5 +514,65 @@ mod tests {
         slot.poison();
         let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| slot.take()));
         assert!(poisoned.is_err());
+    }
+
+    #[test]
+    fn probe_counts_one_event_toward_capacity_and_the_gauge() {
+        let mb = ShardMailbox::new(1, 2);
+        let gauge = InFlightGauge::default();
+        mb.push(0, Cmd::Probe(0), &gauge);
+        mb.push(0, wb(64), &gauge);
+        assert_eq!(mb.lane_depth(0), 2);
+        assert_eq!(gauge.current(), 2);
+        // The lane is full: a third event waits for a pop.
+        std::thread::scope(|scope| {
+            scope.spawn(|| mb.push(0, Cmd::Probe(128), &gauge));
+            let mut cursor = 0;
+            let (_, depth, cmd) = mb.pop_round_robin(&mut cursor, &gauge).unwrap();
+            assert_eq!((depth, cmd.events()), (2, 1));
+            assert!(matches!(cmd, Cmd::Probe(0)));
+        });
+        assert_eq!(mb.lane_depth(0), 2);
+        assert_eq!(gauge.peak(), 2);
+        let batch = Cmd::Batch(vec![Cmd::Probe(0), wb(64), Cmd::Probe(128)]);
+        assert_eq!((batch.events(), batch.writes()), (3, 1));
+    }
+
+    #[test]
+    fn probe_runs_the_read_but_leaves_the_reply_slot_alone() {
+        let mut p = pipeline();
+        let reply = ReplySlot::default();
+        let mut dead = false;
+        let line = [5u64; 8];
+        p.write_line(0, &line);
+
+        let done = execute(&mut p, Cmd::Probe(0), &mut dead, &reply);
+        assert_eq!((done.reads, done.discarded), (1, 0));
+        assert!(done.failure.is_none());
+        assert!(!holds_answer(&reply), "a probe never answers");
+        assert_eq!(p.timing_stats().reads.count(), 1, "the read still ran");
+
+        // A later read gets its own answer.
+        let done = execute(&mut p, Cmd::Read(0), &mut dead, &reply);
+        assert_eq!(done.reads, 1);
+        assert_eq!(reply.take(), Some(line));
+        assert_eq!(p.timing_stats().reads.count(), 2);
+    }
+
+    #[test]
+    fn probe_on_a_dead_pipeline_is_a_no_op() {
+        let mut p = pipeline();
+        let reply = ReplySlot::default();
+        let mut dead = true;
+        let done = execute(&mut p, Cmd::Probe(0), &mut dead, &reply);
+        assert_eq!((done.reads, done.discarded), (1, 0));
+        assert!(done.failure.is_none());
+        assert!(!holds_answer(&reply));
+        assert_eq!(p.timing_stats().reads.count(), 0);
+        // A batch on the dead pipeline discards its writes only.
+        let batch = Cmd::Batch(vec![wb(0), Cmd::Probe(0), wb(64)]);
+        let done = execute(&mut p, batch, &mut dead, &reply);
+        assert_eq!((done.reads, done.discarded), (1, 2));
+        assert_eq!(p.stats().lines_written, 0);
     }
 }

@@ -3,27 +3,42 @@
 //!
 //! [`ShardedEngine::stream_replay`] pulls events from a
 //! [`workload::TraceSource`] one at a time on the calling thread (the
-//! *producer*) and routes each write-back into its shard's
-//! [`ShardMailbox`] — the same bounded mailbox the multi-tenant service
-//! runs, here with a single lane per shard, each write-back one
-//! [`Cmd::Write`]. One dedicated worker per shard drains its mailbox into
-//! the shard's pipeline. Backpressure is built in: when a lane is full the
-//! producer blocks until the worker catches up, so peak memory is `shards ×
-//! queue_capacity` in-flight events plus the source's own state —
-//! independent of how many events the stream produces. A 10-million-line
-//! workload replays in the same footprint as a 10-thousand-line one.
+//! *producer*, a [`FillReader`]) and routes each write-back into its
+//! shard's [`ShardMailbox`] — the same bounded mailbox the multi-tenant
+//! service runs, here with a single lane per shard, each write-back one
+//! [`Cmd::Write`](crate::mailbox::Cmd::Write). One dedicated worker per
+//! shard drains its mailbox into the shard's pipeline. Backpressure is
+//! built in: when a lane is full the producer blocks until the worker
+//! catches up, so peak memory is `shards × queue_capacity` in-flight events
+//! plus the source's own state — independent of how many events the stream
+//! produces. A 10-million-line workload replays in the same footprint as a
+//! 10-thousand-line one.
 //!
 //! # Memory-backed fills
 //!
-//! The producer hands the source a [`MemoryReader`] that resolves
-//! cache-miss fills against the *modeled memory itself*: a fill for line
-//! `L` is enqueued as a read command on the shard owning `L`'s row, the
-//! worker services it in queue order through
-//! [`controller::WritePipeline::read_line`] (decode + decrypt), and the
-//! producer blocks until the answer arrives. Because the read command sits
-//! behind every earlier write to that shard, the fill always observes
-//! exactly the memory state a sequential replay would have produced at
-//! that point in the stream.
+//! The [`FillReader`] is also the source's [`workload::MemoryReader`]: it
+//! resolves cache-miss fills against the *modeled memory itself*, without
+//! making the producer wait for most of them.
+//!
+//! * It mirrors each shard's row ownership (`row → last admitted line`),
+//!   seeded from the shard pipelines' own ownership maps at the start of
+//!   every call, since shards keep their state across calls.
+//! * A fill for line `L` whose row the mirror gives to another line (or to
+//!   none) is answered `None` at once. A fire-and-forget
+//!   [`Cmd::Probe`](crate::mailbox::Cmd::Probe) takes the read's place in
+//!   the shard's lane; the worker runs
+//!   [`controller::WritePipeline::read_line`] for it and drops the value.
+//! * A fill the mirror says `L` owns is enqueued as a
+//!   [`Cmd::Read`](crate::mailbox::Cmd::Read); the worker answers it in
+//!   queue order (decode + decrypt) and the producer waits for the answer.
+//!
+//! Both commands sit behind every earlier write to that shard, so every
+//! read observes exactly the memory state a sequential replay would have
+//! produced at that point in the stream, and the bank timing and fault
+//! injector see the same reads in the same order. The local `None` is
+//! exact: the pipeline records a row's owner before it commits, answers
+//! data only to the owner, and only this producer writes the engine's rows
+//! (see [`crate::fill`] for the full argument).
 //!
 //! # Determinism
 //!
@@ -40,9 +55,9 @@
 //!
 //! Unlike the materialized [`ShardedEngine::replay_trace`], streaming
 //! spawns **one worker per shard** regardless of the configured thread
-//! cap: a fill read can only be serviced by the worker owning that shard,
-//! so sharing workers across shards would let a busy neighbour delay —
-//! though never deadlock or reorder — another shard's reads.
+//! cap: a blocking fill read can only be serviced by the worker owning
+//! that shard, so sharing workers across shards would let a busy neighbour
+//! delay — though never deadlock or reorder — another shard's reads.
 //!
 //! # Supervision
 //!
@@ -51,12 +66,10 @@
 //! discarding writes and answering reads with `None` — so the stream
 //! always runs to completion (see [`StreamSummary::events_discarded`]).
 
-use pcm::PcmConfig;
-use workload::{LineData, MemoryReader, TraceSource};
+use workload::TraceSource;
 
-use crate::mailbox::{
-    execute, Cmd, InFlightGauge, LaneCloser, ReplySlot, ShardMailbox, WorkerGuard,
-};
+use crate::fill::FillReader;
+use crate::mailbox::{execute, InFlightGauge, LaneCloser, ReplySlot, ShardMailbox, WorkerGuard};
 use crate::ShardedEngine;
 
 /// The one lane of each shard's mailbox (the engine has one producer).
@@ -102,38 +115,6 @@ pub struct StreamSummary {
     pub shards_quarantined: u32,
 }
 
-/// The [`MemoryReader`] the producer hands the source: routes each fill
-/// read through the owning shard's mailbox and waits for the worker's
-/// answer.
-struct ShardedReader<'a> {
-    mailboxes: &'a [ShardMailbox],
-    reply: &'a ReplySlot,
-    gauge: &'a InFlightGauge,
-    config: &'a PcmConfig,
-    memory_fills: u64,
-}
-
-impl ShardedReader<'_> {
-    /// The mailbox of the shard owning a line address.
-    // PANIC-OK: the shard index is row % shard-count, in bounds by construction.
-    fn mailbox_of(&self, line_addr: u64) -> &ShardMailbox {
-        let shards = self.mailboxes.len() as u64;
-        &self.mailboxes[(self.config.row_of_byte_addr(line_addr) % shards) as usize]
-    }
-}
-
-impl MemoryReader for ShardedReader<'_> {
-    fn read_line(&mut self, line_addr: u64) -> Option<LineData> {
-        self.mailbox_of(line_addr)
-            .push(LANE, Cmd::Read(line_addr), self.gauge);
-        let answer = self.reply.take();
-        if answer.is_some() {
-            self.memory_fills += 1;
-        }
-        answer
-    }
-}
-
 impl ShardedEngine {
     /// Replays a streaming [`TraceSource`] to exhaustion across the shard
     /// pool with the default queue bound, servicing the source's
@@ -159,17 +140,18 @@ impl ShardedEngine {
         let mailboxes: Vec<ShardMailbox> = (0..self.config.shards)
             .map(|_| ShardMailbox::new(1, queue_capacity))
             .collect();
-        let mem_config = self.shards[0].memory().config().clone();
         let reply = ReplySlot::default();
         let gauge = InFlightGauge::default();
-        let mut reader = ShardedReader {
-            mailboxes: &mailboxes,
-            reply: &reply,
-            gauge: &gauge,
-            config: &mem_config,
-            memory_fills: 0,
-        };
-        let mut events = 0u64;
+        let mut reader = FillReader::new(
+            &mailboxes,
+            LANE,
+            &reply,
+            &gauge,
+            self.shards[0].memory().config().clone(),
+            self.shards.iter().map(|p| p.row_owners().clone()).collect(),
+            // No batching: each command is enqueued as it is produced.
+            1,
+        );
 
         // Each worker reports the first caught panic and the writes it
         // discarded while its shard was quarantined.
@@ -207,10 +189,7 @@ impl ShardedEngine {
                     lane: LANE,
                 };
                 while let Some(wb) = source.next_event(&mut reader) {
-                    reader
-                        .mailbox_of(wb.line_addr)
-                        .push(LANE, Cmd::Write(wb), &gauge);
-                    events += 1;
+                    reader.admit(wb);
                 }
             }
             workers
@@ -241,8 +220,9 @@ impl ShardedEngine {
         // ShardedEngine::timing_stats).
         let writes = self.timing_stats().writes;
         StreamSummary {
-            events,
-            memory_fills: reader.memory_fills,
+            // One lane command per write-back: nothing is left pending.
+            events: reader.enqueued(),
+            memory_fills: reader.memory_fills(),
             max_in_flight: gauge.peak(),
             queue_capacity,
             write_p50_cycles: writes.percentile_permille(500),

@@ -9,6 +9,9 @@
 //! * **Process faults** (injected worker panics) quarantine one shard
 //!   without killing the process or perturbing the other shards, under the
 //!   accounting invariant `admitted == executed + discarded`.
+//! * **Fill reads** on the streaming frontend keep every read ordinal of
+//!   the sequential replay, so injected read timeouts and refused reads
+//!   land on the same reads, also when a worker dies mid-stream.
 //! * An **empty plan** leaves every statistic bit-identical to a build with
 //!   no injector attached at all (the golden-safety guarantee).
 
@@ -19,7 +22,7 @@ use engine::{EngineConfig, ShardedEngine};
 use faultsim::{FaultLog, FaultPlan};
 use pcm::PcmConfig;
 use proptest::prelude::*;
-use workload::Trace;
+use workload::{BenchmarkProfile, Trace, TraceSource, ValueStyle, WorkloadSource};
 
 fn pcm_config(seed: u64) -> PcmConfig {
     let mut cfg = PcmConfig::scaled(1 << 20, 1e3);
@@ -189,6 +192,137 @@ fn stream_replay_survives_mid_stream_worker_death() {
         assert_eq!(
             engine.quarantined_shards(),
             vec![(victim_row % shards as u64) as usize]
+        );
+    }
+}
+
+/// A profile whose hot set exceeds the 256 KiB L2, so most write-backs
+/// come with fill reads, many of them answered from memory.
+fn churn_profile() -> BenchmarkProfile {
+    BenchmarkProfile::new(
+        "churn",
+        4 << 20,
+        0.6,
+        0.9,
+        1 << 20,
+        0.0,
+        64,
+        ValueStyle::Random,
+        10.0,
+        10.0,
+    )
+}
+
+const FILL_ACCESSES: u64 = 12_000;
+
+fn fill_source(seed: u64) -> WorkloadSource {
+    WorkloadSource::new(churn_profile(), FILL_ACCESSES, seed)
+}
+
+/// Read faults on the streaming frontend: fills the producer answers
+/// itself still run their read on the worker, so every injected timeout,
+/// refused read and read latency matches the sequential replay at shards
+/// {1, 2, 8}.
+#[test]
+fn stream_replay_fill_reads_under_read_faults_match_sequential() {
+    let (seed, crypt_seed) = (0xF1E5, 31);
+    let plan = FaultPlan::chaos(0xC0FFEE).with_read_timeouts(40_000);
+
+    let mut sequential = build_pipeline(seed)
+        .with_crypt_seed(crypt_seed)
+        .with_fault_plan(plan.clone());
+    let mut source = fill_source(seed);
+    sequential.stream_replay(&mut source);
+    let log = sequential.fault_log();
+    assert!(log.read_timeouts > 0, "plan must time reads out: {log:?}");
+    assert!(log.read_uncorrectable > 0, "reads must hit corrupt rows");
+    assert!(source.fills_from_memory() > 0, "fills must find data");
+
+    for shards in [1usize, 2, 8] {
+        let mut engine = engine_with(shards, seed, crypt_seed);
+        engine.inject_faults(&plan, RecoveryPolicy::none());
+        let summary = engine.stream_replay(&mut fill_source(seed));
+        assert_eq!(engine.fault_log(), log, "shards={shards}");
+        assert_eq!(
+            engine.timing_stats().reads.count(),
+            sequential.timing_stats().reads.count(),
+            "shards={shards} ran a different number of reads"
+        );
+        assert_eq!(summary.memory_fills, source.fills_from_memory());
+        assert_eq!(
+            fingerprint(&engine).0,
+            format!(
+                "{:?}|{:?}|{:?}",
+                sequential.stats(),
+                sequential.memory_stats(),
+                sequential.timing_stats()
+            ),
+            "shards={shards}"
+        );
+    }
+}
+
+/// The same under a mid-stream worker death: on one shard the engine's
+/// pipeline stops where the sequential replay panics (a dead shard answers
+/// every later fill `None` and runs no read), so the fault log, the read
+/// count and the fill count still match; on more shards the healthy ones
+/// keep serving and the accounting balances.
+#[test]
+fn stream_replay_fill_reads_survive_mid_stream_worker_death() {
+    let (seed, crypt_seed) = (0xDEAD5, 41);
+    let plain = || build_pipeline(seed).with_crypt_seed(crypt_seed);
+
+    // The row of the stream's 2000th write-back, found by a clean replay.
+    let mut clean = plain();
+    let mut source = fill_source(seed);
+    for _ in 0..2_000 {
+        let wb = source
+            .next_event(&mut clean)
+            .expect("stream is long enough");
+        clean.write_back(&wb);
+    }
+    let wb = source
+        .next_event(&mut clean)
+        .expect("stream is long enough");
+    let victim_row = pcm_config(seed).row_of_byte_addr(wb.line_addr);
+    let plan = FaultPlan::chaos(0xC0FFEE)
+        .with_read_timeouts(40_000)
+        .with_worker_panic(victim_row, 0);
+
+    let mut sequential = plain().with_fault_plan(plan.clone());
+    let mut source = fill_source(seed);
+    let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        sequential.stream_replay(&mut source)
+    }))
+    .is_err();
+    assert!(died, "the injected panic must fire");
+    assert!(sequential.fault_log().read_timeouts > 0);
+
+    let mut engine = engine_with(1, seed, crypt_seed);
+    engine.inject_faults(&plan, RecoveryPolicy::none());
+    let summary = engine.stream_replay(&mut fill_source(seed));
+    assert_eq!(summary.shards_quarantined, 1);
+    assert_eq!(engine.fault_log(), sequential.fault_log());
+    assert_eq!(engine.timing_stats(), *sequential.timing_stats());
+    assert_eq!(summary.memory_fills, source.fills_from_memory());
+
+    for shards in [2usize, 8] {
+        let mut engine = engine_with(shards, seed, crypt_seed);
+        engine.inject_faults(&plan, RecoveryPolicy::none());
+        let summary = engine.stream_replay(&mut fill_source(seed));
+        assert_eq!(
+            engine.quarantined_shards(),
+            vec![(victim_row % shards as u64) as usize]
+        );
+        assert!(summary.events_discarded > 0);
+        assert_eq!(
+            engine.stats().lines_written + summary.events_discarded,
+            summary.events,
+            "admitted == executed + discarded (shards={shards})"
+        );
+        assert!(
+            engine.timing_stats().reads.count() > sequential.timing_stats().reads.count(),
+            "healthy shards keep serving reads (shards={shards})"
         );
     }
 }

@@ -236,3 +236,43 @@ fn stream_replay_accumulates_across_calls() {
     materialized.replay_trace(&t);
     assert_eq!(engine.memory_stats(), materialized.memory_stats());
 }
+
+/// Engines keep their pipelines across `stream_replay` calls, so a second
+/// call's fills find lines the first call wrote. The producer's ownership
+/// mirror must start from that state: both calls' fill counts and the
+/// merged stats match a sequential pipeline making the same two calls.
+#[test]
+fn consecutive_stream_replays_fill_from_earlier_calls_like_sequential() {
+    let (seed, crypt_seed) = (0x5EC0, 23);
+    let accesses = 12_000;
+    let source = |run: u64| WorkloadSource::new(churn_profile(), accesses, seed ^ run);
+
+    let mut sequential = build_pipeline(seed, crypt_seed);
+    let seq_fills: Vec<u64> = (0..2)
+        .map(|run| {
+            let mut s = source(run);
+            sequential.stream_replay(&mut s);
+            s.fills_from_memory()
+        })
+        .collect();
+    let mut fresh_source = source(1);
+    build_pipeline(seed, crypt_seed).stream_replay(&mut fresh_source);
+    assert!(
+        seq_fills[1] > fresh_source.fills_from_memory(),
+        "the second stream must fill from lines the first one wrote"
+    );
+
+    for shards in [1usize, 2, 8] {
+        let mut engine = engine_with(shards, seed, crypt_seed);
+        for (run, &fills) in seq_fills.iter().enumerate() {
+            let summary = engine.stream_replay(&mut source(run as u64));
+            assert_eq!(
+                summary.memory_fills, fills,
+                "call {run} at {shards} shards served a different fill count"
+            );
+        }
+        assert_eq!(engine.memory_stats(), *sequential.memory_stats());
+        assert_eq!(engine.stats(), *sequential.stats());
+        assert_eq!(engine.timing_stats(), *sequential.timing_stats());
+    }
+}

@@ -18,7 +18,7 @@
 //! queue lanes. Workers serve lanes in round-robin order — one command per
 //! tenant per turn — so a flooding tenant cannot starve the others, and
 //! producers block when their lane is full (backpressure bounded by
-//! `shards x tenants x queue_capacity` write events service-wide).
+//! `shards x tenants x queue_capacity` events service-wide).
 //!
 //! # Determinism contract
 //!
@@ -32,10 +32,13 @@
 //!   [`engine::ShardedEngine::from_factory`] with *unified* keying under
 //!   the tenant's seed, so scheduling order across tenants cannot couple
 //!   their outcomes;
-//! * within a tenant, lanes are FIFO and a producer flushes its pending
-//!   batch for a shard before enqueueing a fill read to that shard, so
-//!   every read observes exactly the writes a sequential replay would have
-//!   applied — the PR-2/PR-5 sharded-equals-sequential contract then
+//! * within a tenant, lanes are FIFO and every fill read takes its place
+//!   in the shard's lane — a blocking read behind the flushed pending
+//!   batch, or a probe in the batch when the producer's ownership mirror
+//!   (an [`engine::fill::FillReader`]) already proves the answer is
+//!   `None` — so every read observes exactly the writes a sequential
+//!   replay would have applied, and the bank sees the same reads in the
+//!   same order — the PR-2/PR-5 sharded-equals-sequential contract then
 //!   applies per tenant verbatim (row partitioning plus exact integer-pJ
 //!   energy sums make shard merges order-independent).
 //!
@@ -93,14 +96,15 @@ pub fn tenant_seed(base_seed: u64, tenant_id: u64) -> u64 {
 pub struct ServiceConfig {
     /// Number of bank shards (and bank worker threads).
     pub shards: usize,
-    /// Per-(shard, tenant) lane bound, counted in write events (a batch of
-    /// `k` write-backs occupies `k` slots, so batching cannot inflate the
-    /// memory bound). Producers block when their lane is full.
+    /// Per-(shard, tenant) lane bound, counted in events (a write-back, a
+    /// fill read and a probe occupy one slot each, so a batch of `k`
+    /// occupies `k` and batching cannot inflate the memory bound).
+    /// Producers block when their lane is full.
     pub queue_capacity: usize,
-    /// Producer-side batch size: write-backs destined for the same shard
-    /// are coalesced into one queue command until the batch fills, a fill
-    /// read targets that shard, or the source ends. Must be ≤
-    /// `queue_capacity`.
+    /// Producer-side batch size: write-backs and probes (fills the
+    /// producer answered itself) destined for the same shard are coalesced
+    /// into one queue command until the batch fills, a blocking fill read
+    /// targets that shard, or the source ends. Must be ≤ `queue_capacity`.
     pub batch: usize,
     /// Base seed of the service's key-derivation domain; tenant `i` is
     /// keyed with [`tenant_seed`]`(base_seed, i)` unless its

@@ -6,14 +6,13 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use controller::{PipelineStats, RecoveryPolicy, TimingStats, WritePipeline};
-use engine::mailbox::{
-    execute, Cmd, InFlightGauge, LaneCloser, ReplySlot, ShardMailbox, WorkerGuard,
-};
+use engine::fill::FillReader;
+use engine::mailbox::{execute, InFlightGauge, LaneCloser, ReplySlot, ShardMailbox, WorkerGuard};
 use engine::{relock, EngineConfig, ShardedEngine};
 use faultsim::{tenant_plan, FaultLog, FaultPlan};
 use pcm::{nearest_rank, LatencySummary, MemoryStats, PcmConfig};
 use serde::json::Value;
-use workload::{LineData, MemoryReader, TraceSource, WriteBack};
+use workload::TraceSource;
 
 use crate::control::ControlPlane;
 use crate::{tenant_seed, NoControl, ServiceConfig, TenantCtx, TenantSpec};
@@ -289,6 +288,24 @@ impl MemoryService {
                 .collect(),
             capacity,
         };
+        // Each tenant's producer mirrors the row ownership of its own shard
+        // pipelines, seeded from their state at run start.
+        let readers: Vec<FillReader<'_>> = (0..tenant_count)
+            .map(|t| {
+                FillReader::new(
+                    &shared.mailboxes,
+                    t,
+                    &shared.replies[t],
+                    &shared.gauge,
+                    self.mem_configs[t].clone(),
+                    self.pipelines
+                        .iter()
+                        .map(|row| row[t].row_owners().clone())
+                        .collect(),
+                    self.config.batch,
+                )
+            })
+            .collect();
         // DET-OK: wall-clock feeds only the advisory `wall_secs` field of
         // the report (human observability); every replayed statistic and
         // percentile is cycle-domain and independent of real time.
@@ -298,14 +315,10 @@ impl MemoryService {
                 let shared = &shared;
                 scope.spawn(move || worker_loop(shard, row, shared));
             }
-            let batch = self.config.batch;
-            for (tenant, source) in sources.into_iter().enumerate() {
+            for ((tenant, source), reader) in sources.into_iter().enumerate().zip(readers) {
                 let shared = &shared;
-                let mem_config = self.mem_configs[tenant].clone();
                 let cutoff = self.stream_cutoffs[tenant];
-                scope.spawn(move || {
-                    producer_loop(tenant, source, mem_config, batch, cutoff, shared)
-                });
+                scope.spawn(move || producer_loop(tenant, source, reader, cutoff, shared));
             }
             let handle = ServiceHandle {
                 shared: &shared,
@@ -416,7 +429,7 @@ fn worker_loop(shard: usize, row: &mut [WritePipeline], shared: &RunShared) {
         slot.memory = *pipeline.memory_stats();
         slot.timing = *pipeline.timing_stats();
         slot.faults = pipeline.fault_log();
-        slot.reads += u64::from(done.read);
+        slot.reads += done.reads;
         slot.discarded += done.discarded;
         if let Some(message) = done.failure {
             slot.quarantined = true;
@@ -431,76 +444,10 @@ fn worker_loop(shard: usize, row: &mut [WritePipeline], shared: &RunShared) {
     }
 }
 
-/// A tenant's producer-side state: per-shard pending batches plus the
-/// fill-read path ([`MemoryReader`] routed through the owning shard's lane,
-/// behind every earlier write to that shard).
-struct Producer<'a> {
-    tenant: usize,
-    batch: usize,
-    shards: usize,
-    mem_config: PcmConfig,
-    pending: Vec<Vec<WriteBack>>,
-    enqueued: u64,
-    fills: u64,
-    shared: &'a RunShared,
-}
-
-impl Producer<'_> {
-    /// The bank shard owning a line address under this tenant's memory
-    /// geometry — the same `row % shards` routing the engine uses.
-    fn shard_of(&self, line_addr: u64) -> usize {
-        (self.mem_config.row_of_byte_addr(line_addr) % self.shards as u64) as usize
-    }
-
-    fn flush_shard(&mut self, s: usize) {
-        if self.pending[s].is_empty() {
-            return;
-        }
-        let batch = std::mem::take(&mut self.pending[s]);
-        let n = batch.len() as u64;
-        self.shared.mailboxes[s].push(self.tenant, Cmd::Batch(batch), &self.shared.gauge);
-        self.enqueued += n;
-        let mut progress = relock(&self.shared.producers[self.tenant]);
-        progress.enqueued = self.enqueued;
-        progress.fills = self.fills;
-    }
-
-    fn flush_all(&mut self) {
-        for s in 0..self.shards {
-            self.flush_shard(s);
-        }
-    }
-
-    fn push(&mut self, wb: WriteBack) {
-        let s = self.shard_of(wb.line_addr);
-        self.pending[s].push(wb);
-        if self.pending[s].len() >= self.batch {
-            self.flush_shard(s);
-        }
-    }
-}
-
-impl MemoryReader for Producer<'_> {
-    fn read_line(&mut self, line_addr: u64) -> Option<LineData> {
-        let s = self.shard_of(line_addr);
-        // FIFO lane + flush-before-read: the read observes every earlier
-        // same-tenant write to this shard, exactly as a sequential replay
-        // would (no other tenant can touch this tenant's rows).
-        self.flush_shard(s);
-        self.shared.mailboxes[s].push(self.tenant, Cmd::Read(line_addr), &self.shared.gauge);
-        let answer = self.shared.replies[self.tenant].take();
-        if answer.is_some() {
-            self.fills += 1;
-        }
-        answer
-    }
-}
-
 fn producer_loop(
     tenant: usize,
     mut source: Box<dyn TraceSource + Send + '_>,
-    mem_config: PcmConfig,
-    batch: usize,
+    mut reader: FillReader<'_>,
     cutoff: Option<u64>,
     shared: &RunShared,
 ) {
@@ -508,20 +455,14 @@ fn producer_loop(
     // observability field; admission, batching and all replayed stats are
     // driven by the cycle-domain clock, not real time.
     let started = Instant::now();
-    let shards = shared.mailboxes.len();
     let _closer = LaneCloser {
         mailboxes: &shared.mailboxes,
         lane: tenant,
     };
-    let mut producer = Producer {
-        tenant,
-        batch,
-        shards,
-        mem_config,
-        pending: vec![Vec::new(); shards],
-        enqueued: 0,
-        fills: 0,
-        shared,
+    let publish = |reader: &FillReader<'_>| {
+        let mut progress = relock(&shared.producers[tenant]);
+        progress.enqueued = reader.enqueued();
+        progress.fills = reader.memory_fills();
     };
     let mut admitted = 0u64;
     let mut stream_error = false;
@@ -534,16 +475,19 @@ fn producer_loop(
             stream_error = true;
             break;
         }
-        let Some(wb) = source.next_event(&mut producer) else {
+        let enqueued = reader.enqueued();
+        let Some(wb) = source.next_event(&mut reader) else {
             break;
         };
         admitted += 1;
-        producer.push(wb);
+        reader.admit(wb);
+        if reader.enqueued() != enqueued {
+            publish(&reader);
+        }
     }
-    producer.flush_all();
+    reader.flush_all();
+    publish(&reader);
     let mut progress = relock(&shared.producers[tenant]);
-    progress.enqueued = producer.enqueued;
-    progress.fills = producer.fills;
     progress.done = true;
     progress.stream_error = stream_error;
     progress.active_secs = started.elapsed().as_secs_f64();

@@ -8,16 +8,20 @@
 //!   at the service level, per tenant.
 //! * An injected stream error stops a tenant's admission after exactly N
 //!   events and drains gracefully.
+//! * Fill reads under injected read timeouts keep each tenant's read
+//!   ordinals: fault logs, read counts and fill counts equal the tenant's
+//!   solo sequential replay under the same plan, also when a worker dies
+//!   mid-stream.
 //! * An empty plan leaves every tenant bit-identical to a service with no
 //!   injection armed at all.
 
 use controller::{RecoveryPolicy, WritePipeline};
 use coset::cost::WriteEnergy;
 use coset::{Fnw, Unencoded, Vcc};
-use faultsim::FaultPlan;
+use faultsim::{tenant_plan, FaultPlan};
 use pcm::{FaultMap, PcmConfig};
-use service::{MemoryService, ServiceConfig, ServiceReport, TenantSpec};
-use workload::{spec_like, NoMemory, TraceSource, WorkloadSource};
+use service::{tenant_seed, MemoryService, ServiceConfig, ServiceReport, TenantSpec};
+use workload::{spec_like, BenchmarkProfile, NoMemory, TraceSource, ValueStyle, WorkloadSource};
 
 fn pcm_config() -> PcmConfig {
     let mut cfg = PcmConfig::scaled(1 << 20, 1e3);
@@ -236,4 +240,135 @@ fn empty_plan_injection_is_bit_identical_to_no_injection() {
         assert!(armed.tenants[t].faults.is_empty());
     }
     assert!(!armed.is_degraded());
+}
+
+/// Tenant `t`'s fill-heavy stream: a hot set larger than the 256 KiB L2,
+/// so lines keep leaving the cache and coming back through fill reads.
+fn fill_source(t: usize) -> WorkloadSource {
+    let churn = BenchmarkProfile::new(
+        "churn",
+        4 << 20,
+        0.6,
+        0.9,
+        1 << 20,
+        0.0,
+        64,
+        ValueStyle::Random,
+        10.0,
+        10.0,
+    );
+    WorkloadSource::new(churn, 6_000, BASE_SEED ^ t as u64)
+}
+
+fn fill_sources() -> Vec<Box<dyn TraceSource + Send>> {
+    (0..TENANTS)
+        .map(|t| Box::new(fill_source(t)) as Box<dyn TraceSource + Send>)
+        .collect()
+}
+
+/// Tenant `t` replaying alone under `plan`, keyed like the service keys it.
+fn solo(t: usize, plan: FaultPlan) -> WritePipeline {
+    let seed = tenant_seed(BASE_SEED, t as u64);
+    build_technique(technique_for(t), seed)
+        .with_crypt_seed(seed)
+        .with_fault_plan(plan)
+}
+
+/// Read faults at the service level: each tenant's fault log, read count,
+/// read latencies and fill count equal its solo sequential replay under
+/// its derived plan, at shards {1, 2, 8}.
+#[test]
+fn read_faults_match_solo_replay_at_1_2_8_shards() {
+    let plan = FaultPlan::chaos(0xFEED).with_read_timeouts(40_000);
+    let references: Vec<(WritePipeline, u64)> = (0..TENANTS)
+        .map(|t| {
+            let mut p = solo(t, tenant_plan(&plan, t));
+            let mut source = fill_source(t);
+            p.stream_replay(&mut source);
+            (p, source.fills_from_memory())
+        })
+        .collect();
+    assert!(
+        references
+            .iter()
+            .any(|(p, _)| p.fault_log().read_timeouts > 0),
+        "plan must time reads out"
+    );
+    assert!(
+        references
+            .iter()
+            .any(|(p, _)| p.fault_log().read_uncorrectable > 0),
+        "reads must hit corrupt rows"
+    );
+    assert!(references.iter().all(|&(_, fills)| fills > 0));
+
+    for shards in [1usize, 2, 8] {
+        let mut service = build_service(shards);
+        service.inject_faults(&plan, RecoveryPolicy::none());
+        let report = service.run(fill_sources());
+        for (t, (p, fills)) in references.iter().enumerate() {
+            let got = &report.tenants[t];
+            assert_eq!(got.faults, p.fault_log(), "tenant {t} at {shards} shards");
+            assert_eq!(got.reads, p.timing_stats().reads.count(), "tenant {t}");
+            assert_eq!(&got.timing, p.timing_stats(), "tenant {t}");
+            assert_eq!(got.memory_fills, *fills, "tenant {t}");
+        }
+    }
+}
+
+/// The same with a mid-stream worker death on one shard: the victim's
+/// pipeline stops where its solo replay panics (fault log, timing and fill
+/// count match), and the other tenants match their solo replays exactly.
+#[test]
+fn read_faults_with_mid_stream_worker_death_match_solo_replay() {
+    let victim = 0usize;
+    let reads = FaultPlan::chaos(0xFEED).with_read_timeouts(40_000);
+
+    // The row of the victim's 500th write-back, found by a clean replay.
+    let mut clean = solo(victim, FaultPlan::new(0));
+    let mut source = fill_source(victim);
+    for _ in 0..500 {
+        let wb = source
+            .next_event(&mut clean)
+            .expect("stream is long enough");
+        clean.write_back(&wb);
+    }
+    let wb = source
+        .next_event(&mut clean)
+        .expect("stream is long enough");
+    let victim_row = pcm_config().row_of_byte_addr(wb.line_addr);
+    let plan = reads.clone().with_worker_panic(victim_row, 0);
+
+    let mut hurt = solo(victim, plan.clone());
+    let mut hurt_source = fill_source(victim);
+    let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        hurt.stream_replay(&mut hurt_source)
+    }))
+    .is_err();
+    assert!(died, "the injected panic must fire");
+
+    let mut service = build_service(1);
+    service.inject_faults(&reads, RecoveryPolicy::none());
+    service.inject_tenant_faults(victim, &plan, RecoveryPolicy::none());
+    let report = service.run(fill_sources());
+
+    let got = &report.tenants[victim];
+    assert_eq!(got.quarantined_shards, vec![0]);
+    assert_eq!(got.faults, hurt.fault_log());
+    assert_eq!(&got.timing, hurt.timing_stats());
+    assert_eq!(got.memory_fills, hurt_source.fills_from_memory());
+    assert_eq!(
+        got.enqueued,
+        got.pipeline.lines_written + got.discarded,
+        "admitted == executed + discarded"
+    );
+    for t in (0..TENANTS).filter(|&t| t != victim) {
+        let mut p = solo(t, tenant_plan(&reads, t));
+        let mut source = fill_source(t);
+        p.stream_replay(&mut source);
+        let got = &report.tenants[t];
+        assert_eq!(got.faults, p.fault_log(), "tenant {t}");
+        assert_eq!(got.reads, p.timing_stats().reads.count(), "tenant {t}");
+        assert_eq!(got.memory_fills, source.fills_from_memory(), "tenant {t}");
+    }
 }

@@ -199,6 +199,92 @@ fn explicit_seed_override_is_honoured() {
     assert_eq!(report.tenants[0].memory, mem);
 }
 
+/// A service keeps its pipelines across `serve` calls, so a second run's
+/// fills find lines the first run wrote. Each producer's ownership mirror
+/// must start from that state: after two runs every tenant matches a solo
+/// pipeline replaying both of its streams in order, and each run's fill
+/// count matches the solo replay's.
+#[test]
+fn consecutive_runs_match_solo_replay_of_both_streams() {
+    let base_seed = 0x2C0D;
+    let tenants = 3;
+    let accesses = 2_500;
+    let run_seed = |run: u64| base_seed ^ (run << 20);
+
+    // Per tenant: the solo pipeline after both streams, and each stream's
+    // fill count.
+    let references: Vec<(WritePipeline, Vec<u64>)> = (0..tenants)
+        .map(|t| {
+            let seed = tenant_seed(base_seed, t as u64);
+            let mut p = build_technique(technique_for(t), seed).with_crypt_seed(seed);
+            let fills = (0..2)
+                .map(|run| {
+                    let mut source = tenant_source(t, accesses, run_seed(run));
+                    p.stream_replay(&mut source);
+                    source.fills_from_memory()
+                })
+                .collect();
+            (p, fills)
+        })
+        .collect();
+    let carried = (0..tenants).any(|t| {
+        let seed = tenant_seed(base_seed, t as u64);
+        let mut source = tenant_source(t, accesses, run_seed(1));
+        solo_reference(technique_for(t), seed, &mut source);
+        references[t].1[1] > source.fills_from_memory()
+    });
+    assert!(
+        carried,
+        "a second stream must fill from lines the first wrote"
+    );
+
+    for shards in [1usize, 2, 8] {
+        let specs: Vec<TenantSpec> = (0..tenants)
+            .map(|t| TenantSpec::new(&format!("t{t}"), technique_for(t)))
+            .collect();
+        let config = ServiceConfig::default()
+            .with_shards(shards)
+            .with_queue_capacity(16)
+            .with_batch(4)
+            .with_base_seed(base_seed);
+        let mut service = MemoryService::build(config, &specs, |ctx| {
+            build_technique(ctx.technique, ctx.crypt_seed)
+        });
+        let mut report = None;
+        for run in 0..2u64 {
+            let sources: Vec<Box<dyn TraceSource + Send>> = (0..tenants)
+                .map(|t| {
+                    Box::new(tenant_source(t, accesses, run_seed(run)))
+                        as Box<dyn TraceSource + Send>
+                })
+                .collect();
+            let got = service.run(sources);
+            for (t, (_, fills)) in references.iter().enumerate() {
+                assert_eq!(
+                    got.tenants[t].memory_fills, fills[run as usize],
+                    "tenant {t} run {run} fill count at {shards} shards"
+                );
+            }
+            report = Some(got);
+        }
+        let report = report.expect("two runs");
+        for (t, (p, _)) in references.iter().enumerate() {
+            let got = &report.tenants[t];
+            assert_eq!(&got.pipeline, p.stats(), "tenant {t} at {shards} shards");
+            assert_eq!(
+                &got.memory,
+                p.memory_stats(),
+                "tenant {t} at {shards} shards"
+            );
+            assert_eq!(
+                &got.timing,
+                p.timing_stats(),
+                "tenant {t} at {shards} shards"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
