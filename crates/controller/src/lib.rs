@@ -11,10 +11,14 @@
 //! figure drivers, benches and examples no longer hand-roll the glue.
 //!
 //! Internally the pipeline drives the zero-allocation encoding sessions
-//! ([`coset::EncodeScratch`] via [`pcm::LineWriteScratch`]): after a
-//! one-line warm-up, replaying a trace performs no per-candidate heap
-//! allocation in the encoder hot path, and read-back reuses a
-//! pipeline-owned line buffer ([`PcmMemory::read_line_into`]) the same way.
+//! ([`coset::EncodeScratch`] via [`pcm::LineWriteScratch`]), and one-word
+//! [`coset::Block`]s keep their bits inline. So once the scratch is warm,
+//! each programming attempt on an already-written line (one per write,
+//! plus any retries) makes exactly one heap allocation: the `words` vector
+//! of the [`LineWriteOutcome`] it returns. Read-back decodes into a
+//! pipeline-owned line buffer ([`PcmMemory::read_line_into`]) and makes
+//! none. A first touch of a row or line still allocates the row and grows
+//! the pipeline's maps.
 //!
 //! The encode stage itself routes through `coset`'s broadcast-SWAR cost
 //! engine: each per-word [`coset::WriteContext`] built by
@@ -631,9 +635,9 @@ impl WritePipeline {
     /// pseudo-random bytes, not stored data; callers like the cache-fill
     /// path then fall back to their synthetic initial pattern).
     ///
-    /// Like the write path, reads reuse a pipeline-owned line buffer
-    /// ([`PcmMemory::read_line_into`]), so steady-state read-back performs no
-    /// per-line heap allocation.
+    /// Reads decode into a pipeline-owned line buffer
+    /// ([`PcmMemory::read_line_into`]) through inline one-word blocks, so a
+    /// read makes no heap allocation.
     pub fn read_line(&mut self, line_addr: u64) -> Option<[u64; LINE_WORDS]> {
         self.try_read_line(line_addr).ok()
     }

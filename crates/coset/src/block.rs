@@ -13,6 +13,12 @@ use std::fmt;
 
 /// A fixed-length block of bits backed by `u64` words.
 ///
+/// A block of at most 64 bits (a data word, a kernel, a digit vector) keeps
+/// its one word inline, so building, cloning and dropping it never touches
+/// the heap; only wider blocks (cache lines) spill their words to a `Vec`.
+/// A spill buffer survives narrowing, so in-place reuse
+/// ([`Block::copy_from`], [`Block::reset_zeros`]) keeps its capacity.
+///
 /// # Examples
 ///
 /// ```
@@ -23,10 +29,43 @@ use std::fmt;
 /// assert_eq!(b.count_ones(), 1);
 /// assert!(b.bit(3));
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Block {
-    words: Vec<u64>,
+    /// The backing word of a block of at most 64 bits.
+    inline: u64,
+    /// The backing words of a wider block (exactly `len.div_ceil(64)` of
+    /// them); unused, but kept for its capacity, while the block is narrow.
+    spill: Vec<u64>,
     len: usize,
+}
+
+impl Clone for Block {
+    fn clone(&self) -> Self {
+        Block {
+            inline: self.inline,
+            spill: if self.len <= 64 {
+                Vec::new()
+            } else {
+                self.spill.clone()
+            },
+            len: self.len,
+        }
+    }
+}
+
+impl PartialEq for Block {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.words() == other.words()
+    }
+}
+
+impl Eq for Block {}
+
+impl std::hash::Hash for Block {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        // Same field order as a `Vec`-backed block: live words, then length.
+        self.words().hash(state);
+        self.len.hash(state);
+    }
 }
 
 impl Block {
@@ -37,9 +76,13 @@ impl Block {
     /// Panics if `len` is zero.
     pub fn zeros(len: usize) -> Self {
         assert!(len > 0, "block length must be non-zero");
-        let n_words = len.div_ceil(64);
         Block {
-            words: vec![0u64; n_words],
+            inline: 0,
+            spill: if len <= 64 {
+                Vec::new()
+            } else {
+                vec![0u64; len.div_ceil(64)]
+            },
             len,
         }
     }
@@ -47,7 +90,7 @@ impl Block {
     /// Creates an all-one block of `len` bits.
     pub fn ones(len: usize) -> Self {
         let mut b = Self::zeros(len);
-        for w in &mut b.words {
+        for w in b.words_mut() {
             *w = u64::MAX;
         }
         b.mask_tail();
@@ -61,13 +104,11 @@ impl Block {
     /// Panics if `len > 64` or `len == 0`.
     pub fn from_u64(value: u64, len: usize) -> Self {
         assert!(len > 0 && len <= 64, "from_u64 requires 1..=64 bits");
-        let mut b = Self::zeros(len);
-        b.words[0] = if len == 64 {
-            value
-        } else {
-            value & ((1u64 << len) - 1)
-        };
-        b
+        Block {
+            inline: value & low_bits(len),
+            spill: Vec::new(),
+            len,
+        }
     }
 
     /// Creates a block from a slice of little-endian `u64` words.
@@ -83,11 +124,9 @@ impl Block {
             words.len(),
             len
         );
+        let mut b = Self::zeros(len);
         let n_words = len.div_ceil(64);
-        let mut b = Block {
-            words: words[..n_words].to_vec(),
-            len,
-        };
+        b.words_mut().copy_from_slice(&words[..n_words]);
         b.mask_tail();
         b
     }
@@ -95,7 +134,7 @@ impl Block {
     /// Creates a block of `len` bits filled from the random number generator.
     pub fn random<R: rand::Rng + ?Sized>(rng: &mut R, len: usize) -> Self {
         let mut b = Self::zeros(len);
-        for w in &mut b.words {
+        for w in b.words_mut() {
             *w = rng.gen();
         }
         b.mask_tail();
@@ -104,11 +143,16 @@ impl Block {
 
     /// Makes `self` a copy of `other`, reusing the existing allocation —
     /// the in-place counterpart of `clone` used by the zero-allocation
-    /// encoding sessions. Allocates only when `self`'s capacity is smaller
-    /// than `other`'s word count (a straight `memcpy` otherwise).
+    /// encoding sessions. Allocates only when `other` spills and `self`'s
+    /// spill capacity is smaller than its word count (a straight `memcpy`
+    /// otherwise).
     pub fn copy_from(&mut self, other: &Block) {
-        self.words.resize(other.words.len(), 0);
-        self.words.copy_from_slice(&other.words);
+        if other.len <= 64 {
+            self.inline = other.inline;
+        } else {
+            self.spill.clear();
+            self.spill.extend_from_slice(&other.spill);
+        }
         self.len = other.len;
     }
 
@@ -121,13 +165,12 @@ impl Block {
     /// Panics if `a` and `b` have different lengths.
     pub fn xor_words_from(&mut self, a: &Block, b: &Block) {
         assert_eq!(a.len, b.len, "xor_words_from length mismatch");
-        self.words.resize(a.words.len(), 0);
-        for (out, (x, y)) in self
-            .words
-            .iter_mut()
-            .zip(a.words.iter().zip(b.words.iter()))
-        {
-            *out = x ^ y;
+        if a.len <= 64 {
+            self.inline = a.inline ^ b.inline;
+        } else {
+            self.spill.clear();
+            self.spill
+                .extend(a.spill.iter().zip(b.spill.iter()).map(|(x, y)| x ^ y));
         }
         self.len = a.len;
     }
@@ -144,7 +187,7 @@ impl Block {
     /// Panics if `idx` is out of range.
     #[inline]
     pub fn insert_word_masked(&mut self, idx: usize, value: u64, mask: u64) {
-        let w = &mut self.words[idx];
+        let w = &mut self.words_mut()[idx];
         *w = (*w & !mask) | (value & mask);
     }
 
@@ -156,9 +199,12 @@ impl Block {
     /// Panics if `len` is zero.
     pub fn reset_zeros(&mut self, len: usize) {
         assert!(len > 0, "block length must be non-zero");
-        let n_words = len.div_ceil(64);
-        self.words.clear();
-        self.words.resize(n_words, 0);
+        if len <= 64 {
+            self.inline = 0;
+        } else {
+            self.spill.clear();
+            self.spill.resize(len.div_ceil(64), 0);
+        }
         self.len = len;
     }
 
@@ -170,12 +216,8 @@ impl Block {
     /// Panics if `len > 64` or `len == 0`.
     pub fn set_from_u64(&mut self, value: u64, len: usize) {
         assert!(len > 0 && len <= 64, "set_from_u64 requires 1..=64 bits");
-        self.reset_zeros(len);
-        self.words[0] = if len == 64 {
-            value
-        } else {
-            value & ((1u64 << len) - 1)
-        };
+        self.inline = value & low_bits(len);
+        self.len = len;
     }
 
     /// Length of the block in bits.
@@ -190,22 +232,33 @@ impl Block {
     }
 
     /// Borrows the backing words (little-endian bit order).
+    #[inline]
     pub fn words(&self) -> &[u64] {
-        &self.words
+        if self.len <= 64 {
+            std::slice::from_ref(&self.inline)
+        } else {
+            &self.spill
+        }
     }
 
     /// Mutably borrows the backing words. The caller must keep bits above
     /// `len()` zero; use [`Block::mask_tail`] afterwards when unsure.
+    #[inline]
     pub fn words_mut(&mut self) -> &mut [u64] {
-        &mut self.words
+        if self.len <= 64 {
+            std::slice::from_mut(&mut self.inline)
+        } else {
+            &mut self.spill
+        }
     }
 
     /// Clears any bits at positions `>= len` in the last backing word.
     pub fn mask_tail(&mut self) {
         let rem = self.len % 64;
         if rem != 0 {
-            let last = self.words.len() - 1;
-            self.words[last] &= (1u64 << rem) - 1;
+            if let Some(last) = self.words_mut().last_mut() {
+                *last &= (1u64 << rem) - 1;
+            }
         }
     }
 
@@ -217,7 +270,7 @@ impl Block {
     #[inline]
     pub fn bit(&self, idx: usize) -> bool {
         assert!(idx < self.len, "bit index {idx} out of range {}", self.len);
-        (self.words[idx / 64] >> (idx % 64)) & 1 == 1
+        (self.words()[idx / 64] >> (idx % 64)) & 1 == 1
     }
 
     /// Writes bit `idx`.
@@ -228,12 +281,12 @@ impl Block {
     #[inline]
     pub fn set_bit(&mut self, idx: usize, value: bool) {
         assert!(idx < self.len, "bit index {idx} out of range {}", self.len);
-        let w = idx / 64;
         let o = idx % 64;
+        let w = &mut self.words_mut()[idx / 64];
         if value {
-            self.words[w] |= 1u64 << o;
+            *w |= 1u64 << o;
         } else {
-            self.words[w] &= !(1u64 << o);
+            *w &= !(1u64 << o);
         }
     }
 
@@ -241,12 +294,12 @@ impl Block {
     #[inline]
     pub fn toggle_bit(&mut self, idx: usize) {
         assert!(idx < self.len, "bit index {idx} out of range {}", self.len);
-        self.words[idx / 64] ^= 1u64 << (idx % 64);
+        self.words_mut()[idx / 64] ^= 1u64 << (idx % 64);
     }
 
     /// Number of set bits.
     pub fn count_ones(&self) -> u32 {
-        self.words.iter().map(|w| w.count_ones()).sum()
+        self.words().iter().map(|w| w.count_ones()).sum()
     }
 
     /// Number of positions where `self` and `other` differ.
@@ -256,9 +309,9 @@ impl Block {
     /// Panics if lengths differ.
     pub fn hamming_distance(&self, other: &Block) -> u32 {
         assert_eq!(self.len, other.len, "hamming_distance length mismatch");
-        self.words
+        self.words()
             .iter()
-            .zip(other.words.iter())
+            .zip(other.words())
             .map(|(a, b)| (a ^ b).count_ones())
             .sum()
     }
@@ -270,7 +323,7 @@ impl Block {
     /// Panics if lengths differ.
     pub fn xor_assign(&mut self, other: &Block) {
         assert_eq!(self.len, other.len, "xor length mismatch");
-        for (a, b) in self.words.iter_mut().zip(other.words.iter()) {
+        for (a, b) in self.words_mut().iter_mut().zip(other.words()) {
             *a ^= *b;
         }
     }
@@ -284,7 +337,7 @@ impl Block {
 
     /// Inverts every bit in place.
     pub fn invert(&mut self) {
-        for w in &mut self.words {
+        for w in self.words_mut() {
             *w = !*w;
         }
         self.mask_tail();
@@ -310,15 +363,16 @@ impl Block {
             start + width,
             self.len
         );
+        let words = self.words();
         let w = start / 64;
         let o = start % 64;
         // SWAR-OK: the aligned value is masked to `width` bits below before
         // it is returned; bits shifted in from the next field are discarded.
-        let lo = self.words[w] >> o;
+        let lo = words[w] >> o;
         let val = if o + width <= 64 {
             lo
         } else {
-            lo | (self.words[w + 1] << (64 - o))
+            lo | (words[w + 1] << (64 - o))
         };
         if width == 64 {
             val
@@ -345,6 +399,7 @@ impl Block {
         } else {
             value & ((1u64 << width) - 1)
         };
+        let words = self.words_mut();
         let w = start / 64;
         let o = start % 64;
         if o + width <= 64 {
@@ -355,14 +410,14 @@ impl Block {
                 // insert below applies it with & before writing.
                 ((1u64 << width) - 1) << o
             };
-            self.words[w] = (self.words[w] & !mask) | (value << o);
+            words[w] = (words[w] & !mask) | (value << o);
         } else {
             let lo_bits = 64 - o;
             let hi_bits = width - lo_bits;
             let lo_mask = u64::MAX << o;
-            self.words[w] = (self.words[w] & !lo_mask) | (value << o);
+            words[w] = (words[w] & !lo_mask) | (value << o);
             let hi_mask = (1u64 << hi_bits) - 1;
-            self.words[w + 1] = (self.words[w + 1] & !hi_mask) | (value >> lo_bits);
+            words[w + 1] = (words[w + 1] & !hi_mask) | (value >> lo_bits);
         }
     }
 
@@ -406,7 +461,7 @@ impl Block {
     /// Panics if the block is wider than 64 bits.
     pub fn as_u64(&self) -> u64 {
         assert!(self.len <= 64, "block wider than 64 bits");
-        self.words[0]
+        self.inline
     }
 
     /// Iterator over the bits, LSB first.
@@ -420,6 +475,16 @@ impl Block {
         out.splice(0, self);
         out.splice(self.len, other);
         out
+    }
+}
+
+/// Mask of the low `len` bits (`1..=64`).
+#[inline]
+pub(crate) fn low_bits(len: usize) -> u64 {
+    if len >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << len) - 1
     }
 }
 
@@ -614,15 +679,98 @@ mod tests {
         let mut buf = Block::zeros(1);
         buf.copy_from(&big);
         assert_eq!(buf, big);
-        let cap_after_big = buf.words.capacity();
+        let cap_after_big = buf.spill.capacity();
         // Shrinking to a smaller block must not reallocate, and growing
         // back within the retained capacity must not either.
         buf.copy_from(&small);
         assert_eq!(buf, small);
-        assert_eq!(buf.words.capacity(), cap_after_big);
+        assert_eq!(buf.spill.capacity(), cap_after_big);
         buf.copy_from(&big);
         assert_eq!(buf, big);
-        assert_eq!(buf.words.capacity(), cap_after_big);
+        assert_eq!(buf.spill.capacity(), cap_after_big);
+    }
+
+    /// Whether the block owns a heap buffer (a spilled word vector).
+    fn owns_heap(b: &Block) -> bool {
+        b.spill.capacity() != 0
+    }
+
+    fn hash_of(b: &Block) -> u64 {
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        BuildHasherDefault::<std::collections::hash_map::DefaultHasher>::default().hash_one(b)
+    }
+
+    #[test]
+    fn narrow_blocks_own_no_heap_buffer() {
+        use crate::symbol::{extract_left_digits, extract_right_digits, interleave_digits};
+        let mut rng = StdRng::seed_from_u64(14);
+        for len in [1usize, 8, 32, 63, 64] {
+            let r = Block::random(&mut rng, len);
+            let z = Block::zeros(len);
+            let v = Block::from_u64(0xDEAD_BEEF_F00D_CAFE, len);
+            let c = v.clone();
+            let x = v.xor(&r);
+            for b in [&r, &z, &v, &c, &x] {
+                assert!(!owns_heap(b), "{len}-bit block spilled: {b:?}");
+            }
+        }
+        let word = Block::random(&mut rng, 64);
+        let left = extract_left_digits(&word);
+        let right = extract_right_digits(&word);
+        let back = interleave_digits(&left, &right);
+        for b in [&left, &right, &back] {
+            assert!(!owns_heap(b), "digit block spilled: {b:?}");
+        }
+        assert_eq!(back, word);
+        // A block that narrows keeps its spill buffer, but a clone of it
+        // copies only the live word.
+        let mut shrunk = Block::random(&mut rng, 512);
+        shrunk.set_from_u64(7, 64);
+        assert!(owns_heap(&shrunk));
+        assert!(!owns_heap(&shrunk.clone()));
+        assert!(owns_heap(&Block::zeros(65)));
+    }
+
+    #[test]
+    fn blocks_moved_between_widths_compare_and_hash_like_fresh_ones() {
+        let mut rng = StdRng::seed_from_u64(15);
+        let wide = Block::random(&mut rng, 512);
+        let narrow = Block::random(&mut rng, 64);
+        let mut buf = Block::zeros(1);
+
+        buf.copy_from(&wide);
+        assert_eq!(buf, wide);
+        assert_eq!(hash_of(&buf), hash_of(&wide));
+
+        // 512 -> 64: the stale spill words must not leak into Eq or Hash.
+        buf.copy_from(&narrow);
+        assert_eq!(buf, narrow);
+        assert_eq!(hash_of(&buf), hash_of(&narrow));
+        buf.set_from_u64(0x1234, 64);
+        let fresh = Block::from_u64(0x1234, 64);
+        assert_eq!(buf, fresh);
+        assert_eq!(hash_of(&buf), hash_of(&fresh));
+        assert_ne!(
+            buf,
+            Block::from_u64(0x1234, 63),
+            "length is part of equality"
+        );
+
+        // 64 -> 512: reset_zeros must clear the retained spill words.
+        buf.reset_zeros(512);
+        assert_eq!(buf, Block::zeros(512));
+        assert_eq!(hash_of(&buf), hash_of(&Block::zeros(512)));
+        buf.copy_from(&wide);
+        assert_eq!(buf, wide);
+        assert_eq!(hash_of(&buf), hash_of(&wide));
+
+        // 512 -> 64 -> 512 through reset_zeros alone.
+        buf.reset_zeros(64);
+        assert_eq!(buf, Block::zeros(64));
+        assert_eq!(hash_of(&buf), hash_of(&Block::zeros(64)));
+        buf.reset_zeros(512);
+        assert_eq!(buf.count_ones(), 0);
+        assert_eq!(buf, Block::zeros(512));
     }
 
     #[test]

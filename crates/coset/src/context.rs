@@ -421,6 +421,12 @@ impl CostModel<'_> {
         self.classes.weighted_fields_fit(field_bits)
     }
 
+    /// Whether the packed cheaper-of-two is exact on `field_bits`-wide
+    /// weighted fields (see [`ClassSet::packed_select_fits`]).
+    pub(crate) fn packed_select_fits(&self, field_bits: usize) -> bool {
+        self.classes.packed_select_fits(field_bits)
+    }
+
     /// Weighted per-field cost words from per-field counts (see
     /// [`ClassSet::weighted_fields`]).
     #[inline(always)]

@@ -338,6 +338,102 @@ pub fn per_field_popcount(x: u64, field_bits: usize) -> u64 {
     (x + (x >> 32)) & 0x7F
 }
 
+/// Lane geometry for packed per-field arithmetic on weighted cost words:
+/// `bits`-wide fields (a power of two below 64), as produced by
+/// [`ClassSet::field_counts`] + [`ClassSet::weighted_fields`]. Lets the
+/// cheaper-of-two partition select run on every field of a word at once.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FieldLanes {
+    bits: usize,
+    /// `log2(bits)`: index into [`FieldLanes::PAIR_LOW`].
+    log2: usize,
+    /// The top bit of every field.
+    tops: u64,
+}
+
+impl FieldLanes {
+    /// Bit 0 of every `2^k`-bit field, for `k` in `0..6`.
+    const BOTTOMS: [u64; 6] = [
+        u64::MAX,
+        0x5555_5555_5555_5555,
+        0x1111_1111_1111_1111,
+        0x0101_0101_0101_0101,
+        0x0001_0001_0001_0001,
+        0x0000_0001_0000_0001,
+    ];
+    /// The low half of every `2^(k+1)`-bit field, for `k` in `0..6`.
+    const PAIR_LOW: [u64; 6] = [
+        0x5555_5555_5555_5555,
+        0x3333_3333_3333_3333,
+        0x0F0F_0F0F_0F0F_0F0F,
+        0x00FF_00FF_00FF_00FF,
+        0x0000_FFFF_0000_FFFF,
+        0x0000_0000_FFFF_FFFF,
+    ];
+
+    /// Lanes of `bits`-wide fields.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `bits` is a power of two below 64.
+    pub(crate) fn new(bits: usize) -> Self {
+        assert!(
+            bits.is_power_of_two() && bits < 64,
+            "field lanes need a power-of-two width below 64"
+        );
+        let log2 = bits.trailing_zeros() as usize;
+        FieldLanes {
+            bits,
+            log2,
+            tops: Self::BOTTOMS[log2] << (bits - 1),
+        }
+    }
+
+    /// Packed cheaper-of-two: for every field, whether `b` is strictly
+    /// cheaper than `a` (the field's top bit set in the first word — the
+    /// per-field [`FixedCost::select_min`] on primary-only costs) and the
+    /// cheaper value (`a` on ties) in the second word.
+    ///
+    /// Exact only while every field of `a` and `b` stays below the field's
+    /// top bit ([`ClassSet::packed_select_fits`]).
+    #[inline(always)]
+    pub(crate) fn select_min(&self, a: u64, b: u64) -> (u64, u64) {
+        // Every field of a and b is below its top bit, so each field of
+        // (b | tops) - a lies in (0, 2^bits): no borrow crosses a field, and
+        // the top bit survives exactly where b >= a.
+        let b_ge_a = (b | self.tops).wrapping_sub(a);
+        let take_b = !b_ge_a & self.tops;
+        // take_b holds at most the top bit of each field, so the
+        // subtraction fills only that field's lower bits.
+        let full = take_b | (take_b - (take_b >> (self.bits - 1)));
+        (take_b, a ^ ((a ^ b) & full))
+    }
+
+    /// Sum of all fields of `x`: pairwise widening adds, so no partial sum
+    /// carries out of its field.
+    #[inline(always)]
+    pub(crate) fn sum(&self, x: u64) -> u64 {
+        let mut x = x;
+        for (k, low) in Self::PAIR_LOW.iter().enumerate().skip(self.log2) {
+            // `low` keeps one 2^k-bit field per 2^(k+1)-bit lane; two such
+            // fields sum below 2^(k+1), inside the wider lane.
+            x = (x & low) + ((x >> (1usize << k)) & low);
+        }
+        x
+    }
+
+    /// Gathers the top bit of field `j` into bit `j`, for the low `fields`
+    /// fields.
+    #[inline(always)]
+    pub(crate) fn gather_tops(&self, tops: u64, fields: usize) -> u64 {
+        let mut out = 0u64;
+        for j in 0..fields {
+            out |= ((tops >> (j * self.bits + self.bits - 1)) & 1) << j;
+        }
+        out
+    }
+}
+
 impl ClassSet {
     /// Maximum number of classes (enough for a lexicographic combination of
     /// a count objective and a two-class energy objective, or two energies).
@@ -397,6 +493,23 @@ impl ClassSet {
                 .sum()
         };
         worst(|c| c.primary) < cap && worst(|c| c.secondary) < cap
+    }
+
+    /// Whether the packed cheaper-of-two ([`FieldLanes::select_min`]) is
+    /// exact on weighted cost words of `field_bits`-wide fields: the
+    /// objective charges no secondary unit, and a field's worst-case cost
+    /// `Σ units × field_bits` stays below the field's top bit, which the
+    /// packed compare borrows.
+    pub(crate) fn packed_select_fits(&self, field_bits: usize) -> bool {
+        if self.has_secondary || field_bits >= 64 {
+            return false;
+        }
+        let worst: u128 = self
+            .classes()
+            .iter()
+            .map(|c| c.primary as u128 * field_bits as u128)
+            .sum();
+        worst < 1u128 << (field_bits - 1)
     }
 
     /// Folds per-field counts into weighted per-field cost words: each

@@ -218,6 +218,17 @@ impl GeneratorConfig {
             num_kernels,
         }
     }
+
+    /// Algorithm 2's shape for a `seed_bits`-bit seed: the number `b` of
+    /// base vectors the seed splits into, and the width of the repeated
+    /// variant masks (`1 + ⌈log2 ⌈r/b⌉⌉`, the extra bit keeping variants
+    /// from being complements of one another). Kernel `v·b + j` is base
+    /// vector `j` XOR variant mask `v` ([`repeat_mask`]).
+    pub(crate) fn shape(&self, seed_bits: usize) -> (usize, usize) {
+        let b = (seed_bits / self.kernel_bits).max(1);
+        let variants = self.num_kernels.div_ceil(b);
+        (b, 1 + ceil_log2(variants.max(1)))
+    }
 }
 
 /// Algorithm 2: derives `r` `m`-bit kernels from a seed bit vector `L`
@@ -247,9 +258,10 @@ pub fn generate_kernels(seed: &Block, config: GeneratorConfig) -> KernelSet {
 }
 
 /// In-place variant of [`generate_kernels`]: regenerates the kernel set into
-/// `out`, reusing its allocation. This is what the zero-allocation encoding
-/// sessions use — the generated-kernel VCC encoder reruns Algorithm 2 on
-/// every write.
+/// `out`, reusing its allocation. The generated-kernel VCC encoder's scalar
+/// reference path reruns Algorithm 2 this way on every write; its
+/// broadcast path derives the same kernels in closed form
+/// (see `Vcc`'s generated-kernel search).
 ///
 /// # Panics
 ///
@@ -262,12 +274,8 @@ pub fn generate_kernels_into(seed: &Block, config: GeneratorConfig, out: &mut Ke
         "seed of {} bits cannot produce {m}-bit kernels",
         seed.len()
     );
-    let b = (seed.len() / m).max(1);
-
-    // Number of variants needed per base vector (rounded up), and the mask
-    // width with the extra anti-complement bit.
+    let (b, mask_bits) = config.shape(seed.len());
     let variants_per_base = r.div_ceil(b);
-    let mask_bits = 1 + ceil_log2(variants_per_base.max(1));
 
     out.kernel_bits = m;
     out.kernels.clear();
@@ -282,10 +290,11 @@ pub fn generate_kernels_into(seed: &Block, config: GeneratorConfig, out: &mut Ke
             out.kernels.push(seed.extract(j * m, m) ^ mask);
         }
     }
-    // Runtime-generated sets carry no broadcast words: the generated-kernel
-    // encoder builds its symbol-domain broadcasts directly from `kernel()`
-    // (and the decoder never needs them), so regenerating the word-domain
-    // vector here would be dead work on the per-write hot path.
+    // Runtime-generated sets carry no broadcast words: no generated-kernel
+    // path reads them (the broadcast encoder builds its symbol-domain
+    // broadcasts in closed form, the scalar path and the decoder use
+    // `kernel()`), so regenerating the word-domain vector here would be
+    // dead work on every write.
     out.broadcasts.clear();
 }
 
@@ -307,14 +316,13 @@ pub fn kernel_at(seed: &Block, config: GeneratorConfig, idx: usize) -> (u64, u64
         seed.len()
     );
     debug_assert!(idx < config.num_kernels, "kernel index out of range");
-    let b = seed.len() / m;
-    let mask_bits = 1 + ceil_log2(config.num_kernels.div_ceil(b));
+    let (b, mask_bits) = config.shape(seed.len());
     let kernel = seed.extract((idx % b) * m, m) ^ repeat_mask((idx / b) as u64, mask_bits, m);
     (kernel, !kernel & KernelSet::mask_for(m))
 }
 
 /// Repeats the low `mask_bits` bits of `mask` across an `m`-bit word.
-fn repeat_mask(mask: u64, mask_bits: usize, m: usize) -> u64 {
+pub(crate) fn repeat_mask(mask: u64, mask_bits: usize, m: usize) -> u64 {
     let mask = mask & ((1u64 << mask_bits) - 1);
     let mut out = 0u64;
     let mut pos = 0;

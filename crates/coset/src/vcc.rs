@@ -23,15 +23,18 @@
 
 use rand::Rng;
 
-use crate::block::Block;
+use crate::block::{low_bits, Block};
 use crate::context::{CostModel, WriteContext};
-use crate::cost::{Cost, CostFunction, FixedCost};
+use crate::cost::{ClassSet, Cost, CostFunction, FieldLanes, FixedCost};
 use crate::encoder::{EncodeScratch, Encoded, Encoder};
-use crate::kernel::{ceil_log2, generate_kernels_into, kernel_at, GeneratorConfig, KernelSet};
+use crate::kernel::{
+    broadcast_word, ceil_log2, generate_kernels_into, kernel_at, repeat_mask, GeneratorConfig,
+    KernelSet,
+};
 use crate::symbol::{
-    extract_left_digits, extract_left_digits_into, extract_right_digits, extract_right_digits_into,
-    interleave_digits, interleave_digits_into, interleave_word, spread_to_right_digits,
-    MLC_RIGHT_DIGITS,
+    compress_even_bits_word, extract_left_digits, extract_left_digits_into, extract_right_digits,
+    extract_right_digits_into, interleave_digits, interleave_digits_into, interleave_word,
+    spread_to_right_digits, MLC_RIGHT_DIGITS,
 };
 
 /// How a [`Vcc`] instance obtains kernels and which bits it encodes.
@@ -525,7 +528,7 @@ impl Vcc {
     ) {
         if self.block_bits <= 64 && (2 * self.kernel_bits).is_power_of_two() {
             if let Some(model) = ctx.cost_model(cost) {
-                self.encode_mlc_generated_fast(data, ctx, &model, config, scratch, out);
+                self.encode_mlc_generated_fast(data, ctx, &model, config, out);
                 return;
             }
         }
@@ -537,91 +540,125 @@ impl Vcc {
     /// broadcast onto the right-digit positions
     /// ([`spread_to_right_digits`]) turns the per-partition right-digit
     /// XOR into `data ^ k_sym`, and the complement form is a further XOR
-    /// with the right-digit mask. Partition costs are masked popcounts over
-    /// the candidate's class planes; digit extraction and re-interleaving
+    /// with the right-digit mask. Digit extraction and re-interleaving
     /// vanish from the per-kernel loop entirely (the winner needs no
     /// interleave at all — its symbol word is already assembled).
+    ///
+    /// Three identities keep the per-kernel work small:
+    ///
+    /// * **Closed-form kernels.** Algorithm 2 is linear: kernel `v·b + j`
+    ///   is base vector `j` of the seed XOR variant mask `v`, so its
+    ///   symbol-domain broadcast is the XOR of two spreads — `b` base
+    ///   spreads plus one per variant replace a per-write kernel set.
+    /// * **Direct form only.** Per symbol, the direct and complement forms
+    ///   of any kernel are the two right-digit values of that symbol — the
+    ///   same pair kernel 0 and the all-ones kernel give. For a per-symbol
+    ///   additive objective, `cost_j(k) + cost_j(¬k)` is therefore a
+    ///   per-word constant, and the complement costs one subtraction.
+    /// * **Packed cheaper-of-two.** When the weighted per-partition costs
+    ///   fit below their fields' top bits and there is no secondary unit
+    ///   ([`CostModel::packed_select_fits`]), every partition picks its
+    ///   cheaper form at once on the weighted field words
+    ///   ([`FieldLanes::select_min`]); other objectives take the
+    ///   per-partition loop.
     fn encode_mlc_generated_fast(
         &self,
         data: &Block,
         ctx: &WriteContext,
         model: &CostModel<'_>,
         config: &GeneratorConfig,
-        scratch: &mut EncodeScratch,
         out: &mut Encoded,
     ) {
         let m = self.kernel_bits; // right-digit bits per partition
+        let f = 2 * m; // symbol bits per partition
         let digit_bits = self.block_bits / 2;
         let dw = data.words()[0];
         let sm = ctx.stuck.mask().words()[0];
         let sv = ctx.stuck.value().words()[0];
+        let block_mask = low_bits(self.block_bits);
+        let digit_mask = low_bits(digit_bits);
+        let right_mask = MLC_RIGHT_DIGITS & block_mask;
+        let sym_mask = low_bits(f);
+
         // Seed Algorithm 2 with the left digits as they will actually be
         // stored (stuck cells keep their frozen value), like the scalar
-        // path and the decoder.
-        let stored = (dw & !sm) | (sv & sm);
-        let seed = EncodeScratch::slot(&mut scratch.stored_left, digit_bits);
-        seed.set_from_u64(
-            crate::symbol::compress_even_bits_word(stored >> 1),
-            digit_bits,
-        );
-        generate_kernels_into(seed, *config, &mut scratch.kernels);
-        let kernels = &scratch.kernels;
+        // path and the decoder, and derive its kernels in closed form. The
+        // fast-path gate guarantees m is a power of two, so a kernel tiles
+        // a word and the stored-path broadcast serves here too.
+        let seed = compress_even_bits_word(((dw & !sm) | (sv & sm)) >> 1) & digit_mask;
+        let (b, mask_bits) = config.shape(digit_bits);
+        let to_sym = |k: u64| spread_to_right_digits(broadcast_word(k, m) & digit_mask);
+        let mut base_sym = [0u64; 32];
+        for (j, slot) in base_sym.iter_mut().enumerate().take(b) {
+            *slot = to_sym((seed >> (j * m)) & low_bits(m));
+        }
+        let variant_sym = |v: usize| to_sym(repeat_mask(v as u64, mask_bits, m));
 
-        let block_mask = if self.block_bits == 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.block_bits) - 1
-        };
-        let right_mask = MLC_RIGHT_DIGITS & block_mask;
-        let sym_mask = if 2 * m == 64 {
-            u64::MAX
-        } else {
-            (1u64 << (2 * m)) - 1
-        };
-        // Kernel broadcast across the right-digit vector: the fast-path
-        // gate guarantees m is a power of two (so it tiles a word), letting
-        // the stored-path primitive serve here too, masked to digit_bits.
-        let digit_mask = if digit_bits == 64 {
-            u64::MAX
-        } else {
-            (1u64 << digit_bits) - 1
-        };
-        let broadcast_digits = |k: u64| crate::kernel::broadcast_word(k, m) & digit_mask;
+        // Per-field class counts of kernel 0 plus those of the all-ones
+        // kernel: the direct + complement total of every kernel. Wrapping
+        // word arithmetic is exact here because each field of a difference
+        // `total - direct` is itself a count that fits its field.
+        let (zero, ones) = model.planes_pair(0, dw, right_mask);
+        let (zero, ones) = (model.field_counts(&zero, f), model.field_counts(&ones, f));
+        let mut pair_counts = [0u64; ClassSet::MAX];
+        for (t, (z, o)) in pair_counts.iter_mut().zip(zero.iter().zip(ones.iter())) {
+            *t = z.wrapping_add(*o);
+        }
+        let lanes = model.packed_select_fits(f).then(|| FieldLanes::new(f));
+        let pair_cost = model.weighted_fields(&pair_counts).0;
+
         let mut best = FixedCost::ZERO;
         let mut best_aux = 0u64;
-        let mut best_kernel = 0usize;
+        let mut best_k_sym = 0u64;
         let mut best_flags = 0u64;
         let mut found = false;
-        for i in 0..kernels.len() {
-            let k_sym = spread_to_right_digits(broadcast_digits(kernels.kernel(i)));
-            let y = dw ^ k_sym;
-            // Partition fields are symbol groups of 2m bits; cost all of
-            // them at once with per-field popcounts over the fused class
-            // planes (the complement form flips only the right digits).
-            let (dp, cp) = model.planes_pair(0, y, right_mask);
-            let direct = model.field_counts(&dp, 2 * m);
-            let comp = model.field_counts(&cp, 2 * m);
+        // Kernel i = v·b + j, walked in index order (ties keep the lowest).
+        let (mut v, mut j) = (0usize, 0usize);
+        let mut v_sym = variant_sym(0);
+        for i in 0..self.num_kernels {
+            if j == b {
+                (v, j) = (v + 1, 0);
+                v_sym = variant_sym(v);
+            }
+            let k_sym = base_sym[j] ^ v_sym;
+            j += 1;
+            let direct = model.field_counts(&model.planes(0, dw ^ k_sym), f);
             let mut flags = 0u64;
             let mut data_cost = FixedCost::ZERO;
-            for j in 0..self.partitions {
-                let sh = 2 * j * m;
-                let c = model.count_cost(&direct, sh, sym_mask);
-                let c_c = model.count_cost(&comp, sh, sym_mask);
-                let (take_c, chosen) = FixedCost::select_min(c, c_c);
-                // SWAR-OK: take_c is 0 or 1, so exactly bit j is set.
-                flags |= take_c << j;
-                data_cost += chosen;
+            let mut take_tops = 0u64;
+            if let Some(lanes) = lanes {
+                let cost = model.weighted_fields(&direct).0;
+                let (take_c, chosen) = lanes.select_min(cost, pair_cost.wrapping_sub(cost));
+                take_tops = take_c;
+                data_cost.primary = lanes.sum(chosen);
+            } else {
+                let mut comp = [0u64; ClassSet::MAX];
+                for (c, (t, d)) in comp.iter_mut().zip(pair_counts.iter().zip(direct.iter())) {
+                    *c = t.wrapping_sub(*d);
+                }
+                for part in 0..self.partitions {
+                    let sh = part * f;
+                    let c = model.count_cost(&direct, sh, sym_mask);
+                    let c_c = model.count_cost(&comp, sh, sym_mask);
+                    let (take_c, chosen) = FixedCost::select_min(c, c_c);
+                    // SWAR-OK: take_c is 0 or 1, so exactly one flag is set.
+                    flags |= take_c << part;
+                    data_cost += chosen;
+                }
             }
             // Aux-cost pruning (see encode_full_block_fast).
             if found && data_cost.packed() >= best.packed() {
                 continue;
+            }
+            if let Some(lanes) = lanes {
+                flags = lanes.gather_tops(take_tops, self.partitions);
             }
             let aux = self.pack_aux(i, flags);
             let total = data_cost + model.aux_cost(aux);
             if !found || total.packed() < best.packed() {
                 best = total;
                 best_aux = aux;
-                best_kernel = i;
+                best_k_sym = k_sym;
                 best_flags = flags;
                 found = true;
             }
@@ -630,15 +667,14 @@ impl Vcc {
 
         // Materialize the winner: flip the right digits of the partitions
         // whose complement form won.
-        let k_sym = spread_to_right_digits(broadcast_digits(kernels.kernel(best_kernel)));
         let mut flip = 0u64;
         for j in 0..self.partitions {
             if (best_flags >> j) & 1 == 1 {
-                flip |= right_mask & (sym_mask << (2 * j * m));
+                flip |= right_mask & (sym_mask << (j * f));
             }
         }
         out.codeword
-            .set_from_u64((dw ^ k_sym ^ flip) & block_mask, self.block_bits);
+            .set_from_u64((dw ^ best_k_sym ^ flip) & block_mask, self.block_bits);
         out.aux = best_aux;
         out.cost = best.to_cost();
     }

@@ -102,7 +102,15 @@ fn encoders(seed: u64) -> Vec<Box<dyn Encoder>> {
         Box::new(Vcc::paper_stored(256, &mut rng)),
         Box::new(Vcc::paper_stored(32, &mut rng)),
         Box::new(Vcc::paper_mlc(256)),
+        Box::new(Vcc::paper_mlc(128)),
+        Box::new(Vcc::paper_mlc(64)),
         Box::new(Vcc::paper_mlc(32)),
+        // Other kernel widths: 16-bit kernels (32-bit symbol fields, r > b,
+        // packed select for single-class objectives and energy) and 4-bit
+        // kernels (8-bit fields, r < b; energy does not fit the packed
+        // select, so the per-partition loop runs).
+        Box::new(Vcc::generated_mlc(64, 16, 4)),
+        Box::new(Vcc::generated_mlc(64, 4, 4)),
         Box::new(Vcc::hybrid(64, 16, 8, &mut rng)),
         Box::new(Rcc::random(64, 32, &mut rng)),
         Box::new(Rcc::random_with_identity(64, 16, &mut rng)),

@@ -10,10 +10,13 @@
 //! stuck-cell evolution. Coverage spans SLC and MLC cells, stuck-cell maps
 //! of several incidences, event-counted and energy-weighted wear, and
 //! encoders with auxiliary widths 0 (unencoded), 4 (FNW), and 8 (RCC/VCC).
+//! The read path is pinned the same way: `read_line_into` must decode every
+//! generated- and stored-kernel VCC row exactly like a word-by-word
+//! `Encoder::decode` of the raw stored bits and aux.
 
 use coset::cost::{opt_saw_then_energy, CostFunction, WriteEnergy};
 use coset::symbol::CellKind;
-use coset::{Encoder, Fnw, Rcc, Unencoded, Vcc};
+use coset::{Block, Encoder, Fnw, Rcc, Unencoded, Vcc};
 use pcm::{FaultMap, PcmConfig, PcmMemory};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -205,4 +208,70 @@ fn slc_smoke_equivalence() {
     let lines: Vec<[u64; 8]> = (0..200).map(|_| rng.gen()).collect();
     let enc = Fnw::with_sub_block(64, 16);
     assert_paths_agree(cfg, Some(map), &enc, &WriteEnergy::slc(), &lines, 4);
+}
+
+/// `read_line_into` ≡ word-by-word `Encoder::decode` of `read_raw_line` +
+/// the stored aux, for every generated- and stored-kernel VCC
+/// configuration, on rows written through both the line and the word path
+/// and holding stuck data and aux cells.
+#[test]
+fn vcc_reads_match_word_by_word_decode() {
+    let mut krng = StdRng::seed_from_u64(0x4EAD);
+    let encoders: Vec<Box<dyn Encoder>> = vec![
+        Box::new(Vcc::paper_mlc(32)),
+        Box::new(Vcc::paper_mlc(64)),
+        Box::new(Vcc::paper_mlc(128)),
+        Box::new(Vcc::paper_mlc(256)),
+        Box::new(Vcc::generated_mlc(64, 16, 4)),
+        Box::new(Vcc::generated_mlc(64, 4, 4)),
+        Box::new(Vcc::paper_stored(32, &mut krng)),
+        Box::new(Vcc::paper_stored(256, &mut krng)),
+        Box::new(Vcc::hybrid(64, 16, 8, &mut krng)),
+    ];
+    let rows = 3u64;
+    for (e, enc) in encoders.iter().enumerate() {
+        let seed = 0x5EAD ^ e as u64;
+        let mut cfg = config(CellKind::Mlc, false, seed);
+        cfg.aux_bits_per_word = 10;
+        let map = FaultMap::uniform(5e-2, CellKind::Mlc, seed ^ 0xA0C5);
+        let mut mem = PcmMemory::new(cfg).with_fault_map(map);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let cost = opt_saw_then_energy();
+        for i in 0..24u64 {
+            let line: [u64; 8] = rng.gen();
+            mem.write_line(i % rows, &line, enc.as_ref(), &cost);
+            let (row, w) = (rng.gen_range(0..rows), rng.gen_range(0..8usize));
+            mem.write_word(row, w, rng.gen(), enc.as_ref(), &cost);
+        }
+        let (mut data_stuck, mut aux_stuck) = (0u32, 0u32);
+        let mut decoded = Vec::new();
+        for addr in 0..rows {
+            mem.read_line_into(addr, enc.as_ref(), &mut decoded);
+            let raw = mem.read_raw_line(addr);
+            let row = mem.row(addr).expect("written row is materialized");
+            let expected: Vec<u64> = raw
+                .iter()
+                .enumerate()
+                .map(|(w, &bits)| {
+                    enc.decode(&Block::from_u64(bits, 64), row.aux_word(w))
+                        .as_u64()
+                })
+                .collect();
+            assert_eq!(
+                decoded,
+                expected,
+                "{} row {addr} decode diverged",
+                enc.name()
+            );
+            for w in 0..8 {
+                data_stuck += row.stuck_bits_for_data(w, 64).stuck_count();
+                aux_stuck += row.stuck_bits_for_aux(w).0.count_ones();
+            }
+        }
+        assert!(
+            data_stuck > 0 && aux_stuck > 0,
+            "{}: rows must hold stuck data ({data_stuck}) and aux ({aux_stuck}) bits",
+            enc.name()
+        );
+    }
 }
