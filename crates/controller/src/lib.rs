@@ -50,10 +50,11 @@
 //!
 //! A `WritePipeline` is single-threaded by design. For whole-trace replays
 //! where only aggregate statistics matter, the `engine` crate shards the
-//! row-address space across many pipelines and replays them on a worker
-//! pool — with merged statistics bit-identical to a sequential replay (see
-//! `engine::ShardedEngine` for the determinism contract, and
-//! [`PipelineStats::merge`] for the aggregation primitive it relies on).
+//! row-address space across many pipelines and replays them with one
+//! worker per shard — with merged statistics bit-identical to a
+//! sequential replay (see `engine::ShardedEngine` for the determinism
+//! contract, and [`PipelineStats::merge`] for the aggregation primitive
+//! it relies on).
 //! One layer further up, the `service` crate serves many *tenants* — each
 //! a full set of per-shard pipelines under its own key domain — from the
 //! same bank workers with fair scheduling and bounded queues; the tenancy

@@ -18,8 +18,9 @@
 //!
 //! Known blind spots (documented conservatisms): function values passed as
 //! arguments (`map(Self::cost)`) and macro bodies produce no edges; closures
-//! are attributed to the enclosing fn, which is what makes per-shard
-//! `run_shards(|…| …)` supervision boundaries analyzable at all.
+//! are attributed to the enclosing fn, which is what makes the mailbox
+//! executor's `supervised(…, || pipeline.write_back(…))` supervision
+//! boundaries analyzable at all.
 
 use std::collections::BTreeSet;
 

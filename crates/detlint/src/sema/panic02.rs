@@ -1,14 +1,14 @@
-//! PANIC02 — panic reachability in supervised contexts. A panic inside a
-//! per-shard `catch_unwind` job boundary or a service worker loop does not
+//! PANIC02 — panic reachability in supervised contexts. A panic inside the
+//! mailbox executor's per-command `catch_unwind` boundary does not
 //! crash the process: it is caught, logged, and degrades the run. That makes
 //! *silent* panics the hazard — every potentially-panicking site reachable
 //! from a supervision boundary must be a deliberate, annotated decision.
 //!
 //! Roots are non-test fns in the configured crates that contain a
 //! `catch_unwind`, plus their direct callers: the supervised job is usually
-//! a closure written at the *call site* of the supervising fn (`run_shards(
-//! |shard| …)`), and the call graph attributes closure bodies to the
-//! enclosing fn. From the roots a forward BFS walks callees; sites are only
+//! a closure written at the *call site* of the supervising fn (the mailbox
+//! executor's `supervised(…, || pipeline.write_back(…))`), and the call
+//! graph attributes closure bodies to the enclosing fn. From the roots a forward BFS walks callees; sites are only
 //! reported in the configured crates.
 //!
 //! Sites: `panic!`/`todo!`/`unimplemented!` invocations and slice/array

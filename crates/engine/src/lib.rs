@@ -6,12 +6,11 @@
 //! [`controller::WritePipeline`] caps every driver at one core. This crate
 //! adds the concurrency layer: a [`ShardedEngine`] partitions the
 //! row-address space into `N` bank shards (`row_addr % N`), gives each
-//! shard its own [`WritePipeline`], and replays traces across a pool of
-//! `std::thread` workers fed by per-shard work queues
-//! ([`workload::Trace::partition_by`]). Within each shard, line writes
-//! land through the batched word-parallel commit
-//! (`pcm::PcmMemory::commit_line`), so sharding multiplies an already
-//! SWAR-fast sequential path.
+//! shard its own [`WritePipeline`] and one worker thread, and streams
+//! every replay to the workers through bounded per-shard [`mailbox`]es
+//! (the [`stream`] module). Within each shard, line writes land through
+//! the batched word-parallel commit (`pcm::PcmMemory::commit_line`), so
+//! sharding multiplies an already SWAR-fast sequential path.
 //!
 //! # The determinism contract
 //!
@@ -28,22 +27,25 @@
 //! with the engine's one crypt seed, so the merged aggregate statistics
 //! ([`MemoryStats::merge`], [`controller::PipelineStats::merge`]) of an
 //! `N`-shard run are **bit-identical** to the 1-shard run and to a plain
-//! sequential [`WritePipeline`] replay — for any shard count and any
-//! worker-thread count. The `determinism` integration tests pin this down.
+//! sequential [`WritePipeline`] replay — for any shard count. The
+//! `determinism` integration tests pin this down.
 //!
 //! # Streaming replay
 //!
-//! [`ShardedEngine::stream_replay`] (the [`stream`] module) feeds the same
-//! shard pool from a [`workload::TraceSource`] through bounded per-shard
-//! [`mailbox`]es with backpressure instead of a materialized [`Trace`]: peak
-//! memory is `shards × queue capacity` in-flight events regardless of
-//! stream length, and cache-miss fills are serviced from the modeled
-//! memory itself ([`controller::WritePipeline::read_line`], decode +
-//! decrypt) so the cache re-reads the bytes the array actually stores.
-//! The determinism contract extends unchanged: a streamed N-shard replay
-//! is bit-identical to the sequential
-//! [`controller::WritePipeline::stream_replay`] and, for materialized
-//! traces, to [`ShardedEngine::replay_trace`].
+//! [`ShardedEngine::stream_replay`] (the [`stream`] module) feeds the
+//! shard workers from a [`workload::TraceSource`] through bounded per-shard
+//! [`mailbox`]es with backpressure: peak memory is `shards × queue
+//! capacity` in-flight events regardless of stream length, and cache-miss
+//! fills are serviced from the modeled memory itself
+//! ([`controller::WritePipeline::read_line`], decode + decrypt) so the
+//! cache re-reads the bytes the array actually stores. The materialized
+//! replays ([`ShardedEngine::replay_trace`] and each round of
+//! [`ShardedEngine::lifetime_replay`]) are streams over
+//! [`Trace::source`](workload::Trace::source), so the engine has one
+//! execution core and [`mailbox::execute`] is the one place a shard panic
+//! is caught. The determinism contract extends unchanged: a streamed
+//! N-shard replay is bit-identical to the sequential
+//! [`controller::WritePipeline::stream_replay`].
 //!
 //! # The service layer above the engine
 //!
@@ -103,7 +105,6 @@ pub mod stream;
 
 pub use stream::{StreamSummary, DEFAULT_STREAM_QUEUE_CAPACITY};
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
 use controller::{LineReport, PipelineStats, RecoveryPolicy, WritePipeline};
@@ -114,8 +115,9 @@ use workload::{Trace, TraceShard, WriteBack};
 
 /// Locks a mutex, recovering the data from a poisoned lock. Poisoning only
 /// means another worker panicked while holding the guard; the panicking
-/// shard is quarantined separately, and the protected values (job queues,
-/// result slots) are plain containers safe code cannot leave mid-mutation.
+/// shard is quarantined separately, and the protected values (mailbox
+/// lanes, reply slots) are plain containers safe code cannot leave
+/// mid-mutation.
 pub fn relock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
@@ -147,22 +149,14 @@ pub fn mix_shard_seed(base: u64, shard_id: u64) -> u64 {
 /// Configuration of a [`ShardedEngine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct EngineConfig {
-    /// Number of bank shards the row-address space is split into.
+    /// Number of bank shards the row-address space is split into. Every
+    /// replay runs one worker thread per shard.
     pub shards: usize,
-    /// Worker threads replaying shards. `0` (the default) means "one per
-    /// shard, capped by the machine's available parallelism". The thread
-    /// count never affects results, only wall-clock time. (Streaming
-    /// replays always run one worker per shard — see the [`stream`] module
-    /// — so this cap applies to materialized replays only.)
-    pub threads: usize,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        EngineConfig {
-            shards: 1,
-            threads: 0,
-        }
+        EngineConfig { shards: 1 }
     }
 }
 
@@ -172,28 +166,6 @@ impl EngineConfig {
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;
         self
-    }
-
-    /// Sets an explicit worker-thread cap (`0` = auto).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// The number of worker threads a replay will actually use.
-    ///
-    /// More threads than shards is pure overhead, so the count is capped at
-    /// `shards` (a zero-shard config, rejected at engine construction,
-    /// reports 1 here rather than panicking).
-    pub fn effective_threads(&self) -> usize {
-        let auto = std::thread::available_parallelism().map_or(1, usize::from);
-        let requested = if self.threads == 0 {
-            auto
-        } else {
-            self.threads
-        };
-        requested.clamp(1, self.shards.max(1))
     }
 }
 
@@ -226,7 +198,8 @@ pub struct LifetimeSummary {
 /// Construct with [`ShardedEngine::from_factory`]; the factory is called
 /// once per shard and must build identical pipelines (same memory
 /// configuration, encoder, correction scheme and cost function) — the
-/// engine keys each one with the base crypt seed. Shard
+/// engine keys each one with the base crypt seed. Every replay streams its
+/// write-backs to one worker per shard (see the [`stream`] module). Shard
 /// state persists across calls, so repeated [`ShardedEngine::replay_trace`]
 /// calls accumulate wear and statistics exactly like repeated sequential
 /// replays.
@@ -440,8 +413,8 @@ impl ShardedEngine {
         self.shards[shard].write_back(wb)
     }
 
-    /// Partitions a trace into per-shard work queues by row address.
-    // PANIC-OK: indexes `shards[0]`; construction guarantees at least one shard.
+    /// Partitions a trace by row address into the write-backs each shard's
+    /// worker receives, in order, with their trace positions.
     pub fn partition(&self, trace: &Trace) -> Vec<TraceShard> {
         let config = self.shards[0].memory().config().clone();
         let shards = self.config.shards;
@@ -450,16 +423,11 @@ impl ShardedEngine {
         })
     }
 
-    /// Replays a whole trace once across the shard pool and returns the
+    /// Replays a whole trace once across the shard workers and returns the
     /// merged array statistics (the quantity the figure drivers plot) —
     /// the sharded equivalent of [`WritePipeline::replay_trace`].
     pub fn replay_trace(&mut self, trace: &Trace) -> MemoryStats {
-        let parts = self.partition(trace);
-        self.run_shards(&parts, |pipeline, shard| {
-            for (_, wb) in shard.iter() {
-                pipeline.write_back(wb);
-            }
-        });
+        self.stream_replay(&mut trace.source());
         self.memory_stats()
     }
 
@@ -467,20 +435,20 @@ impl ShardedEngine {
     /// their correction capacity (or `cap` total row writes), reproducing a
     /// sequential pipeline's stopping point exactly.
     ///
-    /// Each shard records the *global trace ordinal* of every row-failure
-    /// event (round × trace length + source position + 1). The `k`-th
-    /// smallest ordinal across shards is precisely the number of line
-    /// writes a sequential replay would have performed when its `k`-th row
-    /// failed, because per-row behaviour is identical and a sequential run
-    /// processes write-backs in exactly that global order. Shards may
-    /// overshoot the stopping point by at most one round; overshoot writes
-    /// cannot perturb earlier ordinals (rows are independent), so the
-    /// returned summary is bit-identical to the sequential one.
+    /// Each round streams the trace once. Every row-failure event is mapped
+    /// to its *global trace ordinal* (round × trace length + source
+    /// position + 1). The `k`-th smallest ordinal across shards is precisely
+    /// the number of line writes a sequential replay would have performed
+    /// when its `k`-th row failed, because per-row behaviour is identical
+    /// and a sequential run processes write-backs in exactly that global
+    /// order. Shards may overshoot the stopping point by at most one round;
+    /// overshoot writes cannot perturb earlier ordinals (rows are
+    /// independent), so the returned summary is bit-identical to the
+    /// sequential one.
     ///
     /// # Panics
     ///
     /// Panics if `target_failures` is zero.
-    // PANIC-OK: the failure-ordinal index is guarded by the `len() >= target_failures` check beside it.
     pub fn lifetime_replay(
         &mut self,
         trace: &Trace,
@@ -501,17 +469,13 @@ impl ShardedEngine {
         let mut rounds: u64 = 0;
         loop {
             let base = rounds * len;
-            let round_events = self.run_shards(&parts, |pipeline, shard| {
-                let mut events = Vec::new();
-                for (pos, wb) in shard.iter() {
-                    if pipeline.write_back(wb).newly_failed_row {
-                        events.push(base + pos + 1);
-                    }
-                }
-                events
-            });
-            for events in round_events.into_iter().flatten() {
-                ordinals.extend(events);
+            let (_, row_failures) = self.stream(&mut trace.source(), DEFAULT_STREAM_QUEUE_CAPACITY);
+            for (part, failed_at) in parts.iter().zip(row_failures) {
+                ordinals.extend(
+                    failed_at
+                        .into_iter()
+                        .map(|i| base + part.positions[i as usize] + 1),
+                );
             }
             rounds += 1;
             ordinals.sort_unstable();
@@ -533,116 +497,6 @@ impl ShardedEngine {
                 };
             }
         }
-    }
-
-    /// Runs one closure per shard across the worker pool and returns the
-    /// per-shard results in shard order. Shards are independent, so the
-    /// schedule (and thread count) cannot affect any result.
-    ///
-    /// Workers are *supervised*: a panic inside `run` (injected by a fault
-    /// plan, or any bug) is caught, the shard is quarantined with its panic
-    /// message, its unexecuted events are counted as discarded, and every
-    /// other shard keeps running — the process never dies and healthy
-    /// shards' results stay bit-identical. Quarantined shards are skipped
-    /// (returning `None`) on this and all later runs.
-    ///
-    /// Discard accounting uses the shard's `lines_written` delta, which is
-    /// exact for the replay closures (one line write per trace event).
-    // PANIC-OK: per-shard indices come from zip/enumerate and the entry assert pins parts.len() == shards.len(); a panic here is a supervisor logic bug, not shard work, and should surface.
-    fn run_shards<T, F>(&mut self, parts: &[TraceShard], run: F) -> Vec<Option<T>>
-    where
-        T: Send,
-        F: Fn(&mut WritePipeline, &TraceShard) -> T + Sync,
-    {
-        assert_eq!(parts.len(), self.shards.len(), "one work queue per shard");
-        let threads = self.config.effective_threads();
-
-        // Events routed to already-quarantined shards are discarded up
-        // front; those shards get no job this round.
-        for (i, part) in parts.iter().enumerate() {
-            if self.quarantined[i] {
-                self.discarded_events += part.len() as u64;
-            }
-        }
-
-        /// What one shard job produced.
-        enum JobOutcome<T> {
-            Done(T),
-            Panicked { message: String, executed: u64 },
-        }
-
-        let supervise = |pipeline: &mut WritePipeline, shard: &TraceShard| -> JobOutcome<T> {
-            let before = pipeline.stats().lines_written;
-            match catch_unwind(AssertUnwindSafe(|| run(pipeline, shard))) {
-                Ok(value) => JobOutcome::Done(value),
-                Err(payload) => JobOutcome::Panicked {
-                    message: panic_message(payload),
-                    executed: pipeline.stats().lines_written - before,
-                },
-            }
-        };
-
-        let quarantined = &self.quarantined;
-        let outcomes: Vec<Option<JobOutcome<T>>> = if threads <= 1 {
-            self.shards
-                .iter_mut()
-                .zip(parts)
-                .enumerate()
-                .map(|(i, (p, shard))| (!quarantined[i]).then(|| supervise(p, shard)))
-                .collect()
-        } else {
-            let queue: Mutex<Vec<(usize, &mut WritePipeline, &TraceShard)>> = Mutex::new(
-                self.shards
-                    .iter_mut()
-                    .zip(parts)
-                    .enumerate()
-                    .filter(|(i, _)| !quarantined[*i])
-                    .map(|(i, (p, shard))| (i, p, shard))
-                    .collect(),
-            );
-            let results: Vec<Mutex<Option<JobOutcome<T>>>> =
-                parts.iter().map(|_| Mutex::new(None)).collect();
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(|| loop {
-                        // Pop one shard job; drop the lock before running
-                        // it. Panics inside jobs are caught by `supervise`,
-                        // so the queue lock is never poisoned by normal
-                        // chaos; `relock` recovers it even if it were.
-                        let job = relock(&queue).pop();
-                        match job {
-                            Some((i, pipeline, shard)) => {
-                                *relock(&results[i]) = Some(supervise(pipeline, shard));
-                            }
-                            None => break,
-                        }
-                    });
-                }
-            });
-            results
-                .into_iter()
-                .map(|slot| {
-                    slot.into_inner()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                })
-                .collect()
-        };
-
-        outcomes
-            .into_iter()
-            .zip(parts)
-            .enumerate()
-            .map(|(i, (outcome, part))| match outcome {
-                Some(JobOutcome::Done(value)) => Some(value),
-                Some(JobOutcome::Panicked { message, executed }) => {
-                    self.quarantined[i] = true;
-                    self.failures[i] = Some(message);
-                    self.discarded_events += (part.len() as u64).saturating_sub(executed);
-                    None
-                }
-                None => None,
-            })
-            .collect()
     }
 }
 
@@ -683,23 +537,6 @@ mod tests {
                 assert_eq!(a, mix_shard_seed(base, shard));
             }
         }
-    }
-
-    #[test]
-    fn effective_threads_clamps_to_shards() {
-        let c = EngineConfig::default().with_shards(4).with_threads(16);
-        assert_eq!(c.effective_threads(), 4);
-        let c = EngineConfig::default().with_shards(4).with_threads(2);
-        assert_eq!(c.effective_threads(), 2);
-        let auto = EngineConfig::default().with_shards(2);
-        assert!(auto.effective_threads() >= 1);
-        assert!(auto.effective_threads() <= 2);
-        // A zero-shard config is rejected by the engine constructor, but the
-        // accessor itself must not panic (the CLI prints it before building).
-        assert_eq!(
-            EngineConfig::default().with_shards(0).effective_threads(),
-            1
-        );
     }
 
     #[test]

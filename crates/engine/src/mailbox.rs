@@ -181,11 +181,16 @@ impl ShardMailbox {
             st = rewait(&self.not_full, st);
         }
         let queued = &mut st.lanes[lane];
+        let was_empty = queued.items.is_empty();
         queued.events += n;
         queued.items.push_back(cmd);
         gauge.add(n);
         drop(st);
-        self.not_empty.notify_one();
+        // The worker parks only when every lane is empty, so only a push
+        // into an empty lane can find it parked.
+        if was_empty {
+            self.not_empty.notify_one();
+        }
     }
 
     /// Pops the next command round-robin across lanes, starting the scan at
@@ -212,9 +217,17 @@ impl ShardMailbox {
                     let depth = lane.events;
                     lane.events -= cmd.events();
                     gauge.sub(cmd.events());
+                    let roomy = lane.events <= self.capacity / 2;
                     *cursor = (t + 1) % lanes;
                     drop(st);
-                    self.not_full.notify_all();
+                    // Producers parked on a full lane wake once it is at
+                    // most half full, then refill it in one go, rather
+                    // than trading the lock with the worker on every pop.
+                    // Every later pop wakes them again, so a command of up
+                    // to `capacity` events is admitted once the lane drains.
+                    if roomy {
+                        self.not_full.notify_all();
+                    }
                     return Some((t, depth, cmd));
                 }
             }
@@ -417,6 +430,8 @@ impl Drop for LaneCloser<'_> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
 
     fn wb(addr: u64) -> Cmd {
@@ -478,6 +493,94 @@ mod tests {
         });
         assert_eq!(mb.lane_depth(0), 2);
         assert!(gauge.peak() <= 5, "bound is capacity + one in-pop batch");
+    }
+
+    /// How long a woken thread may take to report back before the test
+    /// calls the wake-up lost (instead of hanging).
+    const DEADLINE: std::time::Duration = std::time::Duration::from_secs(10);
+
+    /// Runs `op` on a detached thread and hands back a receiver for its
+    /// result, so a thread left parked fails the test at [`DEADLINE`].
+    fn spawn_reporting<T: Send + 'static>(
+        op: impl FnOnce() -> T + Send + 'static,
+    ) -> std::sync::mpsc::Receiver<T> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(op());
+        });
+        rx
+    }
+
+    /// Gives a spawned thread time to reach its condvar wait. The
+    /// assertions hold whether or not it got there; parked first is the
+    /// interleaving the wake rule has to get right.
+    fn let_it_park() {
+        std::thread::sleep(std::time::Duration::from_millis(50));
+    }
+
+    /// Fills lane 0 of a `lanes`-lane mailbox with `capacity` single
+    /// writes (every other lane gets one read) and parks a producer on it
+    /// with a capacity-sized batch. Pops must then serve lanes in `order`;
+    /// the producer stays parked until the pop that empties lane 0, and
+    /// wakes after it. Each pop waits for the producer to park again, so a
+    /// rule that wakes it only once, mid-drain, leaves it parked.
+    fn assert_parked_producer_wakes_on_drain(lanes: usize, capacity: usize, order: &[usize]) {
+        let mb = Arc::new(ShardMailbox::new(lanes, capacity));
+        let gauge = Arc::new(InFlightGauge::default());
+        for addr in 0..capacity as u64 {
+            mb.push(0, wb(64 * addr), &gauge);
+        }
+        for lane in 1..lanes {
+            mb.push(lane, Cmd::Read(0), &gauge);
+        }
+        let pushed = {
+            let (mb, gauge) = (Arc::clone(&mb), Arc::clone(&gauge));
+            let batch = Cmd::Batch((0..capacity as u64).map(|i| wb(64 * i)).collect());
+            spawn_reporting(move || mb.push(0, batch, &gauge))
+        };
+        let mut cursor = 0;
+        for &lane in order {
+            let_it_park();
+            assert!(pushed.try_recv().is_err(), "a full lane admitted the batch");
+            let (t, _, _) = mb.pop_round_robin(&mut cursor, &gauge).unwrap();
+            assert_eq!(t, lane);
+        }
+        pushed.recv_timeout(DEADLINE).expect("producer never woke");
+        assert_eq!(mb.lane_depth(0), capacity);
+    }
+
+    #[test]
+    fn parked_producer_wakes_when_a_capacity_one_lane_drains() {
+        assert_parked_producer_wakes_on_drain(1, 1, &[0]);
+    }
+
+    #[test]
+    fn parked_producer_wakes_when_its_lane_of_two_drains() {
+        // Service-shaped: one command per lane per turn, so lane 1's read
+        // is served second and lane 0 then drains alone.
+        assert_parked_producer_wakes_on_drain(2, 4, &[0, 1, 0, 0, 0]);
+    }
+
+    #[test]
+    fn parked_worker_wakes_on_the_first_push_into_any_lane() {
+        for lane in 0..2 {
+            let (mb, gauge) = (
+                Arc::new(ShardMailbox::new(2, 4)),
+                Arc::new(InFlightGauge::default()),
+            );
+            let popped = {
+                let (mb, gauge) = (Arc::clone(&mb), Arc::clone(&gauge));
+                spawn_reporting(move || {
+                    let (t, depth, _) = mb.pop_round_robin(&mut 0, &gauge).unwrap();
+                    (t, depth)
+                })
+            };
+            let_it_park();
+            assert!(popped.try_recv().is_err(), "popped from empty lanes");
+            mb.push(lane, Cmd::Read(64), &gauge);
+            let served = popped.recv_timeout(DEADLINE).expect("worker never woke");
+            assert_eq!(served, (lane, 1));
+        }
     }
 
     #[test]

@@ -1,5 +1,8 @@
-//! Streaming trace replay: feed the shard pool from a [`TraceSource`]
-//! through bounded queues instead of materializing the trace first.
+//! Streaming trace replay: feed the shard workers from a [`TraceSource`]
+//! through bounded queues. This is the engine's one replay core: the
+//! materialized replays ([`ShardedEngine::replay_trace`],
+//! [`ShardedEngine::lifetime_replay`]) stream their trace through
+//! [`workload::Trace::source`].
 //!
 //! [`ShardedEngine::stream_replay`] pulls events from a
 //! [`workload::TraceSource`] one at a time on the calling thread (the
@@ -47,17 +50,15 @@
 //! *which state* it sees (shards own disjoint rows; reads synchronize
 //! through the queue). Every shard is keyed with the engine's one crypt
 //! seed, so the merged statistics of an N-shard streaming replay are
-//! bit-identical to a 1-shard run, to [`ShardedEngine::replay_trace`] over
-//! the materialized trace, and to a sequential
-//! [`controller::WritePipeline::stream_replay`] — the PR-2 determinism
+//! bit-identical to a 1-shard run and to a sequential
+//! [`controller::WritePipeline::stream_replay`] — the engine's determinism
 //! contract extended to the streaming frontend (pinned by the `streaming`
 //! integration tests).
 //!
-//! Unlike the materialized [`ShardedEngine::replay_trace`], streaming
-//! spawns **one worker per shard** regardless of the configured thread
-//! cap: a blocking fill read can only be serviced by the worker owning
-//! that shard, so sharing workers across shards would let a busy neighbour
-//! delay — though never deadlock or reorder — another shard's reads.
+//! Every replay spawns **one worker per shard**: a blocking fill read can
+//! only be serviced by the worker owning that shard, so sharing workers
+//! across shards would let a busy neighbour delay — though never deadlock
+//! or reorder — another shard's reads.
 //!
 //! # Supervision
 //!
@@ -136,6 +137,18 @@ impl ShardedEngine {
         source: &mut dyn TraceSource,
         queue_capacity: usize,
     ) -> StreamSummary {
+        self.stream(source, queue_capacity).0
+    }
+
+    /// The replay core behind every [`ShardedEngine`] replay. Next to the
+    /// summary it returns, per shard, the shard-local index of each write
+    /// that failed a row (the `i`-th write routed to shard `s` is the
+    /// `i`-th entry of [`ShardedEngine::partition`]'s shard `s`).
+    pub(crate) fn stream(
+        &mut self,
+        source: &mut dyn TraceSource,
+        queue_capacity: usize,
+    ) -> (StreamSummary, Vec<Vec<u64>>) {
         assert!(queue_capacity > 0, "streaming needs a non-zero queue bound");
         let mailboxes: Vec<ShardMailbox> = (0..self.config.shards)
             .map(|_| ShardMailbox::new(1, queue_capacity))
@@ -155,9 +168,10 @@ impl ShardedEngine {
             1,
         );
 
-        // Each worker reports the first caught panic and the writes it
-        // discarded while its shard was quarantined.
-        let outcomes: Vec<(Option<String>, u64)> = std::thread::scope(|scope| {
+        // Each worker reports the first caught panic, the writes it
+        // discarded while its shard was quarantined, and the shard-local
+        // indices of the writes that failed a row.
+        let outcomes: Vec<(Option<String>, u64, Vec<u64>)> = std::thread::scope(|scope| {
             let workers: Vec<_> = self
                 .shards
                 .iter_mut()
@@ -170,14 +184,22 @@ impl ShardedEngine {
                             mailbox,
                             replies: std::slice::from_ref(reply),
                         };
-                        let (mut dead, mut cursor) = (dead_at_entry, 0);
+                        let (mut dead, mut cursor, mut writes) = (dead_at_entry, 0, 0);
                         let (mut failure, mut discarded) = (None, 0u64);
+                        let mut row_failures = Vec::new();
                         while let Some((_, _, cmd)) = mailbox.pop_round_robin(&mut cursor, gauge) {
+                            let (n, failed) = (cmd.writes(), pipeline.failed_row_count());
                             let done = execute(pipeline, cmd, &mut dead, reply);
+                            // Unbatched lanes carry at most one write per
+                            // command, so a new failed row is that write's.
+                            if pipeline.failed_row_count() > failed {
+                                row_failures.push(writes);
+                            }
+                            writes += n;
                             discarded += done.discarded;
                             failure = failure.or(done.failure);
                         }
-                        (failure, discarded)
+                        (failure, discarded, row_failures)
                     })
                 })
                 .collect();
@@ -207,12 +229,14 @@ impl ShardedEngine {
         // Fold the workers' supervision reports back into the engine's
         // degraded-state bookkeeping.
         let mut events_discarded = 0u64;
-        for (i, (failure, discarded)) in outcomes.into_iter().enumerate() {
+        let mut row_failures = Vec::with_capacity(outcomes.len());
+        for (i, (failure, discarded, failed_at)) in outcomes.into_iter().enumerate() {
             if let Some(message) = failure {
                 self.quarantined[i] = true;
                 self.failures[i] = Some(message);
             }
             events_discarded += discarded;
+            row_failures.push(failed_at);
         }
         self.discarded_events += events_discarded;
 
@@ -221,7 +245,7 @@ impl ShardedEngine {
         // produces whenever the shard count divides the bank count (see
         // ShardedEngine::timing_stats).
         let writes = self.timing_stats().writes;
-        StreamSummary {
+        let summary = StreamSummary {
             // One lane command per write-back: nothing is left pending.
             events: reader.enqueued(),
             memory_fills: reader.memory_fills(),
@@ -232,6 +256,7 @@ impl ShardedEngine {
             write_p999_cycles: writes.percentile_permille(999),
             events_discarded,
             shards_quarantined: self.quarantined.iter().filter(|&&q| q).count() as u32,
-        }
+        };
+        (summary, row_failures)
     }
 }

@@ -124,44 +124,69 @@ fn injected_worker_panic_quarantines_one_shard_and_loses_no_accounting() {
     let plan = FaultPlan::new(1).with_worker_panic(victim_row, 0);
 
     for shards in [1usize, 2, 8] {
-        for threads in [1usize, 4] {
-            let mut engine = ShardedEngine::from_factory(
-                EngineConfig::default()
-                    .with_shards(shards)
-                    .with_threads(threads),
-                crypt_seed,
-                |_spec| build_pipeline(seed),
-            );
-            engine.inject_faults(&plan, RecoveryPolicy::none());
-            engine.replay_trace(&t);
+        let mut engine = engine_with(shards, seed, crypt_seed);
+        engine.inject_faults(&plan, RecoveryPolicy::none());
+        engine.replay_trace(&t);
 
-            let victim_shard = (victim_row % shards as u64) as usize;
-            assert!(engine.is_degraded(), "shards={shards}");
-            assert_eq!(engine.quarantined_shards(), vec![victim_shard]);
-            let message = engine
-                .shard_failure(victim_shard)
-                .expect("quarantined shard keeps its panic message");
-            assert!(
-                message.contains("injected worker panic"),
-                "unexpected failure message: {message}"
-            );
-            assert_eq!(
-                engine.stats().lines_written + engine.discarded_events(),
-                t.len() as u64,
-                "admitted == executed + discarded (shards={shards}, threads={threads})"
-            );
+        let victim_shard = (victim_row % shards as u64) as usize;
+        assert!(engine.is_degraded(), "shards={shards}");
+        assert_eq!(engine.quarantined_shards(), vec![victim_shard]);
+        let message = engine
+            .shard_failure(victim_shard)
+            .expect("quarantined shard keeps its panic message");
+        assert!(
+            message.contains("injected worker panic"),
+            "unexpected failure message: {message}"
+        );
+        assert_eq!(
+            engine.stats().lines_written + engine.discarded_events(),
+            t.len() as u64,
+            "admitted == executed + discarded (shards={shards})"
+        );
 
-            // A later replay skips the quarantined shard up front: its whole
-            // partition is discarded, the healthy shards keep serving.
-            let before = engine.stats().lines_written;
-            engine.replay_trace(&t);
-            assert!(engine.stats().lines_written > before || shards == 1);
-            assert_eq!(
-                engine.stats().lines_written + engine.discarded_events(),
-                2 * t.len() as u64,
-                "accounting holds across replays"
-            );
-        }
+        // A later replay skips the quarantined shard up front: its whole
+        // partition is discarded, the healthy shards keep serving.
+        let before = engine.stats().lines_written;
+        engine.replay_trace(&t);
+        assert!(engine.stats().lines_written > before || shards == 1);
+        assert_eq!(
+            engine.stats().lines_written + engine.discarded_events(),
+            2 * t.len() as u64,
+            "accounting holds across replays"
+        );
+    }
+}
+
+/// The lifetime variant: a worker panic in the first round quarantines one
+/// shard, the rounds run on, and every round's events are either executed
+/// or discarded.
+#[test]
+fn lifetime_replay_with_a_worker_panic_loses_no_accounting() {
+    let (seed, crypt_seed) = (0xBAD5, 21);
+    let t = trace(9);
+    let cfg = pcm_config(seed);
+    let victim_row = cfg.row_of_byte_addr(t.iter().next().unwrap().line_addr);
+    let plan = FaultPlan::new(1).with_worker_panic(victim_row, 0);
+    let rounds = 3u64;
+    let cap = rounds * t.len() as u64;
+
+    for shards in [1usize, 2, 8] {
+        let mut engine = engine_with(shards, seed, crypt_seed);
+        engine.inject_faults(&plan, RecoveryPolicy::none());
+        // An unreachable failure target: the replay runs until the cap.
+        let summary = engine.lifetime_replay(&t, usize::MAX, cap);
+
+        assert!(!summary.reached_failure, "shards={shards}");
+        assert_eq!(summary.writes_to_failure, cap);
+        assert_eq!(
+            engine.quarantined_shards(),
+            vec![(victim_row % shards as u64) as usize]
+        );
+        assert_eq!(
+            engine.stats().lines_written + engine.discarded_events(),
+            rounds * t.len() as u64,
+            "admitted == executed + discarded over {rounds} rounds (shards={shards})"
+        );
     }
 }
 

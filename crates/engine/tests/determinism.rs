@@ -2,7 +2,7 @@
 //!
 //! With unified keying, an N-shard run must produce aggregate statistics
 //! **bit-identical** to a sequential [`WritePipeline`] replay — for any
-//! shard count and any worker-thread count. These tests replay real
+//! shard count. These tests replay real
 //! synthetic traces (same generator the figure drivers use) and compare
 //! every stats field with exact equality, including the floating-point
 //! energy totals (Table-I energies are integer picojoules, so the sums are
@@ -98,28 +98,6 @@ fn sharded_timing_stats_match_sequential_at_1_2_8_shards() {
             engine.timing_stats(),
             seq_timing,
             "{shards}-shard timing stats diverged"
-        );
-    }
-}
-
-/// The worker-thread count is a pure wall-clock knob: 1, 2 and 8 threads
-/// over the same 8 shards give identical results.
-#[test]
-fn thread_count_never_changes_results() {
-    let (seed, crypt_seed) = (0x7E57, 99);
-    let t = trace(3);
-    let reference = sharded_replay(
-        seed,
-        crypt_seed,
-        &t,
-        EngineConfig::default().with_shards(8).with_threads(1),
-    );
-    for threads in [2usize, 4, 8] {
-        let config = EngineConfig::default().with_shards(8).with_threads(threads);
-        assert_eq!(
-            sharded_replay(seed, crypt_seed, &t, config),
-            reference,
-            "{threads}-thread run diverged"
         );
     }
 }

@@ -3,13 +3,12 @@
 //! ```text
 //! cargo run --release -p experiments --bin reproduce -- \
 //!     [tiny|small|paper] [fast|all|nolifetime|lifetime] [seed] \
-//!     [--shards N] [--threads N] [--stream]
+//!     [--shards N] [--stream]
 //! ```
 //!
 //! `--shards` splits the row-address space across N bank shards and
-//! replays the trace-driven figures (9–12) on the sharded engine;
-//! `--threads` caps the worker pool (default: one thread per shard, up to
-//! the machine's parallelism). Sharding never changes any reported number —
+//! replays the trace-driven figures (9–12) on the sharded engine, one
+//! worker thread per shard. Sharding never changes any reported number —
 //! the engine's unified keying keeps aggregate statistics bit-identical to
 //! a sequential replay — it only changes how long the run takes.
 //!
@@ -19,7 +18,7 @@
 //! length), with cache-miss fills served from the modeled memory instead
 //! of a synthetic pattern. The fill coupling makes those figures'
 //! numbers differ slightly from the materialized run; the lifetime
-//! figures (11–12) replay one trace many times and stay materialized.
+//! figures (11–12) replay one materialized trace many times.
 //!
 //! The rendered report (one section per figure, in paper order) is printed
 //! to stdout; redirect it to a file to refresh EXPERIMENTS.md data.
@@ -63,14 +62,6 @@ fn main() {
                     .expect("--shards needs a positive integer");
                 i += 2;
             }
-            "--threads" => {
-                engine_config.threads = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    // PANIC-OK: CLI front-end; abort with a usage message.
-                    .expect("--threads needs an integer (0 = auto)");
-                i += 2;
-            }
             other => {
                 positional.push(other.to_string());
                 i += 1;
@@ -102,9 +93,8 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(0x5EED_u64);
     eprintln!(
-        "running reproduction at {scale:?} scale (seed {seed}, {} shard(s), {} worker thread(s), {mode:?} replay) ...",
+        "running reproduction at {scale:?} scale (seed {seed}, {} shard(s), one worker each, {mode:?} replay) ...",
         engine_config.shards,
-        engine_config.effective_threads(),
     );
     let report = reproduce_configured(scale, seed, selection, engine_config, mode);
     println!("{report}");

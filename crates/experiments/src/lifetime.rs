@@ -13,11 +13,12 @@
 //! Figures 11 and 12 compare.
 //!
 //! Lifetime runs replay the *same* trace over and over until rows fail,
-//! so they materialize it once and loop — the streaming frontend
-//! (`engine::ShardedEngine::stream_replay`, the `--stream` replay mode of
-//! the single-pass figures) is a single-pass producer and would have to
-//! regenerate the whole workload per round for no memory benefit at these
-//! trace sizes. The engine still parallelizes each round across shards.
+//! so they materialize it once and loop: each round streams the
+//! materialized trace through `Trace::source()` into the engine's one
+//! replay core (`engine::ShardedEngine::stream_replay`'s bounded per-shard
+//! queues, one worker per shard). Generating the workload lazily, as the
+//! `--stream` mode of the single-pass figures does, would regenerate it
+//! every round for no memory benefit at these trace sizes.
 
 use coset::cost::opt_saw_then_energy;
 use engine::EngineConfig;

@@ -105,7 +105,7 @@ pub fn reproduce(scale: Scale, seed: u64, selection: Selection) -> Report {
 ///
 /// Under the default unified keying the shard count cannot change any
 /// reported number — sharding is purely a wall-clock knob (the `reproduce`
-/// binary exposes it as `--shards`/`--threads`).
+/// binary exposes it as `--shards`).
 pub fn reproduce_with_engine(
     scale: Scale,
     seed: u64,

@@ -112,11 +112,8 @@ impl<'a> IntoIterator for &'a Trace {
 /// "after how many total line writes did this row fail?") without any
 /// cross-shard communication during the replay itself.
 ///
-/// Shards own copies of their write-backs rather than indices alone: a
-/// replay worker then scans one contiguous slice instead of gathering
-/// through the source trace, which is worth the one-time O(trace) copy for
-/// workloads that replay each shard many times (the lifetime studies loop
-/// over their shards for millions of writes).
+/// Shards own copies of their write-backs next to the positions, so a
+/// shard can be inspected without the source trace.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceShard {
     /// Zero-based positions of this shard's write-backs in the source trace.
