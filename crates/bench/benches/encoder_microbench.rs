@@ -5,27 +5,20 @@
 //! word, and how VCC's cost scales with the virtual coset count compared to
 //! RCC's.
 //!
-//! The headline measurement is the **broadcast-SWAR candidate search**: the
+//! The headline table is the **broadcast-SWAR candidate search**: the
 //! batched `encode_line` path (the call shape the write pipeline drives) for
 //! each scheme, against the same encoder forced onto the scalar
-//! per-partition path with [`ScalarOnly`]. A per-stage VCC breakdown
-//! (kernel-gen / candidate-XOR / costing / select) localizes where encode
-//! time goes, mirroring the pipeline stages of the paper's Figure 5 encoder.
+//! per-partition path with [`ScalarOnly`].
 //!
-//! `ENCODER_PATH_FAST=1` shrinks the workload for CI smoke runs. Every run
-//! also emits a `BENCH_encoder.json` snapshot at the workspace root so the
-//! encoder perf trajectory is tracked from PR to PR.
+//! `ENCODER_PATH_FAST=1` shrinks the workload for CI smoke runs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::Instant;
 
 use coset::cost::{BitFlips, CostFunction, ScalarOnly, WriteEnergy};
-use coset::kernel::generate_kernels_into;
-use coset::symbol::spread_to_right_digits;
 use coset::{
-    Block, EncodeScratch, Encoded, Encoder, Flipcy, Fnw, GeneratorConfig, KernelSet, Rcc,
-    Unencoded, Vcc, WriteContext,
+    Block, EncodeScratch, Encoded, Encoder, Flipcy, Fnw, Rcc, Unencoded, Vcc, WriteContext,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -58,13 +51,7 @@ fn line_rate_ns(encoder: &dyn Encoder, cost: &dyn CostFunction, iters: usize) ->
     start.elapsed().as_nanos() as f64 / n as f64
 }
 
-/// VCC-256 (generated) `encode_line` ns/line measured on the pre-PR tree
-/// (scalar per-partition search, per-bit interleave, f64 accumulation) with
-/// exactly this workload — the acceptance baseline the broadcast path is
-/// compared against.
-const PRE_PR_VCC256_NS_PER_LINE: f64 = 38_300.0;
-
-/// The headline broadcast-vs-scalar comparison plus the JSON snapshot.
+/// The headline table: broadcast vs scalar `encode_line` cost per scheme.
 fn headline(iters: usize) {
     let mut rng = StdRng::seed_from_u64(BENCH_SEED);
     let energy = WriteEnergy::mlc();
@@ -78,130 +65,24 @@ fn headline(iters: usize) {
         ("unencoded", Box::new(Unencoded::new(64))),
     ];
     let mut body = String::new();
-    let mut json = String::from("{\n  \"unit\": \"ns_per_512bit_line\",\n");
-    let mut vcc256_speedup = 0.0f64;
-    let mut vcc256_vs_pre_pr = 0.0f64;
     for (name, encoder) in &rows {
         let fast_ns = line_rate_ns(encoder.as_ref(), &energy, iters);
         let scalar_ns = line_rate_ns(encoder.as_ref(), &scalar_energy, iters);
-        let speedup = scalar_ns / fast_ns;
-        if *name == "vcc256_generated" {
-            vcc256_speedup = speedup;
-            vcc256_vs_pre_pr = PRE_PR_VCC256_NS_PER_LINE / fast_ns;
-        }
         body.push_str(&format!(
             "{name:<18} broadcast {fast_ns:>9.0} ns/line  scalar {scalar_ns:>9.0} ns/line  \
-             ({:>8.0} lines/s, {speedup:>5.2}x)\n",
+             ({:>8.0} lines/s, {:>5.2}x)\n",
             1e9 / fast_ns,
-        ));
-        json.push_str(&format!(
-            "  \"{name}\": {{\"broadcast_ns\": {fast_ns:.0}, \"scalar_ns\": {scalar_ns:.0}, \
-             \"speedup\": {speedup:.2}}},\n"
+            scalar_ns / fast_ns,
         ));
     }
-    body.push_str(&format!(
-        "\nheadline: VCC-256 (generated) encode_line = {vcc256_vs_pre_pr:.2}x vs pre-PR baseline \
-         ({:.1} µs/line recorded), {vcc256_speedup:.2}x vs the in-tree scalar route\n\
-         (acceptance target: >= 3x vs the pre-PR baseline)",
-        PRE_PR_VCC256_NS_PER_LINE / 1_000.0,
-    ));
-    json.push_str(&format!(
-        "  \"vcc256_generated_speedup_vs_scalar\": {vcc256_speedup:.2},\n  \
-         \"vcc256_generated_speedup_vs_pre_pr\": {vcc256_vs_pre_pr:.2},\n  \
-         \"pre_pr_vcc256_ns_per_line\": {PRE_PR_VCC256_NS_PER_LINE:.0}\n}}\n"
-    ));
     print_figure(
         "Encoder path — broadcast-SWAR coset search vs scalar oracle (512-bit lines, Table-I energy)",
         &body,
     );
-    // Only full-length runs refresh the checked-in snapshot; smoke runs
-    // (ENCODER_PATH_FAST=1, 10x fewer iterations) would overwrite the
-    // curated perf-trajectory numbers with noisy ones.
-    if fast_mode() {
-        println!("snapshot NOT written (ENCODER_PATH_FAST smoke run)");
-        return;
-    }
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_encoder.json");
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("warning: could not write {path}: {e}");
-    } else {
-        println!("snapshot written to BENCH_encoder.json");
-    }
-}
-
-/// Per-stage breakdown of the VCC-256 generated encoder: where does one
-/// `encode_into` go? Stages mirror the hardware pipeline: Algorithm-2
-/// kernel generation, broadcast candidate XOR, class-plane costing and the
-/// cheaper-of-two select.
-fn vcc_stage_breakdown(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(BENCH_SEED);
-    let data: u64 = rng.gen();
-    let old = Block::random(&mut rng, 64);
-    let ctx = WriteContext::new(old, 0, 8);
-    let cost = WriteEnergy::mlc();
-    let model = ctx.cost_model(&cost).expect("Table-I energy has classes");
-    let config = GeneratorConfig::new(8, 16);
-    let seed_block = Block::from_u64(data >> 32, 32);
-    let mut kernels = KernelSet::default();
-    generate_kernels_into(&seed_block, config, &mut kernels);
-    let broadcasts: Vec<u64> = (0..kernels.len())
-        .map(|i| spread_to_right_digits(coset::broadcast_word(kernels.kernel(i), 8) & 0xFFFF_FFFF))
-        .collect();
-
-    let mut group = c.benchmark_group("vcc256_stage_breakdown");
-    group.bench_function("kernel_gen", |b| {
-        let mut out = KernelSet::default();
-        b.iter(|| {
-            generate_kernels_into(black_box(&seed_block), config, &mut out);
-            out.len()
-        })
-    });
-    group.bench_function("candidate_xor", |b| {
-        b.iter(|| {
-            let mut acc = 0u64;
-            for &kb in &broadcasts {
-                acc ^= black_box(data) ^ kb;
-            }
-            acc
-        })
-    });
-    group.bench_function("costing", |b| {
-        b.iter(|| {
-            let mut acc = 0u64;
-            for &kb in &broadcasts {
-                let y = black_box(data) ^ kb;
-                let (dp, cp) = model.planes_pair(0, y, 0x5555_5555_5555_5555);
-                let d = model.field_counts(&dp, 16);
-                let q = model.field_counts(&cp, 16);
-                acc = acc.wrapping_add(d[0] ^ q[0]);
-            }
-            acc
-        })
-    });
-    group.bench_function("select", |b| {
-        let y = data ^ broadcasts[3];
-        let (dp, cp) = model.planes_pair(0, y, 0x5555_5555_5555_5555);
-        let direct = model.field_counts(&dp, 16);
-        let comp = model.field_counts(&cp, 16);
-        b.iter(|| {
-            let mut flags = 0u64;
-            let mut total = coset::FixedCost::ZERO;
-            for j in 0..4usize {
-                let c = model.count_cost(black_box(&direct), 16 * j, 0xFFFF);
-                let c_c = model.count_cost(black_box(&comp), 16 * j, 0xFFFF);
-                let take = (c_c.packed() < c.packed()) as u64;
-                flags |= take << j;
-                total.primary += if take == 1 { c_c.primary } else { c.primary };
-            }
-            total.primary + model.aux_cost(flags).primary
-        })
-    });
-    group.finish();
 }
 
 fn bench(c: &mut Criterion) {
     headline(if fast_mode() { 200 } else { 2_000 });
-    vcc_stage_breakdown(c);
 
     let mut rng = StdRng::seed_from_u64(BENCH_SEED);
     let data = Block::random(&mut rng, 64);

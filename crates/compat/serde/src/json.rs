@@ -107,7 +107,7 @@ impl Value {
     }
 
     /// Renders the value as indented multi-line JSON (two-space indents),
-    /// the style the checked-in `BENCH_*.json` snapshots use.
+    /// the style `reproduce loadgen --json` prints.
     pub fn render_pretty(&self) -> String {
         let mut out = String::new();
         self.render_pretty_into(&mut out, 0);

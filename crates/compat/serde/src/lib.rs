@@ -8,9 +8,9 @@
 //!
 //! The [`json`] module is the part the workspace *does* execute: a minimal
 //! deterministic JSON tree (render + strict parse) that the service stats
-//! endpoint, the load generator and the `BENCH_*.json` snapshots share as
-//! their one schema layer (`pcm::MemoryStats::to_json`,
-//! `controller::PipelineStats::to_json` build on it).
+//! endpoint and the load generator share as their one schema layer
+//! (`pcm::MemoryStats::to_json`, `controller::PipelineStats::to_json` build
+//! on it).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

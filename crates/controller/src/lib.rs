@@ -179,9 +179,8 @@ impl PipelineStats {
     }
 
     /// Snapshots the statistics as a JSON object (the shared schema of the
-    /// service stats endpoint, the load generator and the `BENCH_*.json`
-    /// snapshots; see `serde::json`). Round-trips exactly through
-    /// [`PipelineStats::from_json`].
+    /// service stats endpoint and the load generator; see `serde::json`).
+    /// Round-trips exactly through [`PipelineStats::from_json`].
     pub fn to_json(&self) -> serde::json::Value {
         use serde::json::Value;
         Value::object()

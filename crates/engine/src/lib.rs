@@ -111,7 +111,7 @@ use controller::{LineReport, PipelineStats, RecoveryPolicy, WritePipeline};
 use faultsim::{FaultLog, FaultPlan};
 use memcrypt::SplitMix64;
 use pcm::MemoryStats;
-use workload::{Trace, TraceShard, WriteBack};
+use workload::{Trace, WriteBack};
 
 /// Locks a mutex, recovering the data from a poisoned lock. Poisoning only
 /// means another worker panicked while holding the guard; the panicking
@@ -413,9 +413,9 @@ impl ShardedEngine {
         self.shards[shard].write_back(wb)
     }
 
-    /// Partitions a trace by row address into the write-backs each shard's
-    /// worker receives, in order, with their trace positions.
-    pub fn partition(&self, trace: &Trace) -> Vec<TraceShard> {
+    /// Partitions a trace by row address: for each shard, the trace
+    /// positions of the write-backs its worker receives, in order.
+    pub fn partition(&self, trace: &Trace) -> Vec<Vec<u64>> {
         let config = self.shards[0].memory().config().clone();
         let shards = self.config.shards;
         trace.partition_by(shards, |wb| {
@@ -471,11 +471,7 @@ impl ShardedEngine {
             let base = rounds * len;
             let (_, row_failures) = self.stream(&mut trace.source(), DEFAULT_STREAM_QUEUE_CAPACITY);
             for (part, failed_at) in parts.iter().zip(row_failures) {
-                ordinals.extend(
-                    failed_at
-                        .into_iter()
-                        .map(|i| base + part.positions[i as usize] + 1),
-                );
+                ordinals.extend(failed_at.into_iter().map(|i| base + part[i as usize] + 1));
             }
             rounds += 1;
             ordinals.sort_unstable();
@@ -545,12 +541,10 @@ mod tests {
         let trace = tiny_trace(3);
         let parts = engine.partition(&trace);
         assert_eq!(parts.len(), 4);
-        assert_eq!(
-            parts.iter().map(TraceShard::len).sum::<usize>(),
-            trace.len()
-        );
+        assert_eq!(parts.iter().map(Vec::len).sum::<usize>(), trace.len());
         for (shard_id, part) in parts.iter().enumerate() {
-            for (_, wb) in part.iter() {
+            for &pos in part {
+                let wb = &trace.writebacks[pos as usize];
                 assert_eq!(engine.shard_of_line(wb.line_addr), shard_id);
             }
         }

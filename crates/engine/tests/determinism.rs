@@ -171,14 +171,15 @@ proptest! {
         let mut seen = vec![false; t.len()];
         for (shard_id, part) in parts.iter().enumerate() {
             prop_assert!(
-                part.positions.windows(2).all(|w| w[0] < w[1]),
+                part.windows(2).all(|w| w[0] < w[1]),
                 "shard {} not in trace order", shard_id
             );
-            for (pos, wb) in part.iter() {
+            for &pos in part {
                 let pos = pos as usize;
+                prop_assert!(pos < t.len(), "position {} outside the trace", pos);
                 prop_assert!(!seen[pos], "write-back {} appears twice", pos);
                 seen[pos] = true;
-                prop_assert_eq!(&t.writebacks[pos], wb);
+                let wb = &t.writebacks[pos];
                 prop_assert_eq!(engine.shard_of_line(wb.line_addr), shard_id);
             }
         }

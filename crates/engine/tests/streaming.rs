@@ -14,7 +14,7 @@
 use controller::{PipelineStats, WritePipeline};
 use coset::cost::opt_saw_then_energy;
 use coset::Vcc;
-use engine::{EngineConfig, ShardedEngine, StreamSummary};
+use engine::{EngineConfig, ShardedEngine, StreamSummary, DEFAULT_STREAM_QUEUE_CAPACITY};
 use pcm::{FaultMap, MemoryStats, PcmConfig};
 use workload::{BenchmarkProfile, Trace, ValueStyle, WorkloadSource};
 
@@ -140,6 +140,16 @@ fn streamed_generated_workload_with_fills_matches_sequential_at_1_and_8_shards()
             seq_source.fills_from_memory(),
             "{shards}-shard run served a different fill count"
         );
+        assert!(
+            summary.max_in_flight <= shards * summary.queue_capacity,
+            "{} in flight exceeds {shards} shards x {}",
+            summary.max_in_flight,
+            summary.queue_capacity
+        );
+        assert_eq!(
+            mem.row_writes, summary.events,
+            "every streamed line must land in the array"
+        );
         assert_eq!(mem, seq_mem, "{shards}-shard streamed MemoryStats diverged");
         assert_eq!(
             pipe,
@@ -157,7 +167,7 @@ fn streamed_generated_workload_with_fills_matches_sequential_at_1_and_8_shards()
 fn in_flight_events_respect_the_queue_bound() {
     let (seed, crypt_seed) = (0x0B0B, 11);
     let t = trace(13);
-    for capacity in [1usize, 8, 64] {
+    for capacity in [1usize, 8, 64, DEFAULT_STREAM_QUEUE_CAPACITY] {
         let mut engine = engine_with(4, seed, crypt_seed);
         let summary = engine.stream_replay_with(&mut t.source(), capacity);
         assert_eq!(summary.events, t.len() as u64);

@@ -7,8 +7,8 @@
 //! marginally ahead and the gap narrowing as the coset count grows.
 //!
 //! This driver works at word granularity ([`WritePipeline::write_raw_word`],
-//! which rides the word-parallel `Row::commit_word`); the `commit_path`
-//! bench measures the same unit in isolation.
+//! which rides the word-parallel `Row::commit_word`); the `commit_oracle`
+//! suite pins that commit to the per-cell scalar oracle.
 
 use std::fmt;
 

@@ -276,8 +276,7 @@ pub fn loadgen_main(args: &[String]) {
 }
 
 /// Runs the default scenario matrix through the technique factory,
-/// reporting progress through `progress` (also used by the
-/// `service_loadgen` bench and the smoke tests).
+/// reporting progress through `progress` (also used by the smoke tests).
 pub fn run_default_matrix(
     fast: bool,
     scale: Scale,

@@ -42,10 +42,9 @@
 //! The original per-cell loop survives as the *scalar oracle*
 //! (`PcmMemory::write_line_scalar` / `PcmMemory::write_word_scalar`),
 //! compiled only for this crate's own tests and under the `scalar-oracle`
-//! cargo feature. The `commit_oracle` differential suite (and the
-//! `commit_path` bench in the workspace bench harness, which enables the
-//! feature) pin the two paths to bit-identical outcomes, statistics,
-//! stored bits and stuck-state evolution.
+//! cargo feature. The `commit_oracle` differential suite pins the two
+//! paths to bit-identical outcomes, statistics, stored bits and
+//! stuck-state evolution.
 //!
 //! ```
 //! use pcm::{PcmConfig, PcmMemory};

@@ -514,7 +514,7 @@ impl PcmMemory {
 /// The per-cell scalar commit path, retained as the reference oracle for
 /// the word-parallel implementation. Compiled only for this crate's own
 /// tests and under the `scalar-oracle` feature (the differential
-/// `commit_oracle` suite and the `commit_path` bench enable it).
+/// `commit_oracle` suite enables it).
 #[cfg(any(test, feature = "scalar-oracle"))]
 impl PcmMemory {
     /// Scalar-oracle variant of [`PcmMemory::write_line`]: identical encode
@@ -527,22 +527,8 @@ impl PcmMemory {
         encoder: &dyn Encoder,
         cost: &dyn CostFunction,
     ) -> LineWriteOutcome {
-        self.write_line_scalar_with(row_addr, line, encoder, cost, &mut LineWriteScratch::new())
-    }
-
-    /// Session variant of [`PcmMemory::write_line_scalar`], sharing the
-    /// exact encode stage (and scratch reuse) of
-    /// [`PcmMemory::write_line_with`] so benchmarks comparing the two
-    /// commit back ends measure only the commit difference.
-    pub fn write_line_scalar_with(
-        &mut self,
-        row_addr: u64,
-        line: &[u64],
-        encoder: &dyn Encoder,
-        cost: &dyn CostFunction,
-        scratch: &mut LineWriteScratch,
-    ) -> LineWriteOutcome {
-        self.encode_line_stage(row_addr, line, encoder, cost, scratch);
+        let mut scratch = LineWriteScratch::new();
+        self.encode_line_stage(row_addr, line, encoder, cost, &mut scratch);
         self.stats.row_writes += 1;
         let aux_bits = encoder.aux_bits();
         let words = scratch

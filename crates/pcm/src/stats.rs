@@ -164,9 +164,9 @@ impl MemoryStats {
     }
 
     /// Snapshots the accumulator as a JSON object (the shared stats schema
-    /// of the service frontend, the load generator and the `BENCH_*.json`
-    /// snapshots). Counters stay in the integer lane, `energy_pj` in the
-    /// float lane, so [`MemoryStats::from_json`] round-trips bit-exactly.
+    /// of the service frontend and the load generator). Counters stay in
+    /// the integer lane, `energy_pj` in the float lane, so
+    /// [`MemoryStats::from_json`] round-trips bit-exactly.
     pub fn to_json(&self) -> serde::json::Value {
         use serde::json::Value;
         Value::object()

@@ -7,8 +7,7 @@
 //! technique registry. The caller supplies the pipeline factory mapping a
 //! [`TenantCtx`] (whose `technique` field carries the label) to a
 //! configured [`controller::WritePipeline`]; the `reproduce loadgen` CLI
-//! and the `service_loadgen` bench wire this to the experiments crate's
-//! technique table.
+//! wires this to the experiments crate's technique table.
 
 use controller::WritePipeline;
 use serde::json::Value;
@@ -129,8 +128,8 @@ pub struct ScenarioOutcome {
 }
 
 impl ScenarioOutcome {
-    /// JSON form (the `BENCH_service.json` schema). `lines_per_sec` is
-    /// `null` for degenerate (zero-wall-clock) runs.
+    /// JSON form (one row of `reproduce loadgen --json`). `lines_per_sec`
+    /// is `null` for degenerate (zero-wall-clock) runs.
     pub fn to_json(&self) -> Value {
         Value::object()
             .with("scenario", Value::Str(self.scenario.clone()))
@@ -328,8 +327,7 @@ pub struct SaturationPoint {
 }
 
 impl SaturationPoint {
-    /// JSON form (one row of the `saturation` array in
-    /// `BENCH_service.json`).
+    /// JSON form (one row of `reproduce loadgen --saturation --json`).
     pub fn to_json(&self) -> Value {
         Value::object()
             .with(

@@ -769,7 +769,7 @@ impl TenantReport {
 }
 
 impl TenantReport {
-    /// JSON form (the loadgen and `BENCH_service.json` schema).
+    /// JSON form (part of each `reproduce loadgen --json` row).
     pub fn to_json(&self) -> Value {
         Value::object()
             .with("name", Value::Str(self.name.clone()))
@@ -856,7 +856,7 @@ impl ServiceReport {
         self.tenants.iter().any(TenantReport::is_degraded)
     }
 
-    /// JSON form (the loadgen and `BENCH_service.json` schema).
+    /// JSON form (part of each `reproduce loadgen --json` row).
     pub fn to_json(&self) -> Value {
         Value::object()
             .with(

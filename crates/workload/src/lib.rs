@@ -71,4 +71,4 @@ pub use cache::{Cache, CacheHierarchy, Eviction, HierarchyStats, LineData};
 pub use generator::{generate_scaled_trace, generate_trace, Access, AccessGenerator};
 pub use profile::{BenchmarkProfile, ValueStyle};
 pub use source::{MemoryReader, NoMemory, TraceReplay, TraceSource, WorkloadSource};
-pub use trace::{Trace, TraceShard, TraceStats, WriteBack};
+pub use trace::{Trace, TraceStats, WriteBack};

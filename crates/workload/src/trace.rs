@@ -105,67 +105,34 @@ impl<'a> IntoIterator for &'a Trace {
     }
 }
 
-/// One shard's slice of a [`Trace`]: the write-backs assigned to the shard,
-/// in trace order, together with their positions in the original trace.
-///
-/// Positions let a sharded replay reconstruct global ordering facts (e.g.
-/// "after how many total line writes did this row fail?") without any
-/// cross-shard communication during the replay itself.
-///
-/// Shards own copies of their write-backs next to the positions, so a
-/// shard can be inspected without the source trace.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TraceShard {
-    /// Zero-based positions of this shard's write-backs in the source trace.
-    pub positions: Vec<u64>,
-    /// The write-backs themselves, in trace order.
-    pub writebacks: Vec<WriteBack>,
-}
-
-impl TraceShard {
-    /// Number of write-backs assigned to this shard.
-    pub fn len(&self) -> usize {
-        self.writebacks.len()
-    }
-
-    /// Whether the shard received no write-backs.
-    pub fn is_empty(&self) -> bool {
-        self.writebacks.is_empty()
-    }
-
-    /// Iterates `(source position, write-back)` pairs in trace order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &WriteBack)> {
-        self.positions.iter().copied().zip(self.writebacks.iter())
-    }
-}
-
 impl Trace {
-    /// Partitions the trace into `shards` disjoint [`TraceShard`]s using the
-    /// caller's assignment function (typically "row address modulo shard
-    /// count", which the sharded engine supplies).
+    /// Partitions the trace into `shards` disjoint sets of source positions
+    /// using the caller's assignment function (typically "row address
+    /// modulo shard count", which the sharded engine supplies).
     ///
-    /// Every write-back lands in exactly one shard, shards preserve trace
-    /// order, and position metadata records where each write-back sat in the
-    /// source trace.
+    /// Every position lands in exactly one shard, and each shard lists its
+    /// positions in trace order. Positions let a sharded replay reconstruct
+    /// global ordering facts (e.g. "after how many total line writes did
+    /// this row fail?") without any cross-shard communication during the
+    /// replay itself.
     ///
     /// # Panics
     ///
     /// Panics if `shards` is zero or `assign` returns an out-of-range shard
     /// index.
-    pub fn partition_by<F>(&self, shards: usize, assign: F) -> Vec<TraceShard>
+    pub fn partition_by<F>(&self, shards: usize, assign: F) -> Vec<Vec<u64>>
     where
         F: Fn(&WriteBack) -> usize,
     {
         assert!(shards > 0, "shard count must be non-zero");
-        let mut out = vec![TraceShard::default(); shards];
+        let mut out = vec![Vec::new(); shards];
         for (pos, wb) in self.writebacks.iter().enumerate() {
             let s = assign(wb);
             assert!(
                 s < shards,
                 "assignment {s} out of range for {shards} shards"
             );
-            out[s].positions.push(pos as u64);
-            out[s].writebacks.push(*wb);
+            out[s].push(pos as u64);
         }
         out
     }
@@ -220,10 +187,12 @@ mod tests {
         assert_eq!(shards.len(), 2);
         assert_eq!(shards[0].len() + shards[1].len(), t.len());
         // Shard 0 gets rows 0 and 2; shard 1 gets rows 1 and 3.
-        assert_eq!(shards[0].positions, vec![0, 2, 3]);
-        assert_eq!(shards[1].positions, vec![1, 4]);
-        for (pos, w) in shards[0].iter().chain(shards[1].iter()) {
-            assert_eq!(&t.writebacks[pos as usize], w);
+        assert_eq!(shards[0], vec![0, 2, 3]);
+        assert_eq!(shards[1], vec![1, 4]);
+        for (s, part) in shards.iter().enumerate() {
+            for &pos in part {
+                assert_eq!(t.writebacks[pos as usize].line_addr / 64 % 2, s as u64);
+            }
         }
         assert!(!shards[0].is_empty());
     }
@@ -233,8 +202,12 @@ mod tests {
         let t = Trace::new("toy", vec![wb(0, 1), wb(64, 2)], 10);
         let shards = t.partition_by(1, |_| 0);
         assert_eq!(shards.len(), 1);
-        assert_eq!(shards[0].writebacks, t.writebacks);
-        assert_eq!(shards[0].positions, vec![0, 1]);
+        let gathered: Vec<WriteBack> = shards[0]
+            .iter()
+            .map(|&pos| t.writebacks[pos as usize])
+            .collect();
+        assert_eq!(gathered, t.writebacks);
+        assert_eq!(shards[0], vec![0, 1]);
     }
 
     #[test]

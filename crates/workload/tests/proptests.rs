@@ -175,13 +175,13 @@ proptest! {
 
         let mut seen = vec![false; t.len()];
         for (shard_id, part) in parts.iter().enumerate() {
-            prop_assert_eq!(part.positions.len(), part.writebacks.len());
-            prop_assert!(part.positions.windows(2).all(|w| w[0] < w[1]));
-            for (pos, wb) in part.iter() {
+            prop_assert!(part.windows(2).all(|w| w[0] < w[1]));
+            for &pos in part {
                 let pos = pos as usize;
+                prop_assert!(pos < t.len(), "position {} outside the trace", pos);
                 prop_assert!(!seen[pos], "write-back {} assigned twice", pos);
                 seen[pos] = true;
-                prop_assert_eq!(&t.writebacks[pos], wb);
+                let wb = &t.writebacks[pos];
                 prop_assert_eq!((wb.line_addr / LINE_BYTES % shards as u64) as usize, shard_id);
             }
         }
