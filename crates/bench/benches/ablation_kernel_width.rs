@@ -62,7 +62,7 @@ fn bench(c: &mut Criterion) {
     let old = Block::random(&mut rng, 64);
     let mut group = c.benchmark_group("ablation_kernel_width_encode");
     for (name, vcc) in &configs {
-        let ctx = WriteContext::new(old.clone(), 0, vcc.aux_bits());
+        let ctx = WriteContext::new(old, 0, vcc.aux_bits());
         group.bench_function(name.replace(' ', ""), |b| {
             b.iter(|| vcc.encode(black_box(&data), black_box(&ctx), &WriteEnergy::mlc()))
         });

@@ -68,7 +68,7 @@ fn bench(c: &mut Criterion) {
     let old = Block::random(&mut rng, 64);
     let mut group = c.benchmark_group("ablation_kernel_count_encode");
     for (name, encoder) in &bench_targets {
-        let ctx = WriteContext::new(old.clone(), 0, encoder.aux_bits());
+        let ctx = WriteContext::new(old, 0, encoder.aux_bits());
         group.bench_function(name, |b| {
             b.iter(|| encoder.encode(black_box(&data), black_box(&ctx), &WriteEnergy::mlc()))
         });

@@ -144,7 +144,7 @@ fn bench(c: &mut Criterion) {
 
     let mut encode_flips = c.benchmark_group("encode_bitflip_objective");
     for (name, encoder) in &encoders {
-        let ctx = WriteContext::new(old.clone(), 0, encoder.aux_bits());
+        let ctx = WriteContext::new(old, 0, encoder.aux_bits());
         encode_flips.bench_function(name, |b| {
             b.iter(|| encoder.encode(black_box(&data), black_box(&ctx), &BitFlips))
         });
@@ -155,7 +155,7 @@ fn bench(c: &mut Criterion) {
     // across iterations, the steady state of the write pipeline.
     let mut encode_session = c.benchmark_group("encode_into_bitflip_objective");
     for (name, encoder) in &encoders {
-        let ctx = WriteContext::new(old.clone(), 0, encoder.aux_bits());
+        let ctx = WriteContext::new(old, 0, encoder.aux_bits());
         let mut scratch = EncodeScratch::new();
         let mut out = Encoded::placeholder(encoder.block_bits());
         encode_session.bench_function(name, |b| {
@@ -174,7 +174,7 @@ fn bench(c: &mut Criterion) {
 
     let mut encode_energy = c.benchmark_group("encode_mlc_energy_objective");
     for (name, encoder) in &encoders {
-        let ctx = WriteContext::new(old.clone(), 0, encoder.aux_bits());
+        let ctx = WriteContext::new(old, 0, encoder.aux_bits());
         encode_energy.bench_function(name, |b| {
             b.iter(|| encoder.encode(black_box(&data), black_box(&ctx), &WriteEnergy::mlc()))
         });
@@ -183,7 +183,7 @@ fn bench(c: &mut Criterion) {
 
     let mut energy_session = c.benchmark_group("encode_into_mlc_energy_objective");
     for (name, encoder) in &encoders {
-        let ctx = WriteContext::new(old.clone(), 0, encoder.aux_bits());
+        let ctx = WriteContext::new(old, 0, encoder.aux_bits());
         let mut scratch = EncodeScratch::new();
         let mut out = Encoded::placeholder(encoder.block_bits());
         energy_session.bench_function(name, |b| {
@@ -202,7 +202,7 @@ fn bench(c: &mut Criterion) {
 
     let mut decode = c.benchmark_group("decode");
     for (name, encoder) in &encoders {
-        let ctx = WriteContext::new(old.clone(), 0, encoder.aux_bits());
+        let ctx = WriteContext::new(old, 0, encoder.aux_bits());
         let enc = encoder.encode(&data, &ctx, &BitFlips);
         decode.bench_function(name, |b| {
             b.iter(|| encoder.decode(black_box(&enc.codeword), black_box(enc.aux)))

@@ -35,7 +35,7 @@ fn bench(c: &mut Criterion) {
         ("vcc256_generated", &vcc_gen),
         ("vcc256_stored", &vcc_sto),
     ] {
-        let ctx = WriteContext::new(old.clone(), 0, encoder.aux_bits());
+        let ctx = WriteContext::new(old, 0, encoder.aux_bits());
         group.bench_function(name, |b| {
             b.iter(|| encoder.encode(black_box(&data), black_box(&ctx), &cost))
         });

@@ -11,8 +11,8 @@
 //! figure drivers, benches and examples no longer hand-roll the glue.
 //!
 //! Internally the pipeline drives the zero-allocation encoding sessions
-//! ([`coset::EncodeScratch`] via [`pcm::LineWriteScratch`]), and one-word
-//! [`coset::Block`]s keep their bits inline. So once the scratch is warm,
+//! ([`coset::EncodeScratch`] via [`pcm::LineWriteScratch`]), and a
+//! [`coset::Block`] is a one-word `Copy` value. So once the scratch is warm,
 //! each programming attempt on an already-written line (one per write,
 //! plus any retries) makes exactly one heap allocation: the `words` vector
 //! of the [`LineWriteOutcome`] it returns. Read-back decodes into a
@@ -636,7 +636,7 @@ impl WritePipeline {
     /// path then fall back to their synthetic initial pattern).
     ///
     /// Reads decode into a pipeline-owned line buffer
-    /// ([`PcmMemory::read_line_into`]) through inline one-word blocks, so a
+    /// ([`PcmMemory::read_line_into`]) through one-word `Copy` blocks, so a
     /// read makes no heap allocation.
     pub fn read_line(&mut self, line_addr: u64) -> Option<[u64; LINE_WORDS]> {
         self.try_read_line(line_addr).ok()

@@ -3,12 +3,13 @@
 //! retries first, then remapping the logical row onto a spare from a
 //! per-bank [`RetirementPool`].
 //!
-//! The pool generalizes the `pcm::wearlevel` gap-row idea — spare physical
-//! rows living beyond the logical address space absorb displaced logical
-//! rows — but where start-gap rotates one roving gap for wear, retirement
-//! permanently remaps rows that have *failed*. Spare addresses preserve the
-//! row's bank (`spare % banks == row % banks`), so the timing model and the
-//! engine's shard routing see retired traffic on the same bank as before,
+//! Spare physical rows living beyond the logical address space absorb
+//! displaced logical rows — the gap-row idea of Start-Gap wear leveling
+//! (Qureshi et al., MICRO 2009) — but where Start-Gap rotates one roving
+//! gap for wear, retirement permanently remaps rows that have *failed*.
+//! Spare addresses preserve the row's bank (`spare % banks == row %
+//! banks`), so the timing model and the engine's shard routing see retired
+//! traffic on the same bank as before,
 //! keeping the sharded-equals-sequential contract intact (see
 //! `docs/FAULTS.md` for the full determinism argument).
 //!

@@ -6,7 +6,7 @@
 //! bundles that information for the encoders, and [`StuckBits`] describes
 //! the stuck-at state of a bit range.
 
-use crate::block::Block;
+use crate::block::{low_bits, Block};
 use crate::cost::{ClassSet, Cost, CostFunction, Field, FixedCost};
 
 /// Stuck-at information for a block-sized region of memory.
@@ -100,45 +100,20 @@ impl StuckBits {
     /// Applies the stuck cells to `data`: stuck positions take their frozen
     /// value. This is what the memory array will actually hold after a write
     /// of `data`.
-    pub fn apply_to(&self, data: &Block) -> Block {
-        let mut out = data.clone();
-        self.apply_in_place(&mut out);
-        out
-    }
-
-    /// Applies the stuck cells to `data` in place (word-wise): stuck
-    /// positions take their frozen value.
     ///
     /// # Panics
     ///
     /// Panics if the lengths differ.
-    pub fn apply_in_place(&self, data: &mut Block) {
+    pub fn apply_to(&self, data: &Block) -> Block {
         assert_eq!(data.len(), self.len(), "data/stuck length mismatch");
-        for ((d, m), v) in data
-            .words_mut()
-            .iter_mut()
-            .zip(self.mask.words())
-            .zip(self.value.words())
-        {
-            *d = (*d & !m) | (v & m);
-        }
+        let (m, v) = (self.mask.as_u64(), self.value.as_u64());
+        Block::from_u64((data.as_u64() & !m) | (v & m), data.len())
     }
 
     /// Counts stuck-at-wrong bits if `data` were written.
     pub fn saw_count(&self, data: &Block) -> u32 {
         assert_eq!(data.len(), self.len(), "data/stuck length mismatch");
-        let mut saw = 0;
-        for (w, ((d, m), v)) in data
-            .words()
-            .iter()
-            .zip(self.mask.words())
-            .zip(self.value.words())
-            .enumerate()
-        {
-            let _ = w;
-            saw += ((d ^ v) & m).count_ones();
-        }
-        saw
+        ((data.as_u64() ^ self.value.as_u64()) & self.mask.as_u64()).count_ones()
     }
 }
 
@@ -210,19 +185,20 @@ impl WriteContext {
 
     /// Costs writing `candidate` (data portion only) into this destination.
     ///
-    /// Stays on the scalar per-field route: for a one-off region cost the
-    /// class-compilation overhead of [`CostFunction::cost_words`] outweighs
-    /// its SWAR win — encoders that evaluate many candidates build a
-    /// [`CostModel`] once via [`WriteContext::cost_model`] instead.
+    /// Stays on the scalar [`CostFunction::field_cost`] route: for a
+    /// one-off cost the class-compilation overhead of
+    /// [`CostFunction::cost_words`] outweighs its SWAR win — encoders that
+    /// evaluate many candidates build a [`CostModel`] once via
+    /// [`WriteContext::cost_model`] instead.
     pub fn data_cost(&self, cf: &dyn CostFunction, candidate: &Block) -> Cost {
         assert_eq!(candidate.len(), self.old_data.len(), "candidate length");
-        cf.region_cost(
-            candidate.words(),
-            self.old_data.words(),
-            self.stuck.mask().words(),
-            self.stuck.value().words(),
-            candidate.len(),
-        )
+        cf.field_cost(&Field {
+            new: candidate.as_u64(),
+            old: self.old_data.as_u64(),
+            stuck_mask: self.stuck.mask().as_u64(),
+            stuck_value: self.stuck.value().as_u64(),
+            bits: candidate.len() as u32,
+        })
     }
 
     /// Costs a sub-range of a candidate against the same range of the
@@ -268,7 +244,7 @@ impl WriteContext {
     /// destination, or `None` when `cf` admits no word-batched integer
     /// path (see [`CostFunction::classes`]) — callers then run their scalar
     /// fallback.
-    pub fn cost_model<'a>(&'a self, cf: &dyn CostFunction) -> Option<CostModel<'a>> {
+    pub fn cost_model(&self, cf: &dyn CostFunction) -> Option<CostModel> {
         let classes = cf.classes()?;
         // MLC classes fold per-cell flags onto even bit positions: the data
         // region must be a whole number of cells for the planes (and the
@@ -293,10 +269,11 @@ impl WriteContext {
         };
         Some(CostModel {
             classes,
-            old: self.old_data.words(),
-            stuck_mask: self.stuck.mask().words(),
-            stuck_value: self.stuck.value().words(),
+            old: self.old_data.as_u64(),
+            stuck_mask: self.stuck.mask().as_u64(),
+            stuck_value: self.stuck.value().as_u64(),
             bits: self.data_bits(),
+            mask: low_bits(self.data_bits()),
             aux_old: self.old_aux,
             aux_stuck_mask: self.stuck_aux_mask,
             aux_stuck_value: self.stuck_aux_value,
@@ -317,8 +294,8 @@ impl WriteContext {
     }
 }
 
-/// The per-write broadcast-SWAR cost engine: destination bit-planes
-/// borrowed from a [`WriteContext`] plus the objective's compiled
+/// The per-write broadcast-SWAR cost engine: the destination word's
+/// bit-planes copied from a [`WriteContext`] plus the objective's compiled
 /// transition classes ([`ClassSet`]).
 ///
 /// Materialized once per write by [`WriteContext::cost_model`], then driven
@@ -336,19 +313,21 @@ impl WriteContext {
 /// boundary. All built-in class costs are integers (counts or integer-pJ
 /// Table I energies), so results are bit-identical to the scalar path.
 #[derive(Debug, Clone, Copy)]
-pub struct CostModel<'a> {
+pub struct CostModel {
     classes: ClassSet,
-    old: &'a [u64],
-    stuck_mask: &'a [u64],
-    stuck_value: &'a [u64],
+    old: u64,
+    stuck_mask: u64,
+    stuck_value: u64,
     bits: usize,
+    /// Mask of the `bits` significant bits of the word.
+    mask: u64,
     aux_old: u64,
     aux_stuck_mask: u64,
     aux_stuck_value: u64,
     aux_mask: u64,
 }
 
-impl CostModel<'_> {
+impl CostModel {
     /// The compiled transition classes.
     pub fn classes(&self) -> &ClassSet {
         &self.classes
@@ -359,33 +338,18 @@ impl CostModel<'_> {
         self.bits
     }
 
-    /// Number of backing words of the data region.
-    pub fn word_count(&self) -> usize {
-        self.old.len()
+    /// Mask of the significant bits of the data word.
+    #[inline(always)]
+    pub fn word_mask(&self) -> u64 {
+        self.mask
     }
 
-    /// Mask of significant bits in word `w` (all ones except the tail).
+    /// Class planes for writing `new` over the destination word, covering
+    /// its significant bits.
     #[inline(always)]
-    pub fn word_mask(&self, w: usize) -> u64 {
-        let rem = self.bits - (w * 64).min(self.bits);
-        if rem >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << rem) - 1
-        }
-    }
-
-    /// Class planes for writing `new` over word `w` of the destination,
-    /// covering the word's significant bits.
-    #[inline(always)]
-    pub fn planes(&self, w: usize, new: u64) -> [u64; ClassSet::MAX] {
-        self.classes.planes(
-            new,
-            self.old[w],
-            self.stuck_mask[w],
-            self.stuck_value[w],
-            self.word_mask(w),
-        )
+    pub fn planes(&self, new: u64) -> [u64; ClassSet::MAX] {
+        self.classes
+            .planes(new, self.old, self.stuck_mask, self.stuck_value, self.mask)
     }
 
     /// Cost of precomputed planes restricted to `mask` (a partition of the
@@ -397,21 +361,20 @@ impl CostModel<'_> {
     }
 
     /// Fused class planes for a candidate word and its complement form
-    /// `new ^ cmask` over word `w` (see [`ClassSet::planes_pair`]).
+    /// `new ^ cmask` (see [`ClassSet::planes_pair`]).
     #[inline(always)]
     pub fn planes_pair(
         &self,
-        w: usize,
         new: u64,
         cmask: u64,
     ) -> ([u64; ClassSet::MAX], [u64; ClassSet::MAX]) {
         self.classes.planes_pair(
             new,
             cmask,
-            self.old[w],
-            self.stuck_mask[w],
-            self.stuck_value[w],
-            self.word_mask(w),
+            self.old,
+            self.stuck_mask,
+            self.stuck_value,
+            self.mask,
         )
     }
 
@@ -457,22 +420,23 @@ impl CostModel<'_> {
         self.classes.count_cost(counts, shift, field_mask)
     }
 
-    /// Cost of writing `new` over word `w`, restricted to `mask`.
+    /// Cost of writing `new` over the destination word, restricted to
+    /// `mask`.
     #[inline(always)]
-    pub fn word_cost_masked(&self, w: usize, new: u64, mask: u64) -> FixedCost {
+    pub fn word_cost_masked(&self, new: u64, mask: u64) -> FixedCost {
         self.classes.cost(
             new,
-            self.old[w],
-            self.stuck_mask[w],
-            self.stuck_value[w],
-            mask & self.word_mask(w),
+            self.old,
+            self.stuck_mask,
+            self.stuck_value,
+            mask & self.mask,
         )
     }
 
-    /// Cost of writing `new` over the whole of word `w`.
+    /// Cost of writing `new` over the whole destination word.
     #[inline(always)]
-    pub fn word_cost(&self, w: usize, new: u64) -> FixedCost {
-        self.word_cost_masked(w, new, u64::MAX)
+    pub fn word_cost(&self, new: u64) -> FixedCost {
+        self.word_cost_masked(new, u64::MAX)
     }
 
     /// Cost of writing `aux` into the auxiliary cells (the fixed-point
@@ -579,7 +543,7 @@ mod tests {
                 let cand = rng.gen::<u64>();
                 let cand_block = Block::from_u64(cand, 64);
                 assert_eq!(
-                    model.word_cost(0, cand).to_cost(),
+                    model.word_cost(cand).to_cost(),
                     ctx.data_cost(cf.as_ref(), &cand_block),
                     "word cost diverged for {}",
                     cf.name()

@@ -15,10 +15,10 @@
 //!
 //! Cost functions operate on `u64`-sized *fields*: a field is at most 64
 //! bits of new data, the old data occupying those cells, and the stuck-at
-//! state of those cells. Blocks wider than 64 bits are costed by summing
-//! their 64-bit words; partitions narrower than 64 bits (VCC kernels) are
-//! costed directly. MLC symbols are two adjacent bits, so fields must hold
-//! an even number of bits when an MLC energy model is used.
+//! state of those cells. A whole data block is one field; partitions
+//! narrower than a block (VCC kernels) are costed the same way. MLC symbols
+//! are two adjacent bits, so fields must hold an even number of bits when
+//! an MLC energy model is used.
 
 use std::fmt;
 use std::ops::Add;
@@ -56,8 +56,8 @@ impl FixedCost {
 
     /// Packs the two components into one `u128` whose integer ordering is
     /// the lexicographic cost ordering (primary dominates). Valid as long as
-    /// each component stays below `2^64`, which [`MAX_CLASS_UNIT`]
-    /// guarantees by a wide margin.
+    /// each component stays below `2^64`, which the `2^32` cap on per-bit
+    /// class costs guarantees by a wide margin.
     #[inline]
     pub fn packed(self) -> u128 {
         ((self.primary as u128) << 64) | self.secondary as u128
@@ -809,38 +809,6 @@ pub trait CostFunction: Send + Sync {
     /// Cost of writing one field.
     fn field_cost(&self, field: &Field) -> Cost;
 
-    /// Cost of writing a multi-word region described by parallel slices.
-    ///
-    /// `bits` is the total number of significant bits; slices must contain
-    /// `ceil(bits / 64)` words.
-    fn region_cost(
-        &self,
-        new: &[u64],
-        old: &[u64],
-        stuck_mask: &[u64],
-        stuck_value: &[u64],
-        bits: usize,
-    ) -> Cost {
-        let words = bits.div_ceil(64);
-        assert!(new.len() >= words && old.len() >= words);
-        assert!(stuck_mask.len() >= words && stuck_value.len() >= words);
-        let mut total = Cost::ZERO;
-        let mut remaining = bits;
-        for w in 0..words {
-            let b = remaining.min(64) as u32;
-            total = total
-                + self.field_cost(&Field {
-                    new: new[w],
-                    old: old[w],
-                    stuck_mask: stuck_mask[w],
-                    stuck_value: stuck_value[w],
-                    bits: b,
-                });
-            remaining -= b as usize;
-        }
-        total
-    }
-
     /// The transition classes of this objective, if it admits the
     /// word-batched integer (SWAR) evaluation path.
     ///
@@ -853,38 +821,28 @@ pub trait CostFunction: Send + Sync {
         None
     }
 
-    /// Word-batched counterpart of [`CostFunction::region_cost`]: costs a
-    /// multi-word region through the transition-class planes when
+    /// Word-batched counterpart of [`CostFunction::field_cost`]: costs the
+    /// field through the transition-class planes when
     /// [`CostFunction::classes`] provides them, and falls back to the
-    /// scalar per-field path otherwise. Results are bit-identical to the
-    /// scalar path for every built-in objective.
-    fn cost_words(
-        &self,
-        new: &[u64],
-        old: &[u64],
-        stuck_mask: &[u64],
-        stuck_value: &[u64],
-        bits: usize,
-    ) -> Cost {
+    /// scalar path otherwise. Results are bit-identical to the scalar path
+    /// for every built-in objective.
+    fn cost_words(&self, field: &Field) -> Cost {
         if let Some(classes) = self.classes() {
             // MLC classes need whole symbols; odd widths take the scalar
             // path so its cell-alignment assertion stays authoritative.
-            if bits.is_multiple_of(classes.cell_bits() as usize) {
-                let words = bits.div_ceil(64);
-                assert!(new.len() >= words && old.len() >= words);
-                assert!(stuck_mask.len() >= words && stuck_value.len() >= words);
-                let mut total = FixedCost::ZERO;
-                let mut remaining = bits;
-                for w in 0..words {
-                    let b = remaining.min(64);
-                    let mask = if b == 64 { u64::MAX } else { (1u64 << b) - 1 };
-                    total += classes.cost(new[w], old[w], stuck_mask[w], stuck_value[w], mask);
-                    remaining -= b;
-                }
-                return total.to_cost();
+            if field.bits.is_multiple_of(classes.cell_bits()) {
+                return classes
+                    .cost(
+                        field.new,
+                        field.old,
+                        field.stuck_mask,
+                        field.stuck_value,
+                        field.bit_mask(),
+                    )
+                    .to_cost();
             }
         }
-        self.region_cost(new, old, stuck_mask, stuck_value, bits)
+        self.field_cost(field)
     }
 }
 
@@ -903,17 +861,6 @@ impl<C: CostFunction> CostFunction for ScalarOnly<C> {
 
     fn field_cost(&self, field: &Field) -> Cost {
         self.0.field_cost(field)
-    }
-
-    fn region_cost(
-        &self,
-        new: &[u64],
-        old: &[u64],
-        stuck_mask: &[u64],
-        stuck_value: &[u64],
-        bits: usize,
-    ) -> Cost {
-        self.0.region_cost(new, old, stuck_mask, stuck_value, bits)
     }
 
     // `classes` intentionally left at the default `None`.
@@ -1523,16 +1470,6 @@ mod tests {
     }
 
     #[test]
-    fn region_cost_matches_manual_sum() {
-        let cf = BitFlips;
-        let new = [u64::MAX, 0b1];
-        let old = [0u64, 0b0];
-        let zero = [0u64, 0];
-        let c = cf.region_cost(&new, &old, &zero, &zero, 65);
-        assert_eq!(c.primary, 65.0);
-    }
-
-    #[test]
     fn fast_energy_paths_match_generic_reference() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
@@ -1698,19 +1635,20 @@ mod tests {
             Box::new(opt_energy_then_saw()),
         ];
         for _ in 0..200 {
-            let new = [rng.gen::<u64>(), rng.gen()];
-            let old = [rng.gen::<u64>(), rng.gen()];
-            let mut sym_mask = || {
-                let m = rng.gen::<u64>() & rng.gen::<u64>() & 0x5555_5555_5555_5555;
-                m | (m << 1)
+            let m = rng.gen::<u64>() & rng.gen::<u64>() & 0x5555_5555_5555_5555;
+            let field = Field {
+                new: rng.gen(),
+                old: rng.gen(),
+                stuck_mask: m | (m << 1),
+                stuck_value: rng.gen(),
+                bits: 64,
             };
-            let sm = [sym_mask(), sym_mask()];
-            let sv = [rng.gen::<u64>(), rng.gen()];
-            for bits in [64usize, 100, 128] {
+            for bits in [64u32, 36, 2] {
+                let field = Field { bits, ..field };
                 for cf in &fns {
                     assert_eq!(
-                        cf.cost_words(&new, &old, &sm, &sv, bits),
-                        cf.region_cost(&new, &old, &sm, &sv, bits),
+                        cf.cost_words(&field),
+                        cf.field_cost(&field),
                         "{} over {bits} bits",
                         cf.name()
                     );

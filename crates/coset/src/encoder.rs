@@ -39,14 +39,14 @@ impl Encoded {
 
 /// Reusable buffers for allocation-free encoding sessions.
 ///
-/// The encoders evaluate up to hundreds of coset candidates per 64-bit
-/// word; allocating a fresh [`Block`] per candidate dominates the hot path.
-/// An `EncodeScratch` owns every intermediate buffer the built-in encoders
-/// need, so after a one-write warm-up, [`Encoder::encode_into`] and
-/// [`Encoder::encode_line`] perform **no heap allocation at all**.
+/// Candidate codewords are [`Block`]s, plain `Copy` values that never touch
+/// the heap, so the only buffer left to reuse is the kernel set the scalar
+/// generated-kernel VCC path regenerates on every write. After a one-write
+/// warm-up, [`Encoder::encode_into`] and [`Encoder::encode_line`] perform
+/// **no heap allocation at all**.
 ///
-/// One scratch may be shared across different encoders and cost functions;
-/// buffers are resized on demand. Contents between calls are unspecified.
+/// One scratch may be shared across different encoders and cost functions.
+/// Contents between calls are unspecified.
 ///
 /// # Examples
 ///
@@ -69,40 +69,14 @@ impl Encoded {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct EncodeScratch {
-    /// Candidate codeword (or right-digit vector) under evaluation.
-    pub(crate) cand: Option<Block>,
-    /// Best candidate found so far (swap-tracked runner-up buffer).
-    pub(crate) best: Option<Block>,
-    /// MLC left-digit vector of the data block.
-    pub(crate) left: Option<Block>,
-    /// MLC right-digit vector of the data block.
-    pub(crate) right: Option<Block>,
-    /// Left digits as they will actually be stored (stuck cells applied).
-    pub(crate) stored_left: Option<Block>,
     /// Regenerated Algorithm-2 kernel set.
     pub(crate) kernels: KernelSet,
-    /// Data-word staging block used by [`Encoder::encode_line`].
-    line_word: Option<Block>,
 }
 
 impl EncodeScratch {
-    /// Creates an empty scratch; buffers are allocated lazily on first use.
+    /// Creates an empty scratch; the kernel buffer grows on first use.
     pub fn new() -> Self {
         EncodeScratch::default()
-    }
-
-    /// Borrows a slot, resized to exactly `len` zeroed bits.
-    ///
-    /// This is the **only** way encoder code obtains a scratch buffer, and
-    /// the returned block is always correctly sized regardless of what a
-    /// previous encode (possibly at a different width, possibly swapping
-    /// buffers around) left behind. Callers must not swap a slot with a
-    /// buffer of a different length mid-loop — park winners in a second
-    /// same-width slot instead (see `Vcc::encode_full_block_scalar`).
-    pub(crate) fn slot(slot: &mut Option<Block>, len: usize) -> &mut Block {
-        let b = slot.get_or_insert_with(|| Block::zeros(len));
-        b.reset_zeros(len);
-        b
     }
 }
 
@@ -126,22 +100,28 @@ pub trait Encoder: Send + Sync {
     /// Number of auxiliary bits produced for every data block.
     fn aux_bits(&self) -> u32;
 
-    /// Chooses the cheapest codeword for `data` written into `ctx`.
+    /// Chooses the cheapest codeword for `data` written into `ctx`: a
+    /// one-shot [`Encoder::encode_into`] with a fresh scratch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len() != self.block_bits()` or the context's data
+    /// length differs.
+    // ORACLE: crates/coset/tests/cost_oracle.rs
+    fn encode(&self, data: &Block, ctx: &WriteContext, cost: &dyn CostFunction) -> Encoded {
+        let mut out = Encoded::placeholder(self.block_bits());
+        self.encode_into(data, ctx, cost, &mut EncodeScratch::new(), &mut out);
+        out
+    }
+
+    /// Session variant of [`Encoder::encode`]: writes the result into `out`,
+    /// reusing `scratch` so steady-state encoding performs no heap
+    /// allocation.
     ///
     /// # Panics
     ///
     /// Implementations panic if `data.len() != self.block_bits()` or the
     /// context's data length differs.
-    fn encode(&self, data: &Block, ctx: &WriteContext, cost: &dyn CostFunction) -> Encoded;
-
-    /// Session variant of [`Encoder::encode`]: writes the result into `out`,
-    /// reusing `scratch` buffers so steady-state encoding performs no heap
-    /// allocation.
-    ///
-    /// Produces a bit-identical result to `encode` (same codeword, aux and
-    /// cost). The default implementation simply delegates to `encode`; all
-    /// built-in encoders override it with allocation-free candidate
-    /// evaluation.
     fn encode_into(
         &self,
         data: &Block,
@@ -149,23 +129,19 @@ pub trait Encoder: Send + Sync {
         cost: &dyn CostFunction,
         scratch: &mut EncodeScratch,
         out: &mut Encoded,
-    ) {
-        let _ = scratch;
-        *out = self.encode(data, ctx, cost);
-    }
+    );
 
     /// Batch entry point: encodes every word of a cache line in one call.
     ///
-    /// `line[w]` holds word `w` as a little-endian `u64` (so this requires
-    /// `block_bits() <= 64`) and `ctxs[w]` describes its destination.
-    /// Results land in `out`, which is resized as needed and whose `Encoded`
-    /// slots are reused across calls — with a warmed-up `scratch` the whole
-    /// 512-bit line encodes without heap allocation.
+    /// `line[w]` holds word `w` as a little-endian `u64` and `ctxs[w]`
+    /// describes its destination. Results land in `out`, which is resized
+    /// as needed and whose `Encoded` slots are reused across calls — with a
+    /// warmed-up `scratch` the whole 512-bit line encodes without heap
+    /// allocation.
     ///
     /// # Panics
     ///
-    /// Panics if `line` and `ctxs` have different lengths or the encoder is
-    /// wider than 64 bits.
+    /// Panics if `line` and `ctxs` have different lengths.
     fn encode_line(
         &self,
         line: &[u64],
@@ -176,21 +152,12 @@ pub trait Encoder: Send + Sync {
     ) {
         assert_eq!(line.len(), ctxs.len(), "line/context length mismatch");
         let bits = self.block_bits();
-        assert!(bits <= 64, "encode_line requires block_bits() <= 64");
         if out.len() != line.len() {
             out.resize_with(line.len(), || Encoded::placeholder(bits));
         }
-        // Take the staging block out of the scratch so the scratch can be
-        // lent to encode_into while the word is borrowed.
-        let mut word = scratch
-            .line_word
-            .take()
-            .unwrap_or_else(|| Block::zeros(bits));
-        for (w, (&data, ctx)) in line.iter().zip(ctxs.iter()).enumerate() {
-            word.set_from_u64(data, bits);
-            self.encode_into(&word, ctx, cost, scratch, &mut out[w]);
+        for ((&data, ctx), slot) in line.iter().zip(ctxs).zip(out.iter_mut()) {
+            self.encode_into(&Block::from_u64(data, bits), ctx, cost, scratch, slot);
         }
-        scratch.line_word = Some(word);
     }
 
     /// Recovers the original data from a stored codeword and its aux bits.
@@ -205,10 +172,23 @@ pub struct Unencoded {
 
 impl Unencoded {
     /// Creates an identity "encoder" for `block_bits`-bit words.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `block_bits` is in `1..=64`.
     pub fn new(block_bits: usize) -> Self {
-        assert!(block_bits > 0, "block width must be non-zero");
+        check_block_bits(block_bits);
         Unencoded { block_bits }
     }
+}
+
+/// Rejects an encoder width outside one word: every encoder works on
+/// blocks of 1 to 64 bits.
+pub(crate) fn check_block_bits(block_bits: usize) {
+    assert!(
+        block_bits > 0 && block_bits <= 64,
+        "block width must be 1..=64 bits, got {block_bits}"
+    );
 }
 
 impl Encoder for Unencoded {
@@ -224,12 +204,6 @@ impl Encoder for Unencoded {
         0
     }
 
-    fn encode(&self, data: &Block, ctx: &WriteContext, cost: &dyn CostFunction) -> Encoded {
-        let mut out = Encoded::placeholder(self.block_bits);
-        self.encode_into(data, ctx, cost, &mut EncodeScratch::new(), &mut out);
-        out
-    }
-
     fn encode_into(
         &self,
         data: &Block,
@@ -240,13 +214,13 @@ impl Encoder for Unencoded {
     ) {
         assert_eq!(data.len(), self.block_bits, "data width mismatch");
         assert_eq!(ctx.data_bits(), self.block_bits, "context width mismatch");
-        out.codeword.copy_from(data);
+        out.codeword = *data;
         out.aux = 0;
         out.cost = ctx.data_cost(cost, data);
     }
 
     fn decode(&self, codeword: &Block, _aux: u64) -> Block {
-        codeword.clone()
+        *codeword
     }
 }
 
@@ -311,10 +285,9 @@ mod tests {
         assert_eq!(check_roundtrip(&enc, &BitFlips, &mut rng, 50), 50);
     }
 
-    /// Regression test for the `EncodeScratch::slot` stale-length footgun:
-    /// one scratch and one `Encoded` slot driven back-to-back through
-    /// encoders of different block widths (the scalar candidate loops used
-    /// to swap stale-width buffers into the scratch mid-loop).
+    /// One scratch and one `Encoded` slot driven back-to-back through
+    /// encoders of different block widths must match a fresh encode every
+    /// time.
     #[test]
     fn scratch_and_output_survive_width_changes() {
         use crate::cost::{ScalarOnly, WriteEnergy};
@@ -325,7 +298,7 @@ mod tests {
             Box::new(Vcc::stored(32, 16, 4, &mut rng)),
             Box::new(Vcc::paper_mlc(64)),
             Box::new(Rcc::random(48, 8, &mut rng)),
-            Box::new(Fnw::with_sub_block(512, 16)),
+            Box::new(Fnw::with_sub_block(16, 4)),
             Box::new(Vcc::stored(64, 32, 4, &mut rng)),
         ];
         let mut scratch = EncodeScratch::new();
@@ -350,6 +323,12 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "1..=64 bits")]
+    fn unencoded_rejects_blocks_wider_than_a_word() {
+        Unencoded::new(65);
     }
 
     #[test]

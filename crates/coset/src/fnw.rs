@@ -11,10 +11,10 @@
 //!   `k = log2(N)` sections: the `2^k` biased coset candidates are all
 //!   concatenations of all-zero / all-one section patterns.
 
-use crate::block::Block;
+use crate::block::{low_bits, Block};
 use crate::context::WriteContext;
 use crate::cost::{CostFunction, FixedCost};
-use crate::encoder::{EncodeScratch, Encoded, Encoder};
+use crate::encoder::{check_block_bits, EncodeScratch, Encoded, Encoder};
 
 /// Flip-N-Write-style selective inversion encoder.
 ///
@@ -44,14 +44,11 @@ impl Fnw {
     ///
     /// # Panics
     ///
-    /// Panics if `sub_bits` does not divide `block_bits`, if `sub_bits > 64`,
-    /// or if either is zero.
+    /// Panics if `block_bits` is not in `1..=64`, or `sub_bits` is zero or
+    /// does not divide `block_bits`.
     pub fn with_sub_block(block_bits: usize, sub_bits: usize) -> Self {
-        assert!(block_bits > 0 && sub_bits > 0, "widths must be non-zero");
-        assert!(
-            sub_bits <= 64,
-            "sub-blocks wider than 64 bits are unsupported"
-        );
+        check_block_bits(block_bits);
+        assert!(sub_bits > 0, "sub-block width must be non-zero");
         assert!(
             block_bits.is_multiple_of(sub_bits),
             "sub-block width {sub_bits} must divide block width {block_bits}"
@@ -86,10 +83,8 @@ impl Fnw {
 
     /// Data Block Inversion: a single sub-block covering the whole block.
     pub fn dbi(block_bits: usize) -> Self {
-        let mut f = Self::with_sub_block(block_bits, block_bits.min(64));
-        if block_bits <= 64 {
-            f.name = "dbi".to_string();
-        }
+        let mut f = Self::with_sub_block(block_bits, block_bits);
+        f.name = "dbi".to_string();
         f
     }
 
@@ -117,12 +112,6 @@ impl Encoder for Fnw {
         self.sections() as u32
     }
 
-    fn encode(&self, data: &Block, ctx: &WriteContext, cost: &dyn CostFunction) -> Encoded {
-        let mut out = Encoded::placeholder(self.block_bits);
-        self.encode_into(data, ctx, cost, &mut EncodeScratch::new(), &mut out);
-        out
-    }
-
     fn encode_into(
         &self,
         data: &Block,
@@ -133,59 +122,40 @@ impl Encoder for Fnw {
     ) {
         assert_eq!(data.len(), self.block_bits, "data width mismatch");
         assert_eq!(ctx.data_bits(), self.block_bits, "context width mismatch");
-        let sub_mask = if self.sub_bits == 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.sub_bits) - 1
-        };
+        let sub_mask = low_bits(self.sub_bits);
         // Broadcast-SWAR path: a sub-block's two candidates are the data
-        // word and its bitwise NOT, so each word's class planes are derived
+        // word and its bitwise NOT, so the word's class planes are derived
         // twice and every section is selected with two masked popcount
-        // costs — no per-section extract/insert at all. Requires sections
-        // that do not straddle word boundaries and cell-aligned sections.
-        let sections_tile_words = 64 % self.sub_bits == 0 || self.block_bits <= 64;
-        if sections_tile_words {
-            if let Some(model) = ctx.cost_model(cost) {
-                if self
-                    .sub_bits
-                    .is_multiple_of(model.classes().cell_bits() as usize)
-                {
-                    let words = data.words();
-                    let mut aux = 0u64;
-                    let mut data_cost = FixedCost::ZERO;
-                    out.codeword.reset_zeros(self.block_bits);
-                    let mut j = 0usize;
-                    for (w, &dw) in words.iter().enumerate() {
-                        if j >= self.sections() {
-                            break;
-                        }
-                        let (direct, inverted) = model.planes_pair(w, dw, u64::MAX);
-                        let base = w * 64;
-                        let mut flip = 0u64;
-                        let mut sh = 0usize;
-                        while sh < 64 && j < self.sections() && base + sh < self.block_bits {
-                            let pmask = sub_mask << sh;
-                            let c_direct = model.plane_cost(&direct, pmask);
-                            let c_inverted = model.plane_cost(&inverted, pmask);
-                            let (take_inv, chosen) = FixedCost::select_min(c_direct, c_inverted);
-                            aux |= take_inv << j;
-                            flip |= pmask & take_inv.wrapping_neg();
-                            data_cost += chosen;
-                            sh += self.sub_bits;
-                            j += 1;
-                        }
-                        out.codeword
-                            .insert_word_masked(w, dw ^ flip, model.word_mask(w));
-                    }
-                    out.aux = aux;
-                    out.cost = (data_cost + model.aux_cost(aux)).to_cost();
-                    return;
+        // costs — no per-section extract/insert at all. Requires
+        // cell-aligned sections.
+        if let Some(model) = ctx.cost_model(cost) {
+            if self
+                .sub_bits
+                .is_multiple_of(model.classes().cell_bits() as usize)
+            {
+                let dw = data.as_u64();
+                let mut aux = 0u64;
+                let mut data_cost = FixedCost::ZERO;
+                let (direct, inverted) = model.planes_pair(dw, u64::MAX);
+                let mut flip = 0u64;
+                for j in 0..self.sections() {
+                    let pmask = sub_mask << (j * self.sub_bits);
+                    let c_direct = model.plane_cost(&direct, pmask);
+                    let c_inverted = model.plane_cost(&inverted, pmask);
+                    let (take_inv, chosen) = FixedCost::select_min(c_direct, c_inverted);
+                    aux |= take_inv << j;
+                    flip |= pmask & take_inv.wrapping_neg();
+                    data_cost += chosen;
                 }
+                out.codeword = Block::from_u64(dw ^ flip, self.block_bits);
+                out.aux = aux;
+                out.cost = (data_cost + model.aux_cost(aux)).to_cost();
+                return;
             }
         }
         // FNW picks per-section, so the winner is assembled directly in the
         // output codeword — no candidate buffers needed.
-        out.codeword.reset_zeros(self.block_bits);
+        out.codeword = Block::zeros(self.block_bits);
         let mut aux = 0u64;
         let mut data_cost = crate::cost::Cost::ZERO;
         for j in 0..self.sections() {
@@ -209,11 +179,7 @@ impl Encoder for Fnw {
 
     fn decode(&self, codeword: &Block, aux: u64) -> Block {
         assert_eq!(codeword.len(), self.block_bits, "codeword width mismatch");
-        let sub_mask = if self.sub_bits == 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.sub_bits) - 1
-        };
+        let sub_mask = low_bits(self.sub_bits);
         let mut out = Block::zeros(self.block_bits);
         for j in 0..self.sections() {
             let start = j * self.sub_bits;
@@ -262,6 +228,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "1..=64 bits")]
+    fn rejects_blocks_wider_than_a_word() {
+        Fnw::with_sub_block(128, 16);
+    }
+
+    #[test]
     #[should_panic(expected = "power of two")]
     fn rejects_non_power_of_two_cosets() {
         Fnw::with_cosets(64, 12);
@@ -274,7 +246,7 @@ mod tests {
         for _ in 0..200 {
             let data = Block::random(&mut rng, 64);
             let old = Block::random(&mut rng, 64);
-            let ctx = WriteContext::new(old.clone(), 0, fnw.aux_bits());
+            let ctx = WriteContext::new(old, 0, fnw.aux_bits());
             let enc = fnw.encode(&data, &ctx, &BitFlips);
             let baseline = data.hamming_distance(&old);
             let enc_flips = enc.codeword.hamming_distance(&old);
@@ -305,8 +277,8 @@ mod tests {
             let fnw = Fnw::with_sub_block(64, sub);
             check_roundtrip(&fnw, &BitFlips, &mut rng, 100);
         }
-        let wide = Fnw::with_sub_block(512, 16);
-        check_roundtrip(&wide, &OnesCount, &mut rng, 20);
+        let narrow = Fnw::with_sub_block(48, 16);
+        check_roundtrip(&narrow, &OnesCount, &mut rng, 20);
     }
 
     #[test]

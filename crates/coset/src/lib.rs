@@ -92,15 +92,15 @@
 //! non-per-class or non-integer energy tables, or any cost wrapped in
 //! [`cost::ScalarOnly`]), kernel widths that do not tile a 64-bit word,
 //! partition widths that break the classes' cell alignment (odd widths
-//! under an MLC objective), generated-kernel blocks wider than one word,
-//! and single-word Flipcy (three candidates never amortize the model
-//! build). The scalar loops are retained verbatim as the reference oracle.
+//! under an MLC objective), generated-kernel partitions whose symbol field
+//! is not a power of two, and Flipcy (three candidates never amortize the
+//! model build). The scalar loops are retained as the reference oracle.
 //!
 //! # Crate layout
 //!
 //! | module | contents |
 //! |--------|----------|
-//! | [`block`] | [`Block`], the bit container every encoder operates on |
+//! | [`block`] | [`Block`], the one-word bit value every encoder operates on |
 //! | [`symbol`] | MLC Gray-code helpers, Morton-table digit shuffles |
 //! | [`cost`] | [`cost::CostFunction`], the paper's objectives, transition classes |
 //! | [`context`] | [`WriteContext`], [`StuckBits`] and the per-write [`CostModel`] |

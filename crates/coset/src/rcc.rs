@@ -12,7 +12,7 @@ use rand::Rng;
 use crate::block::Block;
 use crate::context::WriteContext;
 use crate::cost::CostFunction;
-use crate::encoder::{EncodeScratch, Encoded, Encoder};
+use crate::encoder::{check_block_bits, EncodeScratch, Encoded, Encoder};
 
 /// Random coset coding with stored full-length coset candidates.
 ///
@@ -33,11 +33,6 @@ use crate::encoder::{EncodeScratch, Encoded, Encoder};
 pub struct Rcc {
     block_bits: usize,
     cosets: Vec<Block>,
-    /// All coset candidates' backing words, flattened contiguously
-    /// (`words_per_block` words per candidate) so the broadcast-SWAR
-    /// candidate loop streams them without per-Block pointer chasing.
-    coset_words: Vec<u64>,
-    words_per_block: usize,
     aux_bits: u32,
 }
 
@@ -50,9 +45,11 @@ impl Rcc {
     ///
     /// # Panics
     ///
-    /// Panics if `cosets` is empty, its length is not a power of two, or any
-    /// candidate's width differs from `block_bits`.
+    /// Panics if `block_bits` is not in `1..=64`, `cosets` is empty, its
+    /// length is not a power of two, or any candidate's width differs from
+    /// `block_bits`.
     pub fn new(block_bits: usize, cosets: Vec<Block>) -> Self {
+        check_block_bits(block_bits);
         assert!(!cosets.is_empty(), "at least one coset candidate required");
         assert!(
             cosets.len().is_power_of_two(),
@@ -62,22 +59,21 @@ impl Rcc {
             assert_eq!(c.len(), block_bits, "coset width mismatch");
         }
         let aux_bits = cosets.len().trailing_zeros();
-        let words_per_block = block_bits.div_ceil(64);
-        let coset_words = cosets
-            .iter()
-            .flat_map(|c| c.words().iter().copied())
-            .collect();
         Rcc {
             block_bits,
             cosets,
-            coset_words,
-            words_per_block,
             aux_bits,
         }
     }
 
     /// Builds RCC(n, N) with `n_cosets` uniformly random candidates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block_bits` is not in `1..=64` or `n_cosets` is not a
+    /// power of two.
     pub fn random<R: Rng + ?Sized>(block_bits: usize, n_cosets: usize, rng: &mut R) -> Self {
+        check_block_bits(block_bits);
         let cosets = (0..n_cosets)
             .map(|_| Block::random(rng, block_bits))
             .collect();
@@ -122,40 +118,26 @@ impl Encoder for Rcc {
         self.aux_bits
     }
 
-    fn encode(&self, data: &Block, ctx: &WriteContext, cost: &dyn CostFunction) -> Encoded {
-        let mut out = Encoded::placeholder(self.block_bits);
-        self.encode_into(data, ctx, cost, &mut EncodeScratch::new(), &mut out);
-        out
-    }
-
     fn encode_into(
         &self,
         data: &Block,
         ctx: &WriteContext,
         cost: &dyn CostFunction,
-        scratch: &mut EncodeScratch,
+        _scratch: &mut EncodeScratch,
         out: &mut Encoded,
     ) {
         assert_eq!(data.len(), self.block_bits, "data width mismatch");
         assert_eq!(ctx.data_bits(), self.block_bits, "context width mismatch");
-        // Broadcast-SWAR path: cost every coset candidate word-by-word with
-        // masked popcounts over the transition-class planes — candidate
-        // words are formed on the fly with one XOR each, and only the
-        // winning candidate is ever materialized into a Block.
+        // Broadcast-SWAR path: cost every coset candidate with masked
+        // popcounts over the transition-class planes — each candidate word
+        // is formed on the fly with one XOR.
         if let Some(model) = ctx.cost_model(cost) {
-            let words = data.words();
+            let dw = data.as_u64();
             let mut best = crate::cost::FixedCost::ZERO;
             let mut best_idx = 0usize;
             let mut found = false;
-            for (i, cws) in self
-                .coset_words
-                .chunks_exact(self.words_per_block)
-                .enumerate()
-            {
-                let mut c = crate::cost::FixedCost::ZERO;
-                for (w, (&dw, &cw)) in words.iter().zip(cws.iter()).enumerate() {
-                    c += model.word_cost(w, dw ^ cw);
-                }
+            for (i, coset) in self.cosets.iter().enumerate() {
+                let c = model.word_cost(dw ^ coset.as_u64());
                 // Aux-cost pruning: costs are non-negative, so a candidate
                 // whose data cost alone already loses cannot win.
                 if found && c.packed() >= best.packed() {
@@ -168,21 +150,19 @@ impl Encoder for Rcc {
                     found = true;
                 }
             }
-            out.codeword.xor_words_from(data, &self.cosets[best_idx]);
+            out.codeword = data.xor(&self.cosets[best_idx]);
             out.aux = best_idx as u64;
             out.cost = best.to_cost();
             return;
         }
         // Scalar fallback (objectives without transition classes).
-        let cand = EncodeScratch::slot(&mut scratch.cand, self.block_bits);
         let mut found = false;
         for (i, coset) in self.cosets.iter().enumerate() {
-            cand.copy_from(data);
-            cand.xor_assign(coset);
+            let cand = data.xor(coset);
             let aux = i as u64;
-            let c = ctx.data_cost(cost, cand) + ctx.aux_cost(cost, aux);
+            let c = ctx.data_cost(cost, &cand) + ctx.aux_cost(cost, aux);
             if !found || c.is_better_than(&out.cost) {
-                std::mem::swap(&mut out.codeword, cand);
+                out.codeword = cand;
                 out.aux = aux;
                 out.cost = c;
                 found = true;
@@ -217,6 +197,13 @@ mod tests {
 
         let hybrid = Rcc::random_with_identity(64, 8, &mut rng);
         assert_eq!(hybrid.cosets()[0].count_ones(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "1..=64 bits")]
+    fn rejects_blocks_wider_than_a_word() {
+        let mut rng = StdRng::seed_from_u64(26);
+        Rcc::random(128, 4, &mut rng);
     }
 
     #[test]
@@ -266,7 +253,7 @@ mod tests {
         for _ in 0..100 {
             let data = Block::random(&mut rng, 64);
             let old = Block::random(&mut rng, 64);
-            let ctx = WriteContext::new(old.clone(), 0, rcc.aux_bits());
+            let ctx = WriteContext::new(old, 0, rcc.aux_bits());
             let enc = rcc.encode(&data, &ctx, &BitFlips);
             assert!(
                 enc.codeword.hamming_distance(&old) <= data.hamming_distance(&old),

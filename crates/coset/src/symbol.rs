@@ -216,27 +216,14 @@ pub fn interleave_word(left: u64, right: u64) -> u64 {
 }
 
 /// Word-parallel digit extraction: digit bits of every symbol (selected by
-/// `shift` = 0 for right digits, 1 for left digits) packed densely into
-/// `out`.
-fn extract_digits_into(block: &Block, out: &mut Block, shift: u32) {
+/// `shift` = 0 for right digits, 1 for left digits) packed densely into a
+/// block of half the length.
+fn extract_digits(block: &Block, shift: u32) -> Block {
     assert!(block.len().is_multiple_of(2), "block length must be even");
-    let n_sym = block.len() / 2;
-    out.reset_zeros(n_sym);
-    let src = block.words();
-    let dst = out.words_mut();
-    for (i, d) in dst.iter_mut().enumerate() {
-        // SWAR-OK: shift selects the digit plane (0 or 1); the consumer
-        // compress_even_bits() keeps only even bit positions, masking any
-        // bit shifted in from the neighboring symbol.
-        let lo = compress_even_bits(src[2 * i] >> shift);
-        let hi = match src.get(2 * i + 1) {
-            // SWAR-OK: same digit-plane select as `lo` above.
-            Some(w) => compress_even_bits(w >> shift),
-            None => 0,
-        };
-        *d = lo | (hi << 32);
-    }
-    out.mask_tail();
+    // SWAR-OK: shift selects the digit plane (0 or 1); compress_even_bits()
+    // keeps only even bit positions, masking any bit shifted in from the
+    // neighboring symbol.
+    Block::from_u64(compress_even_bits(block.as_u64() >> shift), block.len() / 2)
 }
 
 /// Extracts the left (high) digits of every MLC symbol of `block` into a new
@@ -248,19 +235,7 @@ fn extract_digits_into(block: &Block, out: &mut Block, shift: u32) {
 ///
 /// Panics if the block length is odd.
 pub fn extract_left_digits(block: &Block) -> Block {
-    let mut out = Block::zeros(block.len() / 2);
-    extract_left_digits_into(block, &mut out);
-    out
-}
-
-/// In-place variant of [`extract_left_digits`]: writes the left digits into
-/// `out`, reusing its allocation.
-///
-/// # Panics
-///
-/// Panics if the block length is odd.
-pub fn extract_left_digits_into(block: &Block, out: &mut Block) {
-    extract_digits_into(block, out, 1);
+    extract_digits(block, 1)
 }
 
 /// Extracts the right (low) digits of every MLC symbol of `block` into a new
@@ -270,19 +245,7 @@ pub fn extract_left_digits_into(block: &Block, out: &mut Block) {
 ///
 /// Panics if the block length is odd.
 pub fn extract_right_digits(block: &Block) -> Block {
-    let mut out = Block::zeros(block.len() / 2);
-    extract_right_digits_into(block, &mut out);
-    out
-}
-
-/// In-place variant of [`extract_right_digits`]: writes the right digits
-/// into `out`, reusing its allocation.
-///
-/// # Panics
-///
-/// Panics if the block length is odd.
-pub fn extract_right_digits_into(block: &Block, out: &mut Block) {
-    extract_digits_into(block, out, 0);
+    extract_digits(block, 0)
 }
 
 /// Reassembles a full block from separate left-digit and right-digit vectors
@@ -292,36 +255,15 @@ pub fn extract_right_digits_into(block: &Block, out: &mut Block) {
 ///
 /// Panics if the two vectors have different lengths.
 pub fn interleave_digits(left: &Block, right: &Block) -> Block {
-    let mut out = Block::zeros(2 * left.len().max(1));
-    interleave_digits_into(left, right, &mut out);
-    out
-}
-
-/// In-place variant of [`interleave_digits`]: reassembles the full block
-/// into `out`, reusing its allocation.
-///
-/// # Panics
-///
-/// Panics if the two vectors have different lengths.
-pub fn interleave_digits_into(left: &Block, right: &Block, out: &mut Block) {
     assert_eq!(
         left.len(),
         right.len(),
         "left/right digit vectors must have equal length"
     );
-    let n_sym = left.len();
-    out.reset_zeros(2 * n_sym);
-    let l = left.words();
-    let r = right.words();
-    let dst = out.words_mut();
-    for i in 0..l.len() {
-        let lo = expand_to_even_bits(r[i]) | (expand_to_even_bits(l[i]) << 1);
-        dst[2 * i] = lo;
-        if let Some(d) = dst.get_mut(2 * i + 1) {
-            *d = expand_to_even_bits(r[i] >> 32) | (expand_to_even_bits(l[i] >> 32) << 1);
-        }
-    }
-    out.mask_tail();
+    Block::from_u64(
+        interleave_word(left.as_u64(), right.as_u64()),
+        2 * left.len(),
+    )
 }
 
 /// Counts symbols in `new` whose write over `old` is a high-energy

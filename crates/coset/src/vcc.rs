@@ -26,15 +26,14 @@ use rand::Rng;
 use crate::block::{low_bits, Block};
 use crate::context::{CostModel, WriteContext};
 use crate::cost::{ClassSet, Cost, CostFunction, FieldLanes, FixedCost};
-use crate::encoder::{EncodeScratch, Encoded, Encoder};
+use crate::encoder::{check_block_bits, EncodeScratch, Encoded, Encoder};
 use crate::kernel::{
     broadcast_word, ceil_log2, generate_kernels_into, kernel_at, repeat_mask, GeneratorConfig,
     KernelSet,
 };
 use crate::symbol::{
-    compress_even_bits_word, extract_left_digits, extract_left_digits_into, extract_right_digits,
-    extract_right_digits_into, interleave_digits, interleave_digits_into, interleave_word,
-    spread_to_right_digits, MLC_RIGHT_DIGITS,
+    compress_even_bits_word, extract_left_digits, extract_right_digits, interleave_digits,
+    interleave_word, spread_to_right_digits, MLC_RIGHT_DIGITS,
 };
 
 /// How a [`Vcc`] instance obtains kernels and which bits it encodes.
@@ -89,9 +88,8 @@ impl Vcc {
     ///
     /// # Panics
     ///
-    /// Panics if `kernel_bits` does not divide `block_bits`, if
-    /// `num_kernels` is not a power of two, or if `block_bits / kernel_bits`
-    /// exceeds 63 (the flag field must fit an aux word).
+    /// Panics if `block_bits` is not in `1..=64`, `kernel_bits` does not
+    /// divide `block_bits`, or `num_kernels` is not a power of two.
     pub fn stored<R: Rng + ?Sized>(
         block_bits: usize,
         kernel_bits: usize,
@@ -103,7 +101,13 @@ impl Vcc {
     }
 
     /// VCC over the full block with an explicit kernel set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block_bits` is not in `1..=64`, or the kernel width does
+    /// not divide it.
     pub fn with_kernels(block_bits: usize, kernels: KernelSet) -> Self {
+        check_block_bits(block_bits);
         let kernel_bits = kernels.kernel_bits();
         let num_kernels = kernels.len();
         assert!(
@@ -134,9 +138,10 @@ impl Vcc {
     ///
     /// # Panics
     ///
-    /// Panics if the block width is odd, the kernel width does not divide
-    /// n/2, or `num_kernels` is not a power of two.
+    /// Panics if the block width is odd or not in `1..=64`, the kernel
+    /// width does not divide n/2, or `num_kernels` is not a power of two.
     pub fn generated_mlc(block_bits: usize, kernel_bits: usize, num_kernels: usize) -> Self {
+        check_block_bits(block_bits);
         assert!(
             block_bits.is_multiple_of(2),
             "MLC blocks need an even bit width"
@@ -291,7 +296,6 @@ impl Vcc {
         ctx: &WriteContext,
         cost: &dyn CostFunction,
         kernels: &KernelSet,
-        scratch: &mut EncodeScratch,
         out: &mut Encoded,
     ) {
         if kernels.has_broadcasts() {
@@ -305,154 +309,99 @@ impl Vcc {
                 }
             }
         }
-        self.encode_full_block_scalar(data, ctx, cost, kernels, scratch, out);
+        self.encode_full_block_scalar(data, ctx, cost, kernels, out);
     }
 
     /// Broadcast-SWAR full-block search: each kernel is XORed across the
-    /// whole block one word at a time (its complement form is the bitwise
-    /// NOT of the same word), every partition is costed with masked
-    /// popcounts over the per-candidate class planes, and the
-    /// cheaper-of-two per partition is selected with a packed fixed-point
-    /// compare — all partitions and both complement forms evaluated as
-    /// data-parallel word operations, mirroring the paper's VCC hardware.
-    /// Only the winning kernel's codeword is ever materialized.
+    /// whole block at once (its complement form is the bitwise NOT of the
+    /// same word), every partition is costed with per-field popcounts over
+    /// the per-candidate class planes, and the cheaper-of-two per partition
+    /// is selected with a packed fixed-point compare — all partitions and
+    /// both complement forms evaluated as data-parallel word operations,
+    /// mirroring the paper's VCC hardware. Only the winning kernel's
+    /// codeword is ever materialized.
     fn encode_full_block_fast(
         &self,
         data: &Block,
-        model: &CostModel<'_>,
+        model: &CostModel,
         kernels: &KernelSet,
         out: &mut Encoded,
     ) {
         let m = self.kernel_bits;
-        let m_mask = if m == 64 { u64::MAX } else { (1u64 << m) - 1 };
-        let words = data.words();
+        let m_mask = low_bits(m);
+        let dw = data.as_u64();
         let mut best = FixedCost::ZERO;
         let mut best_aux = 0u64;
         let mut best_kernel = 0usize;
         let mut best_flags = 0u64;
         let mut found = false;
         let weighted = model.weighted_fields_fit(m);
-        if words.len() == 1 {
-            // Single-word block (the paper's 64-bit configurations): the
-            // partition walk collapses to one tight loop per kernel.
-            let dw = words[0];
-            for i in 0..kernels.len() {
-                let y = dw ^ kernels.broadcast(i);
-                // All partitions costed at once: fused class planes for
-                // both complement forms, then per-field popcounts.
-                let (dp, cp) = model.planes_pair(0, y, u64::MAX);
-                let direct = model.field_counts(&dp, m);
-                let comp = model.field_counts(&cp, m);
-                let mut flags = 0u64;
-                let mut data_cost = FixedCost::ZERO;
-                if weighted {
-                    // Counts fold into weighted per-field cost words, so
-                    // each partition's cost is one shift-and-mask away.
-                    let (pd, sd) = model.weighted_fields(&direct);
-                    let (pc, sc) = model.weighted_fields(&comp);
-                    for j in 0..self.partitions {
-                        let sh = j * m;
-                        let c = FixedCost {
-                            primary: (pd >> sh) & m_mask,
-                            secondary: (sd >> sh) & m_mask,
-                        };
-                        let c_c = FixedCost {
-                            primary: (pc >> sh) & m_mask,
-                            secondary: (sc >> sh) & m_mask,
-                        };
-                        let (take_c, chosen) = FixedCost::select_min(c, c_c);
-                        // SWAR-OK: take_c is 0 or 1, so exactly bit j is set.
-                        flags |= take_c << j;
-                        data_cost += chosen;
-                    }
-                } else {
-                    for j in 0..self.partitions {
-                        let c = model.count_cost(&direct, j * m, m_mask);
-                        let c_c = model.count_cost(&comp, j * m, m_mask);
-                        let (take_c, chosen) = FixedCost::select_min(c, c_c);
-                        // SWAR-OK: take_c is 0 or 1, so exactly bit j is set.
-                        flags |= take_c << j;
-                        data_cost += chosen;
-                    }
+        for i in 0..kernels.len() {
+            let y = dw ^ kernels.broadcast(i);
+            // All partitions costed at once: fused class planes for both
+            // complement forms, then per-field popcounts.
+            let (dp, cp) = model.planes_pair(y, u64::MAX);
+            let direct = model.field_counts(&dp, m);
+            let comp = model.field_counts(&cp, m);
+            let mut flags = 0u64;
+            let mut data_cost = FixedCost::ZERO;
+            if weighted {
+                // Counts fold into weighted per-field cost words, so each
+                // partition's cost is one shift-and-mask away.
+                let (pd, sd) = model.weighted_fields(&direct);
+                let (pc, sc) = model.weighted_fields(&comp);
+                for j in 0..self.partitions {
+                    let sh = j * m;
+                    let c = FixedCost {
+                        primary: (pd >> sh) & m_mask,
+                        secondary: (sd >> sh) & m_mask,
+                    };
+                    let c_c = FixedCost {
+                        primary: (pc >> sh) & m_mask,
+                        secondary: (sc >> sh) & m_mask,
+                    };
+                    let (take_c, chosen) = FixedCost::select_min(c, c_c);
+                    // SWAR-OK: take_c is 0 or 1, so exactly bit j is set.
+                    flags |= take_c << j;
+                    data_cost += chosen;
                 }
-                // Aux-cost pruning: costs are non-negative, so a kernel
-                // whose data cost alone is not better than the incumbent
-                // total can never win — skip its aux evaluation.
-                if found && data_cost.packed() >= best.packed() {
-                    continue;
-                }
-                let aux = self.pack_aux(i, flags);
-                let total = data_cost + model.aux_cost(aux);
-                if !found || total.packed() < best.packed() {
-                    best = total;
-                    best_aux = aux;
-                    best_kernel = i;
-                    best_flags = flags;
-                    found = true;
+            } else {
+                for j in 0..self.partitions {
+                    let c = model.count_cost(&direct, j * m, m_mask);
+                    let c_c = model.count_cost(&comp, j * m, m_mask);
+                    let (take_c, chosen) = FixedCost::select_min(c, c_c);
+                    // SWAR-OK: take_c is 0 or 1, so exactly bit j is set.
+                    flags |= take_c << j;
+                    data_cost += chosen;
                 }
             }
-        } else {
-            for i in 0..kernels.len() {
-                let kb = kernels.broadcast(i);
-                let mut flags = 0u64;
-                let mut data_cost = FixedCost::ZERO;
-                let mut j = 0usize;
-                for (w, &dw) in words.iter().enumerate() {
-                    if j >= self.partitions {
-                        break;
-                    }
-                    let y = dw ^ kb;
-                    let (dp, cp) = model.planes_pair(w, y, u64::MAX);
-                    let direct = model.field_counts(&dp, m);
-                    let comp = model.field_counts(&cp, m);
-                    let base = w * 64;
-                    let mut sh = 0usize;
-                    while sh < 64 && j < self.partitions && base + sh < self.block_bits {
-                        let c = model.count_cost(&direct, sh, m_mask);
-                        let c_c = model.count_cost(&comp, sh, m_mask);
-                        let (take_c, chosen) = FixedCost::select_min(c, c_c);
-                        // SWAR-OK: take_c is 0 or 1, so exactly bit j is set.
-                        flags |= take_c << j;
-                        data_cost += chosen;
-                        sh += m;
-                        j += 1;
-                    }
-                }
-                if found && data_cost.packed() >= best.packed() {
-                    continue;
-                }
-                let aux = self.pack_aux(i, flags);
-                let total = data_cost + model.aux_cost(aux);
-                if !found || total.packed() < best.packed() {
-                    best = total;
-                    best_aux = aux;
-                    best_kernel = i;
-                    best_flags = flags;
-                    found = true;
-                }
+            // Aux-cost pruning: costs are non-negative, so a kernel whose
+            // data cost alone is not better than the incumbent total can
+            // never win — skip its aux evaluation.
+            if found && data_cost.packed() >= best.packed() {
+                continue;
+            }
+            let aux = self.pack_aux(i, flags);
+            let total = data_cost + model.aux_cost(aux);
+            if !found || total.packed() < best.packed() {
+                best = total;
+                best_aux = aux;
+                best_kernel = i;
+                best_flags = flags;
+                found = true;
             }
         }
         assert!(found, "at least one kernel");
 
         // Materialize only the winner: data ^ broadcast kernel, flipping the
         // partitions whose complement form won.
-        out.codeword.reset_zeros(self.block_bits);
-        let kb = kernels.broadcast(best_kernel);
-        let mut j = 0usize;
-        for (w, &dw) in words.iter().enumerate() {
-            let mut flip = 0u64;
-            let base = w * 64;
-            let mut sh = 0usize;
-            while sh < 64 && j < self.partitions && base + sh < self.block_bits {
-                if (best_flags >> j) & 1 == 1 {
-                    flip |= m_mask << sh;
-                }
-                sh += m;
-                j += 1;
+        let mut flip = 0u64;
+        for j in 0..self.partitions {
+            if (best_flags >> j) & 1 == 1 {
+                flip |= m_mask << (j * m);
             }
-            out.codeword
-                .insert_word_masked(w, dw ^ kb ^ flip, model.word_mask(w));
         }
+        out.codeword = Block::from_u64(dw ^ kernels.broadcast(best_kernel) ^ flip, self.block_bits);
         out.aux = best_aux;
         out.cost = best.to_cost();
     }
@@ -468,13 +417,11 @@ impl Vcc {
         ctx: &WriteContext,
         cost: &dyn CostFunction,
         kernels: &KernelSet,
-        scratch: &mut EncodeScratch,
         out: &mut Encoded,
     ) {
         let m = self.kernel_bits;
-        let (cand_slot, best_slot) = (&mut scratch.cand, &mut scratch.best);
-        let cand = EncodeScratch::slot(cand_slot, self.block_bits);
-        let best = EncodeScratch::slot(best_slot, self.block_bits);
+        let mut cand = Block::zeros(self.block_bits);
+        let mut best = cand;
         let mut found = false;
         for i in 0..kernels.len() {
             let mut flags = 0u64;
@@ -498,25 +445,22 @@ impl Vcc {
             let aux = self.pack_aux(i, flags);
             let total = data_cost + ctx.aux_cost(cost, aux);
             if !found || total.is_better_than(&out.cost) {
-                // The winner parks in `best` (same width as `cand` for the
-                // whole loop, so the swap can never leave a stale length —
-                // see the `EncodeScratch::slot` contract).
-                std::mem::swap(best, cand);
+                best = cand;
                 out.aux = aux;
                 out.cost = total;
                 found = true;
             }
         }
         assert!(found, "at least one kernel");
-        out.codeword.copy_from(best);
+        out.codeword = best;
     }
 
     /// Encodes in MLC generated mode: only the right digits are transformed;
     /// costs are evaluated on whole symbols (left digit interleaved back in).
     ///
-    /// Blocks that fit one word route through the broadcast-SWAR search
-    /// whenever the objective compiles to transition classes; the retained
-    /// scalar path runs otherwise.
+    /// Routes through the broadcast-SWAR search whenever the objective
+    /// compiles to transition classes and a partition's symbol field is a
+    /// power of two; the retained scalar path runs otherwise.
     fn encode_mlc_generated(
         &self,
         data: &Block,
@@ -526,7 +470,7 @@ impl Vcc {
         scratch: &mut EncodeScratch,
         out: &mut Encoded,
     ) {
-        if self.block_bits <= 64 && (2 * self.kernel_bits).is_power_of_two() {
+        if (2 * self.kernel_bits).is_power_of_two() {
             if let Some(model) = ctx.cost_model(cost) {
                 self.encode_mlc_generated_fast(data, ctx, &model, config, out);
                 return;
@@ -565,16 +509,16 @@ impl Vcc {
         &self,
         data: &Block,
         ctx: &WriteContext,
-        model: &CostModel<'_>,
+        model: &CostModel,
         config: &GeneratorConfig,
         out: &mut Encoded,
     ) {
         let m = self.kernel_bits; // right-digit bits per partition
         let f = 2 * m; // symbol bits per partition
         let digit_bits = self.block_bits / 2;
-        let dw = data.words()[0];
-        let sm = ctx.stuck.mask().words()[0];
-        let sv = ctx.stuck.value().words()[0];
+        let dw = data.as_u64();
+        let sm = ctx.stuck.mask().as_u64();
+        let sv = ctx.stuck.value().as_u64();
         let block_mask = low_bits(self.block_bits);
         let digit_mask = low_bits(digit_bits);
         let right_mask = MLC_RIGHT_DIGITS & block_mask;
@@ -598,7 +542,7 @@ impl Vcc {
         // kernel: the direct + complement total of every kernel. Wrapping
         // word arithmetic is exact here because each field of a difference
         // `total - direct` is itself a count that fits its field.
-        let (zero, ones) = model.planes_pair(0, dw, right_mask);
+        let (zero, ones) = model.planes_pair(dw, right_mask);
         let (zero, ones) = (model.field_counts(&zero, f), model.field_counts(&ones, f));
         let mut pair_counts = [0u64; ClassSet::MAX];
         for (t, (z, o)) in pair_counts.iter_mut().zip(zero.iter().zip(ones.iter())) {
@@ -622,7 +566,7 @@ impl Vcc {
             }
             let k_sym = base_sym[j] ^ v_sym;
             j += 1;
-            let direct = model.field_counts(&model.planes(0, dw ^ k_sym), f);
+            let direct = model.field_counts(&model.planes(dw ^ k_sym), f);
             let mut flags = 0u64;
             let mut data_cost = FixedCost::ZERO;
             let mut take_tops = 0u64;
@@ -673,8 +617,7 @@ impl Vcc {
                 flip |= right_mask & (sym_mask << (j * f));
             }
         }
-        out.codeword
-            .set_from_u64((dw ^ best_k_sym ^ flip) & block_mask, self.block_bits);
+        out.codeword = Block::from_u64(dw ^ best_k_sym ^ flip, self.block_bits);
         out.aux = best_aux;
         out.cost = best.to_cost();
     }
@@ -692,29 +635,20 @@ impl Vcc {
         out: &mut Encoded,
     ) {
         let m = self.kernel_bits; // right-digit bits per partition
-        let digit_bits = self.block_bits / 2;
-        let left = EncodeScratch::slot(&mut scratch.left, digit_bits);
-        extract_left_digits_into(data, left);
-        let right = EncodeScratch::slot(&mut scratch.right, digit_bits);
-        extract_right_digits_into(data, right);
+        let left = extract_left_digits(data);
+        let right = extract_right_digits(data);
         // Seed Algorithm 2 with the left digits as they will actually be
         // stored (stuck cells keep their frozen value). The decoder reads
         // those same stored left digits, so it regenerates identical kernels
         // even in the presence of left-digit faults.
-        let stored_left = EncodeScratch::slot(&mut scratch.stored_left, digit_bits);
-        {
-            let staging = EncodeScratch::slot(&mut scratch.cand, self.block_bits);
-            staging.copy_from(data);
-            ctx.stuck.apply_in_place(staging);
-            extract_left_digits_into(staging, stored_left);
-        }
-        generate_kernels_into(stored_left, *config, &mut scratch.kernels);
+        let stored_left = extract_left_digits(&ctx.stuck.apply_to(data));
+        generate_kernels_into(&stored_left, *config, &mut scratch.kernels);
         let kernels = &scratch.kernels;
 
         // `cand` holds the candidate right-digit vector; the winner parks in
         // `best` until the kernel loop finishes.
-        let cand = EncodeScratch::slot(&mut scratch.cand, digit_bits);
-        let best = EncodeScratch::slot(&mut scratch.best, digit_bits);
+        let mut cand = Block::zeros(right.len());
+        let mut best = cand;
         let mut found = false;
         for i in 0..kernels.len() {
             let mut flags = 0u64;
@@ -743,14 +677,14 @@ impl Vcc {
             let aux = self.pack_aux(i, flags);
             let total = data_cost + ctx.aux_cost(cost, aux);
             if !found || total.is_better_than(&out.cost) {
-                std::mem::swap(best, cand);
+                best = cand;
                 out.aux = aux;
                 out.cost = total;
                 found = true;
             }
         }
         assert!(found, "at least one kernel");
-        interleave_digits_into(left, best, &mut out.codeword);
+        out.codeword = interleave_digits(&left, &best);
     }
 }
 
@@ -778,13 +712,6 @@ impl Encoder for Vcc {
         self.kernel_index_bits() + self.partitions as u32
     }
 
-    // ORACLE: crates/coset/tests/cost_oracle.rs
-    fn encode(&self, data: &Block, ctx: &WriteContext, cost: &dyn CostFunction) -> Encoded {
-        let mut out = Encoded::placeholder(self.block_bits);
-        self.encode_into(data, ctx, cost, &mut EncodeScratch::new(), &mut out);
-        out
-    }
-
     fn encode_into(
         &self,
         data: &Block,
@@ -796,9 +723,7 @@ impl Encoder for Vcc {
         assert_eq!(data.len(), self.block_bits, "data width mismatch");
         assert_eq!(ctx.data_bits(), self.block_bits, "context width mismatch");
         match &self.mode {
-            VccMode::FullBlock { kernels } => {
-                self.encode_full_block(data, ctx, cost, kernels, scratch, out)
-            }
+            VccMode::FullBlock { kernels } => self.encode_full_block(data, ctx, cost, kernels, out),
             VccMode::MlcGenerated { config } => {
                 self.encode_mlc_generated(data, ctx, cost, config, scratch, out)
             }
@@ -1021,7 +946,7 @@ mod tests {
             let data = Block::random(&mut rng, 64);
             let old = Block::random(&mut rng, 64);
             // aux_bits = 0 so aux cost does not perturb the comparison.
-            let ctx = WriteContext::new(old.clone(), 0, 0);
+            let ctx = WriteContext::new(old, 0, 0);
             let ev = vcc.encode(&data, &ctx, &BitFlips);
             let er = rcc.encode(&data, &ctx, &BitFlips);
             assert_eq!(
@@ -1189,7 +1114,7 @@ mod tests {
         // Re-writing the exact current contents is free: the identity kernel
         // provides a zero-flip candidate (biased-data behaviour).
         let data = Block::random(&mut rng, 64);
-        let ctx = WriteContext::new(data.clone(), 0, vcc.aux_bits());
+        let ctx = WriteContext::new(data, 0, vcc.aux_bits());
         let enc = vcc.encode(&data, &ctx, &BitFlips);
         assert_eq!(enc.codeword, data, "identity candidate should win");
         assert_eq!(vcc.decode(&enc.codeword, enc.aux), data);

@@ -50,7 +50,7 @@ proptest! {
         let data_block = Block::from_u64(data, 64);
         let old_block = Block::from_u64(old, 64);
         for encoder in encoders(seed) {
-            let ctx = WriteContext::new(old_block.clone(), old_aux, encoder.aux_bits());
+            let ctx = WriteContext::new(old_block, old_aux, encoder.aux_bits());
             for cost in [&BitFlips as &dyn coset::CostFunction, &OnesCount, &WriteEnergy::mlc()] {
                 let enc = encoder.encode(&data_block, &ctx, cost);
                 prop_assert_eq!(
@@ -78,7 +78,7 @@ proptest! {
         let fnw = Fnw::with_sub_block(64, 16);
         let flipcy = Flipcy::new(64);
         for encoder in [&fnw as &dyn Encoder, &flipcy] {
-            let ctx = WriteContext::new(old_block.clone(), 0, encoder.aux_bits());
+            let ctx = WriteContext::new(old_block, 0, encoder.aux_bits());
             let enc = encoder.encode(&data_block, &ctx, &BitFlips);
             prop_assert!(
                 enc.codeword.hamming_distance(&old_block) <= baseline,
@@ -101,7 +101,7 @@ proptest! {
         let rcc = Rcc::new(64, kernels.virtual_cosets(4));
         let data_block = Block::from_u64(data, 64);
         let old_block = Block::from_u64(old, 64);
-        let ctx = WriteContext::new(old_block.clone(), 0, 0);
+        let ctx = WriteContext::new(old_block, 0, 0);
         let ev = vcc.encode(&data_block, &ctx, &BitFlips);
         let er = rcc.encode(&data_block, &ctx, &BitFlips);
         prop_assert_eq!(
@@ -133,9 +133,8 @@ proptest! {
 
     /// MLC digit extraction and re-interleaving are mutual inverses.
     #[test]
-    fn digit_interleaving_roundtrip(words in prop::collection::vec(any::<u64>(), 1..8)) {
-        let len = words.len() * 64;
-        let block = Block::from_words(&words, len);
+    fn digit_interleaving_roundtrip(value in word(), symbols in 1usize..=32) {
+        let block = Block::from_u64(value, 2 * symbols);
         let left = extract_left_digits(&block);
         let right = extract_right_digits(&block);
         prop_assert_eq!(interleave_digits(&left, &right), block);
@@ -144,12 +143,12 @@ proptest! {
     /// Block slice/splice/extract/insert are consistent.
     #[test]
     fn block_slice_splice_consistency(
-        words in prop::collection::vec(any::<u64>(), 2..8),
+        value in word(),
         start_frac in 0.0f64..1.0,
         width in 1usize..64,
     ) {
-        let len = words.len() * 64;
-        let block = Block::from_words(&words, len);
+        let len = 64;
+        let block = Block::from_u64(value, len);
         let start = ((len - width) as f64 * start_frac) as usize;
         let slice = block.slice(start, width);
         prop_assert_eq!(slice.len(), width);
@@ -172,9 +171,9 @@ proptest! {
 
     /// Display/parse round-trip for blocks of arbitrary width.
     #[test]
-    fn block_display_parse_roundtrip(words in prop::collection::vec(any::<u64>(), 1..4), trim in 0usize..63) {
-        let len = words.len() * 64 - trim;
-        let block = Block::from_words(&words, len);
+    fn block_display_parse_roundtrip(value in word(), trim in 0usize..63) {
+        let len = 64 - trim;
+        let block = Block::from_u64(value, len);
         let text = block.to_string();
         prop_assert_eq!(parse_bits(&text), block);
     }
@@ -231,7 +230,7 @@ proptest! {
         let mut scratch = EncodeScratch::new();
         let mut out = Encoded::placeholder(64);
         for encoder in encoders(seed) {
-            let ctx = WriteContext::new(old_block.clone(), old_aux, encoder.aux_bits())
+            let ctx = WriteContext::new(old_block, old_aux, encoder.aux_bits())
                 .with_stuck(stuck.clone());
             for cost in [
                 &BitFlips as &dyn coset::CostFunction,

@@ -10,7 +10,7 @@
 //! per-rule escape hatches, and the semantic-layer design note.
 //!
 //! The tool is pure std: a hand-rolled comment/string/raw-string aware
-//! lexer ([`lexer`]), per-file structure analysis ([`file`]), a rule engine
+//! lexer ([`lexer`]), per-file structure analysis ([`file`](mod@file)), a rule engine
 //! ([`rules`] + the global [`oracle`] pass + the interprocedural [`sema`]
 //! layer — symbol table, call graph, and the DET03/LOCK01/PANIC02 rules),
 //! scoping config ([`config::Config`], loaded from `detlint.toml`), and

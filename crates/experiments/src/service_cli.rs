@@ -201,12 +201,12 @@ pub fn serve_main(args: &[String]) {
 
 /// `reproduce loadgen`: runs the default scenario matrix and prints the
 /// throughput/fairness table (`--json` prints the full JSON instead;
-/// `--fast` or `SERVICE_FAST=1` shrinks the per-tenant access counts).
+/// `--fast` shrinks the per-tenant access counts).
 /// `--saturation` instead sweeps the per-bank issue interval over
 /// [`loadgen::DEFAULT_SATURATION_INTERVALS`] on the matrix's last (largest)
 /// scenario and prints per-tenant latency percentiles at each offered load.
 pub fn loadgen_main(args: &[String]) {
-    let mut fast = std::env::var("SERVICE_FAST").is_ok_and(|v| v != "0");
+    let mut fast = false;
     let mut json = false;
     let mut saturation = false;
     let mut scale = Scale::Tiny;

@@ -77,7 +77,6 @@ pub mod fault;
 pub mod memory;
 pub mod row;
 pub mod stats;
-pub mod wearlevel;
 
 pub use config::PcmConfig;
 pub use endurance::{EnduranceModel, RowEndurance};
@@ -88,4 +87,3 @@ pub use stats::{
     nearest_rank, LatencyHistogram, LatencySummary, LineWriteOutcome, MemoryStats,
     WordWriteOutcome, LATENCY_BUCKETS,
 };
-pub use wearlevel::StartGap;

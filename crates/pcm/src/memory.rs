@@ -42,7 +42,7 @@ use crate::stats::{LineWriteOutcome, MemoryStats, WordWriteOutcome};
 /// Owns the encoder's [`EncodeScratch`] plus the per-line context and result
 /// vectors, so repeated [`PcmMemory::write_line_with`] calls reuse one set
 /// of allocations instead of re-allocating per candidate and per word. The
-/// per-word [`WriteContext`]s hold one-word blocks inline, so rebuilding
+/// per-word [`WriteContext`]s hold one-word `Copy` blocks, so rebuilding
 /// them allocates nothing either. Once the scratch is warm, a line write
 /// to an already-materialized row makes one heap allocation: the `words`
 /// vector of the returned [`LineWriteOutcome`].

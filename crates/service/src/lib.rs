@@ -81,7 +81,7 @@ const TENANT_DOMAIN_TAG: u64 = 0x7E4A_4E54_5F4B_4559; // "tenant key"
 
 /// Derives tenant `tenant_id`'s encryption seed from the service base seed:
 /// the engine's [`engine::mix_shard_seed`] SplitMix64 derivation, applied in
-/// a tenant-specific domain (see [`TENANT_DOMAIN_TAG`]).
+/// a tenant-specific domain (the private `TENANT_DOMAIN_TAG`).
 ///
 /// Every shard of the tenant is keyed with this one seed (unified keying
 /// within the tenant), which is what makes the tenant's merged statistics

@@ -74,7 +74,7 @@ fn main() {
     for _ in 0..writes {
         let data = Block::random(&mut rng, 64);
         let old = Block::random(&mut rng, 64);
-        let ctx = WriteContext::new(old.clone(), rng.gen::<u64>() & 0xFF, vcc.aux_bits());
+        let ctx = WriteContext::new(old, rng.gen::<u64>() & 0xFF, vcc.aux_bits());
 
         for (cost, counter) in [
             (

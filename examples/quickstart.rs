@@ -80,13 +80,13 @@ fn main() {
     let mut decoded = [0u64; 8];
     for (w, old) in old_row.iter().enumerate() {
         let data = Block::from_u64(ciphertext[w], 64);
-        let ctx = WriteContext::new(old.clone(), rng.gen::<u64>() & 0xFF, vcc.aux_bits());
+        let ctx = WriteContext::new(*old, rng.gen::<u64>() & 0xFF, vcc.aux_bits());
 
         vcc.encode_into(&data, &ctx, &energy_cost, &mut scratch, &mut enc);
         vcc_energy += enc.cost.primary;
         decoded[w] = vcc.decode(&enc.codeword, enc.aux).as_u64();
 
-        let plain_ctx = WriteContext::new(old.clone(), 0, 0);
+        let plain_ctx = WriteContext::new(*old, 0, 0);
         unencoded_energy += unencoded
             .encode(&data, &plain_ctx, &energy_cost)
             .cost
