@@ -51,7 +51,6 @@ impl Default for Config {
                 "rand".into(),
                 "serde".into(),
                 "proptest".into(),
-                "criterion".into(),
                 "detlint".into(),
             ],
             det03_sink_types: vec![

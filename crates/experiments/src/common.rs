@@ -20,8 +20,8 @@ use workload::{generate_scaled_trace, BenchmarkProfile, Trace, WorkloadSource};
 /// accepts a scale:
 ///
 /// * [`Scale::Tiny`] — seconds; used by unit tests.
-/// * [`Scale::Small`] — minutes for the whole suite; the default for the
-///   recorded EXPERIMENTS.md numbers and the Criterion benches.
+/// * [`Scale::Small`] — minutes for the whole suite; the default of the
+///   `reproduce` binary.
 /// * [`Scale::Paper`] — the paper's parameters (2 GiB, 10^8 endurance, full
 ///   benchmark list); provided for completeness.
 ///

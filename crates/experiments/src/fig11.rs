@@ -93,7 +93,7 @@ pub fn run_with_engine(scale: Scale, seed: u64, engine_config: EngineConfig) -> 
 }
 
 /// Runs Figure 11 with an explicit technique and benchmark subset (used by
-/// tests and the ablation benches).
+/// [`run`] and the tests).
 pub fn run_with(
     scale: Scale,
     seed: u64,
@@ -175,7 +175,7 @@ mod tests {
     use super::*;
 
     /// A reduced roster keeps the unit test fast; the full seven-technique
-    /// run is exercised by the Criterion bench and the integration tests.
+    /// run is exercised by the full golden report (`GOLDEN_FULL=1`).
     #[test]
     fn vcc_outlives_unencoded_and_flipcy() {
         let benchmarks = Scale::Tiny.benchmarks();

@@ -165,8 +165,8 @@ impl MemoryStats {
 
     /// Snapshots the accumulator as a JSON object (the shared stats schema
     /// of the service frontend and the load generator). Counters stay in
-    /// the integer lane, `energy_pj` in the float lane, so
-    /// [`MemoryStats::from_json`] round-trips bit-exactly.
+    /// the integer lane, so values past 2^53 render exactly, and
+    /// `energy_pj` in the float lane.
     pub fn to_json(&self) -> serde::json::Value {
         use serde::json::Value;
         Value::object()
@@ -182,22 +182,6 @@ impl MemoryStats {
             .with("saw_cells", Value::UInt(self.saw_cells))
             .with("saw_word_events", Value::UInt(self.saw_word_events))
             .with("dead_cells", Value::UInt(self.dead_cells))
-    }
-
-    /// Rebuilds an accumulator from the [`MemoryStats::to_json`] schema;
-    /// `None` when a field is missing or has the wrong shape.
-    pub fn from_json(v: &serde::json::Value) -> Option<MemoryStats> {
-        Some(MemoryStats {
-            row_writes: v.get("row_writes")?.as_u64()?,
-            word_writes: v.get("word_writes")?.as_u64()?,
-            energy_pj: v.get("energy_pj")?.as_f64()?,
-            cells_programmed: v.get("cells_programmed")?.as_u64()?,
-            high_energy_programs: v.get("high_energy_programs")?.as_u64()?,
-            bit_flips: v.get("bit_flips")?.as_u64()?,
-            saw_cells: v.get("saw_cells")?.as_u64()?,
-            saw_word_events: v.get("saw_word_events")?.as_u64()?,
-            dead_cells: v.get("dead_cells")?.as_u64()?,
-        })
     }
 }
 
@@ -323,8 +307,7 @@ impl LatencyHistogram {
     }
 
     /// JSON form: bucket array trimmed after the last non-empty bucket,
-    /// every field in the integer lane so
-    /// [`LatencyHistogram::from_json`] round-trips bit-exactly.
+    /// every field in the integer lane.
     pub fn to_json(&self) -> serde::json::Value {
         use serde::json::Value;
         let last = self
@@ -340,28 +323,6 @@ impl LatencyHistogram {
             .with("buckets", Value::Arr(buckets))
             .with("total_cycles", Value::UInt(self.total_cycles))
             .with("max_cycles", Value::UInt(self.max_cycles))
-    }
-
-    /// Rebuilds a histogram from the [`LatencyHistogram::to_json`] schema;
-    /// `None` on a missing field, wrong shape, or too many buckets.
-    pub fn from_json(v: &serde::json::Value) -> Option<LatencyHistogram> {
-        use serde::json::Value;
-        let arr = match v.get("buckets")? {
-            Value::Arr(items) => items,
-            _ => return None,
-        };
-        if arr.len() > LATENCY_BUCKETS {
-            return None;
-        }
-        let mut buckets = [0u64; LATENCY_BUCKETS];
-        for (slot, item) in buckets.iter_mut().zip(arr.iter()) {
-            *slot = item.as_u64()?;
-        }
-        Some(LatencyHistogram {
-            buckets,
-            total_cycles: v.get("total_cycles")?.as_u64()?,
-            max_cycles: v.get("max_cycles")?.as_u64()?,
-        })
     }
 }
 
@@ -484,11 +445,11 @@ mod tests {
     }
 
     #[test]
-    fn json_snapshot_round_trips_bit_exactly() {
+    fn json_snapshot_renders_counters_as_integers_and_energy_as_float() {
         let stats = MemoryStats {
             row_writes: u64::MAX, // counters must not detour through f64
             word_writes: 8,
-            energy_pj: 13.0 + 132.0 * 7.0, // integer-pJ sums, but any f64 must survive
+            energy_pj: 13.0 + 132.0 * 7.0,
             cells_programmed: 3,
             high_energy_programs: 1,
             bit_flips: 5,
@@ -496,14 +457,18 @@ mod tests {
             saw_word_events: 1,
             dead_cells: 4,
         };
-        let text = stats.to_json().render();
-        let back = MemoryStats::from_json(&serde::json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, stats);
-        assert_eq!(back.energy_pj.to_bits(), stats.energy_pj.to_bits());
-        // Defaults round-trip too, and a wrong shape answers None.
-        let d = MemoryStats::default();
-        assert_eq!(MemoryStats::from_json(&d.to_json()), Some(d));
-        assert_eq!(MemoryStats::from_json(&serde::json::Value::Null), None);
+        assert_eq!(
+            stats.to_json().render(),
+            r#"{"row_writes":18446744073709551615,"word_writes":8,"energy_pj":937.0,"#.to_owned()
+                + r#""cells_programmed":3,"high_energy_programs":1,"bit_flips":5,"#
+                + r#""saw_cells":2,"saw_word_events":1,"dead_cells":4}"#
+        );
+        assert_eq!(
+            MemoryStats::default().to_json().render(),
+            r#"{"row_writes":0,"word_writes":0,"energy_pj":0.0,"cells_programmed":0,"#.to_owned()
+                + r#""high_energy_programs":0,"bit_flips":0,"saw_cells":0,"#
+                + r#""saw_word_events":0,"dead_cells":0}"#
+        );
     }
 
     #[test]
@@ -644,18 +609,25 @@ mod tests {
     }
 
     #[test]
-    fn latency_json_round_trips_bit_exactly() {
+    fn latency_json_trims_buckets_and_stays_integer() {
         let mut h = LatencyHistogram::new();
         for v in [0u64, 5, 84, 168, 1 << 40, u64::MAX / 3] {
             h.record(v);
         }
-        let text = h.to_json().render();
-        let back = LatencyHistogram::from_json(&serde::json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, h);
-        // Empty histograms and wrong shapes.
-        let d = LatencyHistogram::default();
-        assert_eq!(LatencyHistogram::from_json(&d.to_json()), Some(d));
-        assert_eq!(LatencyHistogram::from_json(&serde::json::Value::Null), None);
+        // 64 buckets: the last sample's bit length is 63, so bucket 64 is
+        // trimmed; totals past 2^53 stay exact in the integer lane.
+        let buckets = "1,0,0,1,0,0,0,1,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,\
+                       0,0,0,0,0,0,0,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1";
+        assert_eq!(
+            h.to_json().render(),
+            r#"{"buckets":["#.to_owned()
+                + buckets
+                + r#"],"total_cycles":6148915790748145238,"max_cycles":6148914691236517205}"#
+        );
+        assert_eq!(
+            LatencyHistogram::default().to_json().render(),
+            r#"{"buckets":[],"total_cycles":0,"max_cycles":0}"#
+        );
     }
 
     #[test]

@@ -1,0 +1,86 @@
+//! Encoder paths: the broadcast-SWAR coset search against the scalar
+//! per-partition oracle, per scheme.
+//!
+//! Every scheme encodes the same 64 random 512-bit lines through
+//! `encode_line` (the call shape the write pipeline drives) twice: once
+//! under the Table-I MLC energy objective, which takes the broadcast
+//! candidate search, and once under the same objective wrapped in
+//! [`ScalarOnly`], which forces the scalar path. The table is the software
+//! analogue of the paper's Figure 6(c) delay comparison. It is a wall-clock
+//! reading of this host and writes no file.
+//!
+//! Run with: `cargo run --release --example encoder_paths`
+
+use std::hint::black_box;
+use std::time::Instant;
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+use vcc_repro::coset::cost::{CostFunction, ScalarOnly, WriteEnergy};
+use vcc_repro::coset::{
+    Block, EncodeScratch, Encoded, Encoder, Flipcy, Fnw, Rcc, Unencoded, Vcc, WriteContext,
+};
+
+/// Seed of the kernel draws and the encoded lines.
+const SEED: u64 = 0xBE2C;
+/// Lines encoded per timed measurement (rounded up to a whole pass over
+/// the 64-line set).
+const ITERS: usize = 2_000;
+
+/// One-shot `encode_line` throughput: ns per 512-bit line.
+fn line_rate_ns(encoder: &dyn Encoder, cost: &dyn CostFunction) -> f64 {
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let lines: Vec<[u64; 8]> = (0..64).map(|_| rng.gen()).collect();
+    let ctxs: Vec<WriteContext> = (0..8)
+        .map(|_| WriteContext::new(Block::random(&mut rng, 64), 0, encoder.aux_bits()))
+        .collect();
+    let mut scratch = EncodeScratch::new();
+    let mut out: Vec<Encoded> = Vec::new();
+    // One warm-up pass sizes the scratch and output buffers.
+    for line in &lines {
+        encoder.encode_line(line, &ctxs, cost, &mut scratch, &mut out);
+    }
+    let start = Instant::now();
+    let mut n = 0usize;
+    while n < ITERS {
+        for line in &lines {
+            encoder.encode_line(black_box(line), &ctxs, cost, &mut scratch, &mut out);
+            n += 1;
+        }
+    }
+    start.elapsed().as_nanos() as f64 / n as f64
+}
+
+/// Prints the broadcast vs scalar `encode_line` cost of every scheme.
+fn headline() {
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let energy = WriteEnergy::mlc();
+    let scalar_energy = ScalarOnly(WriteEnergy::mlc());
+    let rows: Vec<(&str, Box<dyn Encoder>)> = vec![
+        ("vcc256_generated", Box::new(Vcc::paper_mlc(256))),
+        ("vcc256_stored", Box::new(Vcc::paper_stored(256, &mut rng))),
+        ("rcc256", Box::new(Rcc::random(64, 256, &mut rng))),
+        ("fnw16", Box::new(Fnw::with_sub_block(64, 16))),
+        ("flipcy", Box::new(Flipcy::new(64))),
+        ("unencoded", Box::new(Unencoded::new(64))),
+    ];
+    println!(
+        "Encoder path — broadcast-SWAR coset search vs scalar oracle \
+         (512-bit lines, Table-I energy)"
+    );
+    for (name, encoder) in &rows {
+        let fast_ns = line_rate_ns(encoder.as_ref(), &energy);
+        let scalar_ns = line_rate_ns(encoder.as_ref(), &scalar_energy);
+        println!(
+            "{name:<18} broadcast {fast_ns:>9.0} ns/line  scalar {scalar_ns:>9.0} ns/line  \
+             ({:>8.0} lines/s, {:>5.2}x)",
+            1e9 / fast_ns,
+            scalar_ns / fast_ns,
+        );
+    }
+}
+
+fn main() {
+    headline();
+}
