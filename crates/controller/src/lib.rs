@@ -12,10 +12,11 @@
 //!
 //! Internally the pipeline drives the zero-allocation encoding sessions
 //! ([`coset::EncodeScratch`] via [`pcm::LineWriteScratch`]), and a
-//! [`coset::Block`] is a one-word `Copy` value. So once the scratch is warm,
-//! each programming attempt on an already-written line (one per write,
-//! plus any retries) makes exactly one heap allocation: the `words` vector
-//! of the [`LineWriteOutcome`] it returns. Read-back decodes into a
+//! [`coset::Block`] is a one-word `Copy` value, and the
+//! [`LineWriteOutcome`] of a programming attempt holds its per-word
+//! outcomes inline. So once the scratch is warm, a programming attempt on
+//! an already-written line (one per write, plus any retries) makes no heap
+//! allocation. Read-back decodes into a
 //! pipeline-owned line buffer ([`PcmMemory::read_line_into`]) and makes
 //! none. A first touch of a row or line still allocates the row and grows
 //! the pipeline's maps.

@@ -7,7 +7,7 @@
 //! the stuck-at state of a bit range.
 
 use crate::block::{low_bits, Block};
-use crate::cost::{ClassSet, Cost, CostFunction, Field, FixedCost};
+use crate::cost::{ClassSet, Cost, CostFunction, Field, FixedCost, LANES};
 
 /// Stuck-at information for a block-sized region of memory.
 ///
@@ -268,7 +268,7 @@ impl WriteContext {
             (1u64 << aux_bits) - 1
         };
         Some(CostModel {
-            classes,
+            classes: *classes,
             old: self.old_data.as_u64(),
             stuck_mask: self.stuck.mask().as_u64(),
             stuck_value: self.stuck.value().as_u64(),
@@ -455,7 +455,48 @@ impl CostModel {
             self.aux_mask,
         )
     }
+
+    /// Whether [`CostModel::aux_cost_lanes`] is exact: the padded aux
+    /// region fits a 16-bit field and so do its weighted class costs.
+    pub(crate) fn aux_lanes_fit(&self) -> bool {
+        self.aux_mask <= low_bits(AUX_LANE_BITS) && self.classes.weighted_fields_fit(AUX_LANE_BITS)
+    }
+
+    /// [`CostModel::aux_cost`] of [`LANES`] candidate aux words in one
+    /// pass: the candidates sit in 16-bit fields of one word, costed
+    /// against the destination's aux planes broadcast to every field, so a
+    /// single plane derivation plus per-field popcounts prices them all.
+    /// Only valid when [`CostModel::aux_lanes_fit`] holds.
+    #[inline(always)]
+    pub(crate) fn aux_cost_lanes(&self, aux: &[u64; LANES]) -> [FixedCost; LANES] {
+        // One set bit per 16-bit field: multiplying a field-wide value by it
+        // copies the value into every field without carries.
+        const BROADCAST: u64 = 0x0001_0001_0001_0001;
+        debug_assert!(self.aux_lanes_fit());
+        let field = low_bits(AUX_LANE_BITS);
+        let mut packed = 0u64;
+        for (l, a) in aux.iter().enumerate() {
+            packed |= (a & self.aux_mask) << (AUX_LANE_BITS * l);
+        }
+        let planes = self.classes.planes(
+            packed,
+            (self.aux_old & self.aux_mask) * BROADCAST,
+            (self.aux_stuck_mask & self.aux_mask) * BROADCAST,
+            (self.aux_stuck_value & self.aux_mask) * BROADCAST,
+            self.aux_mask * BROADCAST,
+        );
+        let counts = self.classes.field_counts(&planes, AUX_LANE_BITS);
+        let (primary, secondary) = self.classes.weighted_fields(&counts);
+        std::array::from_fn(|l| FixedCost {
+            primary: (primary >> (AUX_LANE_BITS * l)) & field,
+            secondary: (secondary >> (AUX_LANE_BITS * l)) & field,
+        })
+    }
 }
+
+/// Field width of [`CostModel::aux_cost_lanes`]: [`LANES`] fields fill one
+/// word.
+const AUX_LANE_BITS: usize = 64 / LANES;
 
 #[cfg(test)]
 mod tests {
@@ -555,6 +596,39 @@ mod tests {
                     "aux cost diverged for {}",
                     cf.name()
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn packed_aux_lanes_match_aux_cost() {
+        use crate::cost::{opt_saw_then_energy, BitFlips, WriteEnergy};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(31);
+        let objectives: [Box<dyn CostFunction>; 3] = [
+            Box::new(WriteEnergy::mlc()),
+            Box::new(opt_saw_then_energy()),
+            Box::new(BitFlips),
+        ];
+        for aux_bits in 0..=17u32 {
+            let wide = low_bits(aux_bits.max(1) as usize);
+            let ctx = WriteContext::new(Block::random(&mut rng, 64), rng.gen(), aux_bits)
+                .with_stuck_aux(rng.gen::<u64>() & rng.gen::<u64>(), rng.gen());
+            for cf in &objectives {
+                let model = ctx.cost_model(cf.as_ref()).expect("classes available");
+                // Odd widths pad to the next even one: 15 bits still fit.
+                assert_eq!(model.aux_lanes_fit(), aux_bits <= 16, "{aux_bits} aux bits");
+                if !model.aux_lanes_fit() {
+                    continue;
+                }
+                for _ in 0..50 {
+                    let aux: [u64; LANES] = std::array::from_fn(|_| rng.gen::<u64>() & wide);
+                    let packed = model.aux_cost_lanes(&aux);
+                    for (a, c) in aux.iter().zip(packed) {
+                        assert_eq!(c, model.aux_cost(*a), "{} aux {a:#x}", cf.name());
+                    }
+                }
             }
         }
     }

@@ -194,8 +194,10 @@ struct CompiledClass {
 }
 
 impl CompiledClass {
-    fn compile(rule: ClassRule) -> CompiledClass {
+    const fn compile(rule: ClassRule) -> CompiledClass {
         let max = u64::MAX;
+        let high = matches!(rule, ClassRule::MlcHigh);
+        let set = matches!(rule, ClassRule::SlcSet);
         match rule {
             ClassRule::Ones => CompiledClass {
                 a: 0,
@@ -221,8 +223,8 @@ impl CompiledClass {
                 fold: max,
                 c: 0,
                 d: max,
-                e: if rule == ClassRule::MlcHigh { max } else { 0 },
-                f: if rule == ClassRule::MlcHigh { 0 } else { max },
+                e: if high { max } else { 0 },
+                f: if high { 0 } else { max },
             },
             ClassRule::SlcSet | ClassRule::SlcReset => CompiledClass {
                 a: max,
@@ -230,8 +232,8 @@ impl CompiledClass {
                 fold: 0,
                 c: 0,
                 d: max,
-                e: if rule == ClassRule::SlcSet { max } else { 0 },
-                f: if rule == ClassRule::SlcSet { 0 } else { max },
+                e: if set { max } else { 0 },
+                f: if set { 0 } else { max },
             },
             ClassRule::Saw => CompiledClass {
                 a: 0,
@@ -296,7 +298,7 @@ impl CompiledClass {
 /// partition masks ([`ClassSet::planes`] + [`ClassSet::plane_cost`]) — the
 /// latter is what lets the VCC encoder cost every partition of a block with
 /// a handful of popcounts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClassSet {
     classes: [CostClass; ClassSet::MAX],
     compiled: [CompiledClass; ClassSet::MAX],
@@ -304,6 +306,12 @@ pub struct ClassSet {
     /// Whether any class charges a secondary (tie-break) unit; when false
     /// the hot loops skip the secondary accumulation entirely.
     has_secondary: bool,
+}
+
+impl Default for ClassSet {
+    fn default() -> Self {
+        ClassSet::EMPTY
+    }
 }
 
 /// Splits a word into `field_bits`-wide fields (a power of two dividing 64)
@@ -336,6 +344,26 @@ pub fn per_field_popcount(x: u64, field_bits: usize) -> u64 {
         return x;
     }
     (x + (x >> 32)) & 0x7F
+}
+
+/// Candidates costed per pass by the lane-batched kernel search: the
+/// per-candidate words of one pass sit in `[u64; LANES]` arrays that every
+/// step walks with the same straight-line code.
+pub(crate) const LANES: usize = 4;
+
+/// The class plane of a candidate assembled from two candidates that share
+/// every bit outside `sel`: where `sel` is set it takes `alt`'s plane bit,
+/// elsewhere `base`'s.
+///
+/// Exact whenever every plane bit depends only on its own cell, the
+/// candidates differ only in right digits and `sel` is a set of right
+/// digits: true for every [`ClassRule`], because the MLC rules fold a
+/// cell's flags onto its right-digit position. With `base`/`alt` the
+/// planes of `data` and `data ^ right_digits`, this yields the planes of
+/// `data ^ k` for any right-digit kernel `k` in two operations per class.
+#[inline(always)]
+pub(crate) fn mix_plane(base: u64, alt: u64, sel: u64) -> u64 {
+    base ^ ((base ^ alt) & sel)
 }
 
 /// Lane geometry for packed per-field arithmetic on weighted cost words:
@@ -439,9 +467,24 @@ impl ClassSet {
     /// a count objective and a two-class energy objective, or two energies).
     pub const MAX: usize = 4;
 
+    /// The empty set (the `const` twin of `Default`, for [`ClassSet::single`]).
+    const EMPTY: ClassSet = {
+        let none = CostClass {
+            rule: ClassRule::Ones,
+            primary: 0,
+            secondary: 0,
+        };
+        ClassSet {
+            classes: [none; Self::MAX],
+            compiled: [CompiledClass::compile(ClassRule::Ones); Self::MAX],
+            len: 0,
+            has_secondary: false,
+        }
+    };
+
     /// A single-class set with the given primary unit cost.
-    pub fn single(rule: ClassRule, unit: u64) -> Self {
-        let mut set = ClassSet::default();
+    pub const fn single(rule: ClassRule, unit: u64) -> Self {
+        let mut set = ClassSet::EMPTY;
         set.push(CostClass {
             rule,
             primary: unit,
@@ -451,12 +494,12 @@ impl ClassSet {
     }
 
     /// Appends a class; returns `false` (set unchanged) when full.
-    pub fn push(&mut self, class: CostClass) -> bool {
+    pub const fn push(&mut self, class: CostClass) -> bool {
         if (self.len as usize) < Self::MAX {
             self.classes[self.len as usize] = class;
             self.compiled[self.len as usize] = CompiledClass::compile(class.rule);
             self.len += 1;
-            self.has_secondary |= class.secondary != 0;
+            self.has_secondary = self.has_secondary || class.secondary != 0;
             true
         } else {
             false
@@ -528,6 +571,45 @@ impl ClassSet {
             }
         }
         (primary, secondary)
+    }
+
+    /// Class planes of the candidate that takes `alt`'s right digits under
+    /// `sel` and `base`'s elsewhere ([`mix_plane`] per class).
+    #[inline(always)]
+    pub(crate) fn mixed_planes(
+        &self,
+        base: &[u64; Self::MAX],
+        alt: &[u64; Self::MAX],
+        sel: u64,
+    ) -> [u64; Self::MAX] {
+        let mut planes = [0u64; Self::MAX];
+        for ((p, b), a) in planes.iter_mut().zip(base).zip(alt).take(self.len as usize) {
+            *p = mix_plane(*b, *a, sel);
+        }
+        planes
+    }
+
+    /// Weighted per-field primary cost words of [`LANES`] mixed candidates
+    /// at once (lane `l` selects with `sel[l]`, see
+    /// [`ClassSet::mixed_planes`]): per-field popcounts of every class
+    /// plane, times the class unit. The secondary units are ignored, so
+    /// callers gate on [`ClassSet::packed_select_fits`].
+    #[inline(always)]
+    pub(crate) fn mixed_cost_lanes(
+        &self,
+        base: &[u64; Self::MAX],
+        alt: &[u64; Self::MAX],
+        sel: &[u64; LANES],
+        field_bits: usize,
+    ) -> [u64; LANES] {
+        let mut cost = [0u64; LANES];
+        for ((b, a), class) in base.iter().zip(alt).zip(self.classes()) {
+            for (c, s) in cost.iter_mut().zip(sel) {
+                let n = per_field_popcount(mix_plane(*b, *a, *s), field_bits);
+                *c = c.wrapping_add(n.wrapping_mul(class.primary));
+            }
+        }
+        cost
     }
 
     /// Cost of one partition from precomputed [`ClassSet::field_counts`]:
@@ -817,7 +899,11 @@ pub trait CostFunction: Send + Sync {
     /// [`CostFunction::field_cost`] fallback. All five built-in objectives
     /// override this; [`WriteEnergy`] returns `None` for custom transition
     /// tables that are not per-class shaped or not integer-valued.
-    fn classes(&self) -> Option<ClassSet> {
+    ///
+    /// The set is borrowed (built once, at construction or as a `static`),
+    /// so [`WriteContext::cost_model`](crate::WriteContext::cost_model)
+    /// copies it exactly once per write.
+    fn classes(&self) -> Option<&ClassSet> {
         None
     }
 
@@ -882,8 +968,9 @@ impl CostFunction for OnesCount {
         Cost::new((field.new & field.bit_mask()).count_ones() as f64)
     }
 
-    fn classes(&self) -> Option<ClassSet> {
-        Some(ClassSet::single(ClassRule::Ones, 1))
+    fn classes(&self) -> Option<&ClassSet> {
+        static ONES: ClassSet = ClassSet::single(ClassRule::Ones, 1);
+        Some(&ONES)
     }
 }
 
@@ -901,8 +988,9 @@ impl CostFunction for BitFlips {
         Cost::new(((field.new ^ field.old) & field.bit_mask()).count_ones() as f64)
     }
 
-    fn classes(&self) -> Option<ClassSet> {
-        Some(ClassSet::single(ClassRule::Flips, 1))
+    fn classes(&self) -> Option<&ClassSet> {
+        static FLIPS: ClassSet = ClassSet::single(ClassRule::Flips, 1);
+        Some(&FLIPS)
     }
 }
 
@@ -919,8 +1007,9 @@ impl CostFunction for SawCount {
         Cost::new(field.saw_bits() as f64)
     }
 
-    fn classes(&self) -> Option<ClassSet> {
-        Some(ClassSet::single(ClassRule::Saw, 1))
+    fn classes(&self) -> Option<&ClassSet> {
+        static SAW: ClassSet = ClassSet::single(ClassRule::Saw, 1);
+        Some(&SAW)
     }
 }
 
@@ -1211,8 +1300,8 @@ impl CostFunction for WriteEnergy {
         }
     }
 
-    fn classes(&self) -> Option<ClassSet> {
-        self.class_set
+    fn classes(&self) -> Option<&ClassSet> {
+        self.class_set.as_ref()
     }
 }
 
@@ -1325,8 +1414,8 @@ impl<P: CostFunction, S: CostFunction> CostFunction for Lexico<P, S> {
         Cost::with_secondary(p.primary, s.primary)
     }
 
-    fn classes(&self) -> Option<ClassSet> {
-        self.class_set
+    fn classes(&self) -> Option<&ClassSet> {
+        self.class_set.as_ref()
     }
 }
 
@@ -1587,16 +1676,19 @@ mod tests {
         assert_eq!(OnesCount.classes().unwrap().classes().len(), 1);
         assert_eq!(BitFlips.classes().unwrap().classes().len(), 1);
         assert_eq!(SawCount.classes().unwrap().classes().len(), 1);
-        let mlc = WriteEnergy::mlc().classes().unwrap();
+        let mlc_energy = WriteEnergy::mlc();
+        let mlc = mlc_energy.classes().unwrap();
         assert_eq!(mlc.classes().len(), 2);
         assert_eq!(mlc.cell_bits(), 2);
         assert_eq!(mlc.classes()[0].primary, MLC_HIGH_TRANSITION_PJ as u64);
         assert_eq!(mlc.classes()[1].primary, MLC_LOW_TRANSITION_PJ as u64);
-        let slc = WriteEnergy::slc().classes().unwrap();
+        let slc_energy = WriteEnergy::slc();
+        let slc = slc_energy.classes().unwrap();
         assert_eq!(slc.cell_bits(), 1);
         // Lexico folds: primary classes charge primary, secondary classes
         // charge the tie-break component.
-        let lex = opt_saw_then_energy().classes().unwrap();
+        let saw_then_energy = opt_saw_then_energy();
+        let lex = saw_then_energy.classes().unwrap();
         assert_eq!(lex.classes().len(), 3);
         assert_eq!(lex.classes()[0].rule, ClassRule::Saw);
         assert_eq!(lex.classes()[0].secondary, 0);
@@ -1658,8 +1750,47 @@ mod tests {
     }
 
     #[test]
+    fn plane_mixing_matches_direct_planes_for_every_rule() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let rules = [
+            ClassRule::Ones,
+            ClassRule::Flips,
+            ClassRule::MlcHigh,
+            ClassRule::MlcLow,
+            ClassRule::SlcSet,
+            ClassRule::SlcReset,
+            ClassRule::Saw,
+        ];
+        let mut rng = StdRng::seed_from_u64(29);
+        for _ in 0..500 {
+            let (new, old, sv): (u64, u64, u64) = (rng.gen(), rng.gen(), rng.gen());
+            // Whole-cell and single-bit stuck masks: the identity holds for
+            // both, since no rule couples two cells.
+            let sm = rng.gen::<u64>() & rng.gen::<u64>();
+            let sel = rng.gen::<u64>() & MLC_RIGHT_DIGITS;
+            let mask = u64::MAX >> (2 * rng.gen_range(0..32u32));
+            for rule in rules {
+                let set = ClassSet::single(rule, 1);
+                let (base, alt) = set.planes_pair(new, MLC_RIGHT_DIGITS, old, sm, sv, mask);
+                let direct = set.planes(new ^ sel, old, sm, sv, mask);
+                assert_eq!(
+                    set.mixed_planes(&base, &alt, sel),
+                    direct,
+                    "{rule:?}: mixed planes diverge for new {new:#x} sel {sel:#x}"
+                );
+                let lanes = set.mixed_cost_lanes(&base, &alt, &[sel, 0, MLC_RIGHT_DIGITS, sel], 8);
+                assert_eq!(lanes[0], per_field_popcount(direct[0], 8), "{rule:?}");
+                assert_eq!(lanes[1], per_field_popcount(base[0], 8), "{rule:?}");
+                assert_eq!(lanes[2], per_field_popcount(alt[0], 8), "{rule:?}");
+            }
+        }
+    }
+
+    #[test]
     fn weighted_fields_bound_check() {
-        let mlc = WriteEnergy::mlc().classes().unwrap();
+        let mlc_energy = WriteEnergy::mlc();
+        let mlc = mlc_energy.classes().unwrap();
         // 16-bit fields hold 8 cells × 132 pJ comfortably; 8-bit fields
         // cannot hold 4 × 132.
         assert!(mlc.weighted_fields_fit(16));

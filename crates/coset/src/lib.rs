@@ -74,12 +74,29 @@
 //! words plus the compiled classes — and the encoders then:
 //!
 //! * broadcast each kernel across the block (`kernel_broadcast` words
-//!   precomputed in [`KernelSet`], or regenerated per write for the
-//!   Algorithm-2 deployment) and form whole-block candidate and complement
-//!   words with two XORs,
+//!   precomputed in [`KernelSet`], or derived in closed form per write for
+//!   the Algorithm-2 deployment) and form whole-block candidate and
+//!   complement words with two XORs,
 //! * cost **every partition at once** with per-field popcounts over the
 //!   class planes ([`cost::per_field_popcount`]), and
 //! * pick the cheaper complement form per partition branch-free.
+//!
+//! The generated-kernel search (the paper's MLC deployment, and the warm
+//! write path) goes further with three exact identities:
+//!
+//! * **Plane mixing.** A kernel flips only right digits and every class
+//!   plane bit depends only on its own cell, so a candidate's planes are
+//!   kernel 0's planes where the kernel is clear and the all-ones kernel's
+//!   where it is set: two operations per class, from two base planes
+//!   derived once per write.
+//! * **Four kernels per pass.** Per-field popcounts, weighted fields, the
+//!   packed cheaper-of-two and the field sums run over `[u64; 4]` lane
+//!   arrays, one kernel per lane, with no per-kernel branch; selection then
+//!   scans the lanes in index order, so ties keep the lowest kernel.
+//! * **Packed aux cost.** The four candidate aux words of a pass sit in
+//!   16-bit fields of one word, costed against the destination's aux state
+//!   broadcast to every field, whenever the aux region and its weighted
+//!   costs fit such a field.
 //!
 //! Hot-loop costs accumulate in fixed-point [`FixedCost`] (`u64`
 //! primary/secondary, compared as one packed `u128`); `f64` only reappears

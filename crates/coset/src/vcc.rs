@@ -25,11 +25,10 @@ use rand::Rng;
 
 use crate::block::{low_bits, Block};
 use crate::context::{CostModel, WriteContext};
-use crate::cost::{ClassSet, Cost, CostFunction, FieldLanes, FixedCost};
+use crate::cost::{ClassSet, Cost, CostFunction, FieldLanes, FixedCost, LANES};
 use crate::encoder::{check_block_bits, EncodeScratch, Encoded, Encoder};
 use crate::kernel::{
-    broadcast_word, ceil_log2, generate_kernels_into, kernel_at, repeat_mask, GeneratorConfig,
-    KernelSet,
+    ceil_log2, generate_kernels_into, kernel_at, repeat_mask, GeneratorConfig, KernelSet,
 };
 use crate::symbol::{
     compress_even_bits_word, extract_left_digits, extract_right_digits, interleave_digits,
@@ -479,32 +478,48 @@ impl Vcc {
         self.encode_mlc_generated_scalar(data, ctx, cost, config, scratch, out);
     }
 
-    /// Broadcast-SWAR generated-kernel search. The whole candidate block is
+    /// Lane-batched generated-kernel search. The whole candidate block is
     /// formed in the symbol domain with one XOR: spreading the kernel
     /// broadcast onto the right-digit positions
     /// ([`spread_to_right_digits`]) turns the per-partition right-digit
     /// XOR into `data ^ k_sym`, and the complement form is a further XOR
     /// with the right-digit mask. Digit extraction and re-interleaving
-    /// vanish from the per-kernel loop entirely (the winner needs no
+    /// vanish from the kernel loop entirely (the winner needs no
     /// interleave at all — its symbol word is already assembled).
     ///
-    /// Three identities keep the per-kernel work small:
+    /// Three exact identities and a lane layout keep the per-kernel work
+    /// small:
     ///
     /// * **Closed-form kernels.** Algorithm 2 is linear: kernel `v·b + j`
-    ///   is base vector `j` of the seed XOR variant mask `v`, so its
-    ///   symbol-domain broadcast is the XOR of two spreads — `b` base
-    ///   spreads plus one per variant replace a per-write kernel set.
+    ///   is base vector `j` of the seed XOR variant mask `v`. Both spread
+    ///   to one partition's symbol field, and one multiplication by a word
+    ///   with a set bit per field repeats the XOR across the block — no
+    ///   kernel set, no per-kernel broadcast loop.
+    /// * **Plane mixing.** A kernel flips only right digits, and every
+    ///   class plane bit depends only on its own cell, so the planes of
+    ///   `data ^ k_sym` are those of kernel 0 where `k_sym` is clear and
+    ///   those of the all-ones kernel where it is set
+    ///   ([`mix_plane`](crate::cost::mix_plane)): two operations per class
+    ///   instead of the whole selector formula. Both base planes come from
+    ///   one fused derivation per write.
     /// * **Direct form only.** Per symbol, the direct and complement forms
     ///   of any kernel are the two right-digit values of that symbol — the
     ///   same pair kernel 0 and the all-ones kernel give. For a per-symbol
     ///   additive objective, `cost_j(k) + cost_j(¬k)` is therefore a
     ///   per-word constant, and the complement costs one subtraction.
-    /// * **Packed cheaper-of-two.** When the weighted per-partition costs
-    ///   fit below their fields' top bits and there is no secondary unit
-    ///   ([`CostModel::packed_select_fits`]), every partition picks its
-    ///   cheaper form at once on the weighted field words
-    ///   ([`FieldLanes::select_min`]); other objectives take the
-    ///   per-partition loop.
+    /// * **Four kernels per pass.** Kernels are walked in batches of
+    ///   [`LANES`]. When the weighted per-partition costs fit below their
+    ///   fields' top bits and there is no secondary unit
+    ///   ([`CostModel::packed_select_fits`]), the per-field popcounts,
+    ///   weighted fields, cheaper-of-two ([`FieldLanes::select_min`]) and
+    ///   field sums of a batch run over `[u64; 4]` lane arrays with no
+    ///   per-kernel branch; other objectives cost each kernel of the batch
+    ///   with the per-partition loop. The batch's candidate aux words are
+    ///   then costed together in 16-bit fields of one word
+    ///   ([`CostModel::aux_cost_lanes`]) when the aux region and its
+    ///   weighted costs fit such a field, else one by one. Selection scans
+    ///   the batch in index order, so ties keep the lowest kernel index,
+    ///   as in the scalar path.
     fn encode_mlc_generated_fast(
         &self,
         data: &Block,
@@ -520,91 +535,108 @@ impl Vcc {
         let sm = ctx.stuck.mask().as_u64();
         let sv = ctx.stuck.value().as_u64();
         let block_mask = low_bits(self.block_bits);
-        let digit_mask = low_bits(digit_bits);
         let right_mask = MLC_RIGHT_DIGITS & block_mask;
         let sym_mask = low_bits(f);
+        let classes = model.classes();
 
         // Seed Algorithm 2 with the left digits as they will actually be
         // stored (stuck cells keep their frozen value), like the scalar
         // path and the decoder, and derive its kernels in closed form. The
-        // fast-path gate guarantees m is a power of two, so a kernel tiles
-        // a word and the stored-path broadcast serves here too.
-        let seed = compress_even_bits_word(((dw & !sm) | (sv & sm)) >> 1) & digit_mask;
+        // fast-path gate guarantees 2m is a power of two, so the partition
+        // fields tile the word and `repeat` has one set bit per field.
+        let seed = compress_even_bits_word(((dw & !sm) | (sv & sm)) >> 1) & low_bits(digit_bits);
+        let seed_sym = spread_to_right_digits(seed);
         let (b, mask_bits) = config.shape(digit_bits);
-        let to_sym = |k: u64| spread_to_right_digits(broadcast_word(k, m) & digit_mask);
-        let mut base_sym = [0u64; 32];
-        for (j, slot) in base_sym.iter_mut().enumerate().take(b) {
-            *slot = to_sym((seed >> (j * m)) & low_bits(m));
-        }
-        let variant_sym = |v: usize| to_sym(repeat_mask(v as u64, mask_bits, m));
+        let repeat = u64::MAX / sym_mask;
+        let variant_field = |v: usize| spread_to_right_digits(repeat_mask(v as u64, mask_bits, m));
 
-        // Per-field class counts of kernel 0 plus those of the all-ones
-        // kernel: the direct + complement total of every kernel. Wrapping
-        // word arithmetic is exact here because each field of a difference
+        // Class planes of kernel 0 and of the all-ones kernel: every
+        // kernel's planes mix these two. Their per-field counts sum to the
+        // direct + complement total of every kernel; wrapping word
+        // arithmetic is exact here because each field of a difference
         // `total - direct` is itself a count that fits its field.
         let (zero, ones) = model.planes_pair(dw, right_mask);
-        let (zero, ones) = (model.field_counts(&zero, f), model.field_counts(&ones, f));
+        let (zero_counts, ones_counts) =
+            (model.field_counts(&zero, f), model.field_counts(&ones, f));
         let mut pair_counts = [0u64; ClassSet::MAX];
-        for (t, (z, o)) in pair_counts.iter_mut().zip(zero.iter().zip(ones.iter())) {
+        for (t, (z, o)) in pair_counts
+            .iter_mut()
+            .zip(zero_counts.iter().zip(ones_counts.iter()))
+        {
             *t = z.wrapping_add(*o);
         }
         let lanes = model.packed_select_fits(f).then(|| FieldLanes::new(f));
         let pair_cost = model.weighted_fields(&pair_counts).0;
+        let aux_lanes = model.aux_lanes_fit();
 
         let mut best = FixedCost::ZERO;
         let mut best_aux = 0u64;
         let mut best_k_sym = 0u64;
         let mut best_flags = 0u64;
         let mut found = false;
-        // Kernel i = v·b + j, walked in index order (ties keep the lowest).
+        // Kernel i = v·b + j, walked in index order in batches of LANES.
         let (mut v, mut j) = (0usize, 0usize);
-        let mut v_sym = variant_sym(0);
-        for i in 0..self.num_kernels {
-            if j == b {
-                (v, j) = (v + 1, 0);
-                v_sym = variant_sym(v);
+        let mut v_field = variant_field(0);
+        for first in (0..self.num_kernels).step_by(LANES) {
+            let live = LANES.min(self.num_kernels - first);
+            let mut k_sym = [0u64; LANES];
+            for k in k_sym.iter_mut().take(live) {
+                if j == b {
+                    (v, j) = (v + 1, 0);
+                    v_field = variant_field(v);
+                }
+                *k = ((((seed_sym >> (j * f)) & sym_mask) ^ v_field) * repeat) & block_mask;
+                j += 1;
             }
-            let k_sym = base_sym[j] ^ v_sym;
-            j += 1;
-            let direct = model.field_counts(&model.planes(dw ^ k_sym), f);
-            let mut flags = 0u64;
-            let mut data_cost = FixedCost::ZERO;
-            let mut take_tops = 0u64;
+            let mut flags = [0u64; LANES];
+            let mut data_cost = [FixedCost::ZERO; LANES];
             if let Some(lanes) = lanes {
-                let cost = model.weighted_fields(&direct).0;
-                let (take_c, chosen) = lanes.select_min(cost, pair_cost.wrapping_sub(cost));
-                take_tops = take_c;
-                data_cost.primary = lanes.sum(chosen);
+                let cost = classes.mixed_cost_lanes(&zero, &ones, &k_sym, f);
+                for ((c, fl), dc) in cost.iter().zip(&mut flags).zip(&mut data_cost) {
+                    let (take_c, chosen) = lanes.select_min(*c, pair_cost.wrapping_sub(*c));
+                    *fl = lanes.gather_tops(take_c, self.partitions);
+                    dc.primary = lanes.sum(chosen);
+                }
             } else {
-                let mut comp = [0u64; ClassSet::MAX];
-                for (c, (t, d)) in comp.iter_mut().zip(pair_counts.iter().zip(direct.iter())) {
-                    *c = t.wrapping_sub(*d);
+                for ((k, fl), dc) in k_sym.iter().zip(&mut flags).zip(&mut data_cost).take(live) {
+                    let direct = model.field_counts(&classes.mixed_planes(&zero, &ones, *k), f);
+                    let mut comp = [0u64; ClassSet::MAX];
+                    for (c, (t, d)) in comp.iter_mut().zip(pair_counts.iter().zip(direct.iter())) {
+                        *c = t.wrapping_sub(*d);
+                    }
+                    for part in 0..self.partitions {
+                        let sh = part * f;
+                        let c = model.count_cost(&direct, sh, sym_mask);
+                        let c_c = model.count_cost(&comp, sh, sym_mask);
+                        let (take_c, chosen) = FixedCost::select_min(c, c_c);
+                        // SWAR-OK: take_c is 0 or 1, so exactly one flag is set.
+                        *fl |= take_c << part;
+                        *dc += chosen;
+                    }
                 }
-                for part in 0..self.partitions {
-                    let sh = part * f;
-                    let c = model.count_cost(&direct, sh, sym_mask);
-                    let c_c = model.count_cost(&comp, sh, sym_mask);
-                    let (take_c, chosen) = FixedCost::select_min(c, c_c);
-                    // SWAR-OK: take_c is 0 or 1, so exactly one flag is set.
-                    flags |= take_c << part;
-                    data_cost += chosen;
+            }
+            let mut aux = [0u64; LANES];
+            for (l, (a, fl)) in aux.iter_mut().zip(&flags).enumerate().take(live) {
+                *a = self.pack_aux(first + l, *fl);
+            }
+            let aux_cost = aux_lanes.then(|| model.aux_cost_lanes(&aux));
+            for l in 0..live {
+                // Aux-cost pruning (see encode_full_block_fast).
+                if found && data_cost[l].packed() >= best.packed() {
+                    continue;
                 }
-            }
-            // Aux-cost pruning (see encode_full_block_fast).
-            if found && data_cost.packed() >= best.packed() {
-                continue;
-            }
-            if let Some(lanes) = lanes {
-                flags = lanes.gather_tops(take_tops, self.partitions);
-            }
-            let aux = self.pack_aux(i, flags);
-            let total = data_cost + model.aux_cost(aux);
-            if !found || total.packed() < best.packed() {
-                best = total;
-                best_aux = aux;
-                best_k_sym = k_sym;
-                best_flags = flags;
-                found = true;
+                let aux_l = match aux_cost {
+                    Some(costs) => costs[l],
+                    None => model.aux_cost(aux[l]),
+                };
+                let total = data_cost[l] + aux_l;
+                if !found || total.packed() < best.packed() {
+                    best = total;
+                    best_aux = aux[l];
+                    best_k_sym = k_sym[l];
+                    best_flags = flags[l];
+                    found = true;
+                }
             }
         }
         assert!(found, "at least one kernel");

@@ -111,6 +111,15 @@ fn encoders(seed: u64) -> Vec<Box<dyn Encoder>> {
         // select, so the per-partition loop runs).
         Box::new(Vcc::generated_mlc(64, 16, 4)),
         Box::new(Vcc::generated_mlc(64, 4, 4)),
+        // Kernel counts around the four-kernel batches of the generated
+        // search: one kernel (a single, partial batch) and 128 kernels (32
+        // batches, 32 variant masks per base vector).
+        Box::new(Vcc::generated_mlc(64, 8, 1)),
+        Box::new(Vcc::generated_mlc(64, 8, 128)),
+        // 2-bit kernels: 16 partitions, so 18 aux bits — wider than the
+        // 16-bit field of the batched aux cost, which falls back to one aux
+        // cost per kernel even where the packed select runs (bit-flips).
+        Box::new(Vcc::generated_mlc(64, 2, 4)),
         Box::new(Vcc::hybrid(64, 16, 8, &mut rng)),
         Box::new(Rcc::random(64, 32, &mut rng)),
         Box::new(Rcc::random_with_identity(64, 16, &mut rng)),

@@ -102,6 +102,11 @@ impl PcmConfig {
             "word width must divide row width"
         );
         assert!(
+            self.words_per_row() <= crate::LineWriteOutcome::MAX_WORDS,
+            "a row holds at most {} words",
+            crate::LineWriteOutcome::MAX_WORDS
+        );
+        assert!(
             self.word_bits
                 .is_multiple_of(self.cell_kind.bits_per_cell()),
             "cell width must divide word width"
@@ -179,6 +184,16 @@ mod tests {
     fn invalid_geometry_panics() {
         let c = PcmConfig {
             row_bits: 500,
+            ..Default::default()
+        };
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 8 words")]
+    fn rows_wider_than_a_line_outcome_panic() {
+        let c = PcmConfig {
+            row_bits: 1024,
             ..Default::default()
         };
         c.validate();

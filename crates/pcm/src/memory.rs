@@ -43,9 +43,9 @@ use crate::stats::{LineWriteOutcome, MemoryStats, WordWriteOutcome};
 /// vectors, so repeated [`PcmMemory::write_line_with`] calls reuse one set
 /// of allocations instead of re-allocating per candidate and per word. The
 /// per-word [`WriteContext`]s hold one-word `Copy` blocks, so rebuilding
-/// them allocates nothing either. Once the scratch is warm, a line write
-/// to an already-materialized row makes one heap allocation: the `words`
-/// vector of the returned [`LineWriteOutcome`].
+/// them allocates nothing either, and the returned [`LineWriteOutcome`]
+/// holds its per-word outcomes inline. Once the scratch is warm, a line
+/// write to an already-materialized row makes no heap allocation.
 #[derive(Debug, Default)]
 pub struct LineWriteScratch {
     encode: EncodeScratch,
@@ -385,7 +385,7 @@ impl PcmMemory {
         let costs = self.costs;
         let aux_region_bits = self.aux_region_bits(aux_bits);
         let row = self.materialize(row_addr);
-        let mut words = Vec::with_capacity(encoded.len());
+        let mut line = LineWriteOutcome::default();
         for (w, enc) in encoded.iter().enumerate() {
             let mut outcome = WordWriteOutcome::default();
             row.commit_word(
@@ -396,12 +396,12 @@ impl PcmMemory {
                 &costs,
                 &mut outcome,
             );
-            words.push(outcome);
+            line.push(outcome);
         }
-        for outcome in &words {
+        for outcome in line.words() {
             self.stats.absorb(outcome);
         }
-        LineWriteOutcome { words }
+        line
     }
 
     /// Writes a full already-encrypted row (cache line) through an encoder.
@@ -531,7 +531,7 @@ impl PcmMemory {
         self.encode_line_stage(row_addr, line, encoder, cost, &mut scratch);
         self.stats.row_writes += 1;
         let aux_bits = encoder.aux_bits();
-        let words = scratch
+        scratch
             .encoded
             .iter()
             .enumerate()
@@ -546,8 +546,7 @@ impl PcmMemory {
                 self.stats.absorb(&outcome);
                 outcome
             })
-            .collect();
-        LineWriteOutcome { words }
+            .collect()
     }
 
     /// Scalar-oracle variant of [`PcmMemory::write_word`].

@@ -33,18 +33,47 @@ impl AddAssign for WordWriteOutcome {
     }
 }
 
-/// Outcome of writing a whole row (cache line).
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+/// Outcome of writing a whole row (cache line): the per-word outcomes in
+/// word order, held inline so that a line write allocates nothing.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LineWriteOutcome {
-    /// Per-word outcomes, in word order.
-    pub words: Vec<WordWriteOutcome>,
+    /// Slots past `len` stay at their default, so the derived equality
+    /// compares the words alone.
+    words: [WordWriteOutcome; LineWriteOutcome::MAX_WORDS],
+    len: u8,
 }
 
 impl LineWriteOutcome {
+    /// Most words one row holds: the paper's 512-bit row of 64-bit words
+    /// ([`crate::PcmConfig::validate`] rejects larger rows).
+    pub const MAX_WORDS: usize = 8;
+
+    /// Appends the next word's outcome.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the line already holds [`LineWriteOutcome::MAX_WORDS`]
+    /// words.
+    pub fn push(&mut self, word: WordWriteOutcome) {
+        let len = usize::from(self.len);
+        assert!(
+            len < Self::MAX_WORDS,
+            "a line holds at most {} words",
+            Self::MAX_WORDS
+        );
+        self.words[len] = word;
+        self.len += 1;
+    }
+
+    /// Per-word outcomes, in word order.
+    pub fn words(&self) -> &[WordWriteOutcome] {
+        &self.words[..usize::from(self.len)]
+    }
+
     /// Sum of the per-word outcomes.
     pub fn total(&self) -> WordWriteOutcome {
         let mut t = WordWriteOutcome::default();
-        for w in &self.words {
+        for w in self.words() {
             t += *w;
         }
         t
@@ -53,7 +82,7 @@ impl LineWriteOutcome {
     /// Per-word stuck-at-wrong counts (used by correction schemes to decide
     /// whether the row write is correctable).
     pub fn saw_per_word(&self) -> Vec<u32> {
-        let mut out = Vec::with_capacity(self.words.len());
+        let mut out = Vec::with_capacity(self.words().len());
         self.saw_per_word_into(&mut out);
         out
     }
@@ -62,12 +91,22 @@ impl LineWriteOutcome {
     /// caller's buffer (the write pipeline checks correctability per line).
     pub fn saw_per_word_into(&self, out: &mut Vec<u32>) {
         out.clear();
-        out.extend(self.words.iter().map(|w| w.saw_cells));
+        out.extend(self.words().iter().map(|w| w.saw_cells));
     }
 
     /// Total stuck-at-wrong cells in the row write.
     pub fn total_saw(&self) -> u32 {
-        self.words.iter().map(|w| w.saw_cells).sum()
+        self.words().iter().map(|w| w.saw_cells).sum()
+    }
+}
+
+impl FromIterator<WordWriteOutcome> for LineWriteOutcome {
+    fn from_iter<I: IntoIterator<Item = WordWriteOutcome>>(iter: I) -> Self {
+        let mut line = LineWriteOutcome::default();
+        for word in iter {
+            line.push(word);
+        }
+        line
     }
 }
 
@@ -403,20 +442,21 @@ mod tests {
 
     #[test]
     fn line_outcome_totals() {
-        let line = LineWriteOutcome {
-            words: vec![
-                WordWriteOutcome {
-                    saw_cells: 1,
-                    energy_pj: 10.0,
-                    ..Default::default()
-                },
-                WordWriteOutcome {
-                    saw_cells: 0,
-                    energy_pj: 5.0,
-                    ..Default::default()
-                },
-            ],
-        };
+        let line: LineWriteOutcome = [
+            WordWriteOutcome {
+                saw_cells: 1,
+                energy_pj: 10.0,
+                ..Default::default()
+            },
+            WordWriteOutcome {
+                saw_cells: 0,
+                energy_pj: 5.0,
+                ..Default::default()
+            },
+        ]
+        .into_iter()
+        .collect();
+        assert_eq!(line.words().len(), 2);
         assert_eq!(line.total().energy_pj, 15.0);
         assert_eq!(line.saw_per_word(), vec![1, 0]);
         assert_eq!(line.total_saw(), 1);

@@ -9,10 +9,15 @@
 //! analogue of the paper's Figure 6(c) delay comparison. It is a wall-clock
 //! reading of this host and writes no file.
 //!
+//! Every cell of the table is the best of several passes, and each pass
+//! keeps encoding until a minimum wall time has elapsed, so the cheap
+//! schemes (a few hundred ns per line) are timed as long as the coset
+//! searches and a single slow pass cannot skew a row.
+//!
 //! Run with: `cargo run --release --example encoder_paths`
 
 use std::hint::black_box;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -24,12 +29,15 @@ use vcc_repro::coset::{
 
 /// Seed of the kernel draws and the encoded lines.
 const SEED: u64 = 0xBE2C;
-/// Lines encoded per timed measurement (rounded up to a whole pass over
-/// the 64-line set).
-const ITERS: usize = 2_000;
+/// Timed passes per table cell; the cell reports the fastest.
+const PASSES: usize = 7;
+/// Minimum wall time of one pass (whole sweeps over the 64-line set).
+const MIN_PASS: Duration = Duration::from_millis(30);
 
-/// One-shot `encode_line` throughput: ns per 512-bit line.
-fn line_rate_ns(encoder: &dyn Encoder, cost: &dyn CostFunction) -> f64 {
+/// `encode_line` cost in ns per 512-bit line under each of `costs`, best of
+/// [`PASSES`]. The objectives take turns pass by pass, so a slow spell of
+/// the host lands on both columns of a row alike.
+fn line_rates_ns<const N: usize>(encoder: &dyn Encoder, costs: [&dyn CostFunction; N]) -> [f64; N] {
     let mut rng = StdRng::seed_from_u64(SEED);
     let lines: Vec<[u64; 8]> = (0..64).map(|_| rng.gen()).collect();
     let ctxs: Vec<WriteContext> = (0..8)
@@ -37,19 +45,27 @@ fn line_rate_ns(encoder: &dyn Encoder, cost: &dyn CostFunction) -> f64 {
         .collect();
     let mut scratch = EncodeScratch::new();
     let mut out: Vec<Encoded> = Vec::new();
-    // One warm-up pass sizes the scratch and output buffers.
-    for line in &lines {
-        encoder.encode_line(line, &ctxs, cost, &mut scratch, &mut out);
-    }
-    let start = Instant::now();
-    let mut n = 0usize;
-    while n < ITERS {
+    // One warm-up sweep sizes the scratch and output buffers.
+    for cost in costs {
         for line in &lines {
-            encoder.encode_line(black_box(line), &ctxs, cost, &mut scratch, &mut out);
-            n += 1;
+            encoder.encode_line(line, &ctxs, cost, &mut scratch, &mut out);
         }
     }
-    start.elapsed().as_nanos() as f64 / n as f64
+    let mut best = [f64::INFINITY; N];
+    for _ in 0..PASSES {
+        for (cost, best) in costs.iter().zip(&mut best) {
+            let start = Instant::now();
+            let mut n = 0usize;
+            while n == 0 || start.elapsed() < MIN_PASS {
+                for line in &lines {
+                    encoder.encode_line(black_box(line), &ctxs, *cost, &mut scratch, &mut out);
+                    n += 1;
+                }
+            }
+            *best = best.min(start.elapsed().as_nanos() as f64 / n as f64);
+        }
+    }
+    best
 }
 
 /// Prints the broadcast vs scalar `encode_line` cost of every scheme.
@@ -70,8 +86,7 @@ fn headline() {
          (512-bit lines, Table-I energy)"
     );
     for (name, encoder) in &rows {
-        let fast_ns = line_rate_ns(encoder.as_ref(), &energy);
-        let scalar_ns = line_rate_ns(encoder.as_ref(), &scalar_energy);
+        let [fast_ns, scalar_ns] = line_rates_ns(encoder.as_ref(), [&energy, &scalar_energy]);
         println!(
             "{name:<18} broadcast {fast_ns:>9.0} ns/line  scalar {scalar_ns:>9.0} ns/line  \
              ({:>8.0} lines/s, {:>5.2}x)",
