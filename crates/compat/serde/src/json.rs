@@ -219,6 +219,81 @@ fn render_str(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// The integer field types of a [`counters!`](crate::counters) struct,
+/// rendered in the [`Value::UInt`] lane. `f64` is left out on purpose, so
+/// the integer merge kinds reject it: a float field names its merge fn in
+/// its own crate, where detlint's DET02 sees the `+=` and asks for its
+/// exactness argument.
+pub trait Count {
+    /// The counter in the integer lane.
+    fn to_json(self) -> Value;
+}
+
+impl Count for u64 {
+    fn to_json(self) -> Value {
+        Value::UInt(self)
+    }
+}
+
+impl Count for usize {
+    fn to_json(self) -> Value {
+        Value::UInt(self as u64)
+    }
+}
+
+/// Declares a mergeable counter struct once — doc comments, derives, pub
+/// fields — and generates its `Default`, its field-wise `merge` and its
+/// `to_json` (one key per field, in declaration order). Each field names
+/// its merge kind after a `=>`:
+///
+/// * `sum` / `saturating` — plain or saturating sum of a [`Count`] field,
+///   integer lane;
+/// * `nested` — the field type's own `merge` and `to_json`;
+/// * `float(f)` — an `f64` merged as `field = f(field, other)`, float lane.
+///
+/// Every kind must merge associatively and commutatively with `default()`
+/// as the identity, so shard totals fold to a sequential accumulator's.
+#[macro_export]
+macro_rules! counters {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $(
+                $(#[$field_meta:meta])*
+                $field_vis:vis $field:ident : $ty:ty => $kind:ident $(($merge:path))?
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Default)]
+        $vis struct $name {
+            $($(#[$field_meta])* $field_vis $field: $ty,)*
+        }
+
+        impl $name {
+            /// Merges `other` into `self` field by field: associative and
+            /// commutative with `default()` as the identity.
+            pub fn merge(&mut self, other: &$name) {
+                $($crate::counters!(@merge $kind $(($merge))?, self.$field, other.$field);)*
+            }
+
+            /// The counters as a JSON object, one key per field in
+            /// declaration order (integer counters exact past 2^53).
+            pub fn to_json(&self) -> $crate::json::Value {
+                $crate::json::Value::object()
+                    $(.with(stringify!($field), $crate::counters!(@json $kind, self.$field)))*
+            }
+        }
+    };
+    (@merge sum, $a:expr, $b:expr) => { $a += $b };
+    (@merge saturating, $a:expr, $b:expr) => { $a = $a.saturating_add($b) };
+    (@merge nested, $a:expr, $b:expr) => { $a.merge(&$b) };
+    (@merge float($merge:path), $a:expr, $b:expr) => { $a = $merge($a, $b) };
+    (@json nested, $a:expr) => { $a.to_json() };
+    (@json float, $a:expr) => { $crate::json::Value::Num($a) };
+    (@json $kind:ident, $a:expr) => { $crate::json::Count::to_json($a) };
+}
+
 /// Why a parse failed (byte offset + message).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {

@@ -8,9 +8,11 @@
 //!
 //! The [`json`] module is the part the workspace *does* execute: a minimal
 //! deterministic JSON tree (render + strict parse) that the service stats
-//! endpoint and the load generator share as their one schema layer
-//! (`pcm::MemoryStats::to_json`, `controller::PipelineStats::to_json` build
-//! on it).
+//! endpoint and the load generator share as their one schema layer, plus
+//! the [`counters!`] macro that declares each mergeable stats struct
+//! (`pcm::MemoryStats`, `controller::PipelineStats`,
+//! `controller::TimingStats`, `faultsim::FaultLog`) once and generates its
+//! `Default`, field-wise `merge` and `to_json` from that declaration.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

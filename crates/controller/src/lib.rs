@@ -55,7 +55,9 @@
 //! worker per shard — with merged statistics bit-identical to a
 //! sequential replay (see `engine::ShardedEngine` for the determinism
 //! contract, and [`PipelineStats::merge`] for the aggregation primitive
-//! it relies on).
+//! it relies on). [`PipelineStats`] and [`TimingStats`] are declared
+//! through `serde::counters!`, which generates each one's field-wise
+//! `merge` and its `to_json` from the struct declaration.
 //! One layer further up, the `service` crate serves many *tenants* — each
 //! a full set of per-shard pipelines under its own key domain — from the
 //! same bank workers with fair scheduling and bounded queues; the tenancy
@@ -139,55 +141,24 @@ pub struct TimedRead {
     pub latency_cycles: u64,
 }
 
-/// Aggregate pipeline statistics, accumulated across
-/// [`WritePipeline::write_line`] / [`WritePipeline::replay_trace`] calls.
-#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct PipelineStats {
-    /// Cache lines written.
-    pub lines_written: u64,
-    /// Line writes whose residual SAW cells exceeded the correction
-    /// capacity.
-    pub uncorrectable_lines: u64,
-    /// Distinct rows that have exceeded the correction capacity at least
-    /// once.
-    pub failed_rows: usize,
-}
-
-impl std::ops::AddAssign<&PipelineStats> for PipelineStats {
-    fn add_assign(&mut self, rhs: &PipelineStats) {
-        self.lines_written += rhs.lines_written;
-        self.uncorrectable_lines += rhs.uncorrectable_lines;
-        self.failed_rows += rhs.failed_rows;
-    }
-}
-
-impl std::ops::AddAssign for PipelineStats {
-    fn add_assign(&mut self, rhs: PipelineStats) {
-        *self += &rhs;
-    }
-}
-
-impl PipelineStats {
-    /// Merges another pipeline's statistics into this one (field-wise sum).
+serde::counters! {
+    /// Aggregate pipeline statistics, accumulated across
+    /// [`WritePipeline::write_line`] / [`WritePipeline::replay_trace`] calls.
     ///
-    /// Associative and commutative, with [`PipelineStats::default`] as the
-    /// identity. `failed_rows` counts *distinct* rows per pipeline, so the
-    /// sum equals a single sequential pipeline's count exactly when the
-    /// merged pipelines wrote disjoint row sets — the invariant the sharded
-    /// engine maintains by partitioning the row-address space.
-    pub fn merge(&mut self, other: &PipelineStats) {
-        *self += other;
-    }
-
-    /// Snapshots the statistics as a JSON object (the shared schema of the
-    /// service stats endpoint and the load generator; see `serde::json`),
-    /// every counter in the integer lane.
-    pub fn to_json(&self) -> serde::json::Value {
-        use serde::json::Value;
-        Value::object()
-            .with("lines_written", Value::UInt(self.lines_written))
-            .with("uncorrectable_lines", Value::UInt(self.uncorrectable_lines))
-            .with("failed_rows", Value::UInt(self.failed_rows as u64))
+    /// `failed_rows` counts *distinct* rows per pipeline, so a merged sum
+    /// equals a single sequential pipeline's count exactly when the merged
+    /// pipelines wrote disjoint row sets — the invariant the sharded engine
+    /// maintains by partitioning the row-address space.
+    #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+    pub struct PipelineStats {
+        /// Cache lines written.
+        pub lines_written: u64 => sum,
+        /// Line writes whose residual SAW cells exceeded the correction
+        /// capacity.
+        pub uncorrectable_lines: u64 => sum,
+        /// Distinct rows that have exceeded the correction capacity at least
+        /// once.
+        pub failed_rows: usize => sum,
     }
 }
 
@@ -941,6 +912,24 @@ mod tests {
     }
 
     #[test]
+    fn pipeline_stats_merge_doubles_every_field_with_default_identity() {
+        let mk = |k: u64| PipelineStats {
+            lines_written: 3 * k,
+            uncorrectable_lines: 5 * k,
+            failed_rows: 7 * k as usize,
+        };
+        let mut doubled = mk(1);
+        doubled.merge(&mk(1));
+        assert_eq!(doubled, mk(2));
+        let mut left = PipelineStats::default();
+        left.merge(&mk(1));
+        assert_eq!(left, mk(1));
+        let mut right = mk(1);
+        right.merge(&PipelineStats::default());
+        assert_eq!(right, mk(1));
+    }
+
+    #[test]
     fn pipeline_stats_merge_is_associative_with_identity() {
         let mk = |k: u64| PipelineStats {
             lines_written: 100 * k,
@@ -960,7 +949,7 @@ mod tests {
         id.merge(&a);
         assert_eq!(id, a);
         let mut a2 = a;
-        a2 += PipelineStats::default();
+        a2.merge(&PipelineStats::default());
         assert_eq!(a2, a);
     }
 

@@ -159,42 +159,23 @@ struct BankTimer {
     busy_until: u64,
 }
 
-/// Aggregate timing statistics: write/read latency histograms plus bank
-/// occupancy and pure service totals. All integers; merging is field-wise
-/// and order-independent.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TimingStats {
-    /// End-to-end write latencies (arrival to bank release), in cycles.
-    pub writes: LatencyHistogram,
-    /// End-to-end read latencies (arrival to data+decode), in cycles.
-    pub reads: LatencyHistogram,
-    /// Total cycles banks spent occupied by array accesses.
-    pub busy_cycles: u64,
-    /// Total *service* cycles of writes — encoder + read-modify-write, with
-    /// queue wait and stalls excluded. `service_cycles / writes.count()` is
-    /// the mean uncontended write service time the fig13 cross-check feeds
-    /// back into the analytic `PerfModel`.
-    pub service_cycles: u64,
-}
-
-impl TimingStats {
-    /// Field-wise merge; associative and commutative with
-    /// [`TimingStats::default`] as identity (all-integer sums).
-    pub fn merge(&mut self, other: &TimingStats) {
-        self.writes.merge(&other.writes);
-        self.reads.merge(&other.reads);
-        self.busy_cycles = self.busy_cycles.saturating_add(other.busy_cycles);
-        self.service_cycles = self.service_cycles.saturating_add(other.service_cycles);
-    }
-
-    /// JSON form (histograms nested, totals in the integer lane).
-    pub fn to_json(&self) -> serde::json::Value {
-        use serde::json::Value;
-        Value::object()
-            .with("writes", self.writes.to_json())
-            .with("reads", self.reads.to_json())
-            .with("busy_cycles", Value::UInt(self.busy_cycles))
-            .with("service_cycles", Value::UInt(self.service_cycles))
+serde::counters! {
+    /// Aggregate timing statistics: write/read latency histograms plus bank
+    /// occupancy and pure service totals. All integers; merging is
+    /// field-wise and order-independent.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct TimingStats {
+        /// End-to-end write latencies (arrival to bank release), in cycles.
+        pub writes: LatencyHistogram => nested,
+        /// End-to-end read latencies (arrival to data+decode), in cycles.
+        pub reads: LatencyHistogram => nested,
+        /// Total cycles banks spent occupied by array accesses.
+        pub busy_cycles: u64 => saturating,
+        /// Total *service* cycles of writes — encoder + read-modify-write,
+        /// with queue wait and stalls excluded. `service_cycles /
+        /// writes.count()` is the mean uncontended write service time the
+        /// fig13 cross-check feeds back into the analytic `PerfModel`.
+        pub service_cycles: u64 => saturating,
     }
 }
 
@@ -473,6 +454,36 @@ mod tests {
                 .encoder_cycles,
             1
         );
+    }
+
+    #[test]
+    fn timing_stats_merge_doubles_every_field_saturating_the_totals() {
+        let mk = |k: u64, busy_cycles: u64, service_cycles: u64| {
+            let (mut writes, mut reads) = (LatencyHistogram::new(), LatencyHistogram::new());
+            for _ in 0..k {
+                [170, 340, 1405].into_iter().for_each(|c| writes.record(c));
+                [85, 253].into_iter().for_each(|c| reads.record(c));
+            }
+            TimingStats {
+                writes,
+                reads,
+                busy_cycles,
+                service_cycles,
+            }
+        };
+        let mut doubled = mk(1, 11, 13);
+        doubled.merge(&mk(1, 11, 13));
+        assert_eq!(doubled, mk(2, 22, 26));
+        let mut left = TimingStats::default();
+        left.merge(&mk(1, 11, 13));
+        assert_eq!(left, mk(1, 11, 13));
+        let mut right = mk(1, 11, 13);
+        right.merge(&TimingStats::default());
+        assert_eq!(right, mk(1, 11, 13));
+        // Both cycle totals saturate instead of wrapping.
+        let mut saturated = mk(1, u64::MAX - 1, u64::MAX - 2);
+        saturated.merge(&mk(1, u64::MAX - 1, u64::MAX - 2));
+        assert_eq!(saturated, mk(2, u64::MAX, u64::MAX));
     }
 
     #[test]

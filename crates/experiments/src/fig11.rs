@@ -10,7 +10,7 @@ use std::fmt;
 use engine::EngineConfig;
 
 use crate::common::{eng, Scale, Technique};
-use crate::lifetime::{lifetime_run_with, LifetimeOutcome};
+use crate::lifetime::{LifetimeOutcome, LifetimeRuns};
 
 /// One (benchmark, technique) lifetime measurement.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -68,32 +68,8 @@ impl Fig11Result {
     }
 }
 
-/// Runs the Figure 11 experiment with the standard seven-technique roster
-/// on the default (single-shard) engine.
-pub fn run(scale: Scale, seed: u64) -> Fig11Result {
-    run_with_engine(scale, seed, EngineConfig::default())
-}
-
-/// Runs the full Figure 11 roster through a [`engine::ShardedEngine`].
-/// Under unified keying the shard count cannot change the lifetimes, only
-/// the wall-clock time of this slowest figure.
-///
-/// Lifetime runs loop over one materialized trace until rows fail, so this
-/// figure has no streamed variant (see the [`crate::lifetime`] module docs
-/// for why the single-pass streaming frontend does not apply).
-pub fn run_with_engine(scale: Scale, seed: u64, engine_config: EngineConfig) -> Fig11Result {
-    run_with(
-        scale,
-        seed,
-        256,
-        &Technique::lifetime_roster(256),
-        &scale.benchmarks(),
-        engine_config,
-    )
-}
-
 /// Runs Figure 11 with an explicit technique and benchmark subset (used by
-/// [`run`] and the tests).
+/// the tests).
 pub fn run_with(
     scale: Scale,
     seed: u64,
@@ -102,20 +78,31 @@ pub fn run_with(
     benchmarks: &[workload::BenchmarkProfile],
     engine_config: EngineConfig,
 ) -> Fig11Result {
+    let mut runs = LifetimeRuns::new(benchmarks, scale, seed, engine_config);
+    from_runs(&mut runs, cosets, techniques)
+}
+
+/// Builds Figure 11 from lifetime runs it may share with Figure 12 (the
+/// runner passes the standard roster at 256 cosets). Under unified keying
+/// the engine's shard count cannot change the lifetimes, only the
+/// wall-clock time of this slowest figure.
+///
+/// Lifetime runs loop over one materialized trace until rows fail, so this
+/// figure has no streamed variant (see the [`crate::lifetime`] module docs
+/// for why the single-pass streaming frontend does not apply).
+pub(crate) fn from_runs(
+    runs: &mut LifetimeRuns<'_>,
+    cosets: usize,
+    techniques: &[Technique],
+) -> Fig11Result {
     let mut cells = Vec::new();
+    let benchmarks = runs.benchmarks;
     for (b_idx, profile) in benchmarks.iter().enumerate() {
-        for technique in techniques {
-            let outcome = lifetime_run_with(
-                profile,
-                *technique,
-                scale,
-                seed + b_idx as u64,
-                engine_config,
-            );
+        for &technique in techniques {
             cells.push(Fig11Cell {
                 benchmark: profile.name.clone(),
                 technique: technique.name(),
-                outcome,
+                outcome: runs.outcomes(technique)[b_idx],
             });
         }
     }

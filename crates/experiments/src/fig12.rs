@@ -10,7 +10,7 @@ use std::fmt;
 use engine::EngineConfig;
 
 use crate::common::{eng, Scale, Technique};
-use crate::lifetime::mean_lifetime_with;
+use crate::lifetime::LifetimeRuns;
 
 /// Mean lifetime of one technique at one coset count.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -43,22 +43,6 @@ impl Fig12Result {
     }
 }
 
-/// Runs the full Figure 12 sweep (seven techniques × four coset counts)
-/// on the default (single-shard) engine.
-pub fn run(scale: Scale, seed: u64) -> Fig12Result {
-    run_with_engine(scale, seed, EngineConfig::default())
-}
-
-/// Runs the full Figure 12 sweep through a [`engine::ShardedEngine`].
-///
-/// Like Figure 11, this is a lifetime study (loops one materialized trace
-/// until rows fail) and therefore has no streamed variant — see the
-/// [`crate::lifetime`] module docs.
-pub fn run_with_engine(scale: Scale, seed: u64, engine_config: EngineConfig) -> Fig12Result {
-    let benchmarks = scale.benchmarks();
-    run_with(scale, seed, &benchmarks, &FIG12_COSET_COUNTS, engine_config)
-}
-
 /// Runs Figure 12 over explicit benchmark and coset-count subsets.
 pub fn run_with(
     scale: Scale,
@@ -67,6 +51,16 @@ pub fn run_with(
     coset_counts: &[usize],
     engine_config: EngineConfig,
 ) -> Fig12Result {
+    let mut runs = LifetimeRuns::new(benchmarks, scale, seed, engine_config);
+    from_runs(&mut runs, coset_counts)
+}
+
+/// Builds Figure 12 from lifetime runs it may share with Figure 11 (the
+/// runner passes [`FIG12_COSET_COUNTS`]). Like Figure 11, this is a
+/// lifetime study (loops one materialized trace until rows fail) and
+/// therefore has no streamed variant — see the [`crate::lifetime`] module
+/// docs.
+pub(crate) fn from_runs(runs: &mut LifetimeRuns<'_>, coset_counts: &[usize]) -> Fig12Result {
     let mut cells = Vec::new();
     // Coset-insensitive techniques are measured once and replicated across
     // the sweep, exactly as the paper's figure presents them.
@@ -77,13 +71,10 @@ pub fn run_with(
         Technique::Flipcy,
         Technique::DbiFnw,
     ];
-    let mut insensitive_means = Vec::new();
-    for t in insensitive {
-        insensitive_means.push((
-            t.name(),
-            mean_lifetime_with(benchmarks, t, scale, seed, engine_config),
-        ));
-    }
+    let insensitive_means: Vec<(String, f64)> = insensitive
+        .iter()
+        .map(|&t| (t.name(), runs.mean(t)))
+        .collect();
     for &n in coset_counts {
         for (name, mean) in &insensitive_means {
             cells.push(Fig12Cell {
@@ -99,13 +90,7 @@ pub fn run_with(
             cells.push(Fig12Cell {
                 technique: t.name().replace(&format!("-{n}"), ""),
                 cosets: n,
-                mean_writes_to_failure: mean_lifetime_with(
-                    benchmarks,
-                    t,
-                    scale,
-                    seed,
-                    engine_config,
-                ),
+                mean_writes_to_failure: runs.mean(t),
             });
         }
     }

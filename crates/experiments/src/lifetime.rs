@@ -20,6 +20,8 @@
 //! `--stream` mode of the single-pass figures does, would regenerate it
 //! every round for no memory benefit at these trace sizes.
 
+use std::collections::HashMap;
+
 use coset::cost::opt_saw_then_energy;
 use engine::EngineConfig;
 
@@ -104,29 +106,64 @@ pub fn mean_lifetime(
     scale: Scale,
     seed: u64,
 ) -> f64 {
-    mean_lifetime_with(profiles, technique, scale, seed, EngineConfig::default())
+    LifetimeRuns::new(profiles, scale, seed, EngineConfig::default()).mean(technique)
 }
 
-/// Averages the lifetime of a technique over a set of benchmarks, running
-/// each lifetime simulation through a [`engine::ShardedEngine`].
-pub fn mean_lifetime_with(
-    profiles: &[BenchmarkProfile],
-    technique: Technique,
+/// The lifetime runs of one benchmark set, each (benchmark, technique) run
+/// at most once, benchmark `i` at `seed + i`. Figure 12's coset-insensitive
+/// and 256-coset runs are Figure 11's, so the runner builds both figures
+/// from one `LifetimeRuns` and pays for those runs once.
+pub(crate) struct LifetimeRuns<'a> {
+    /// The benchmark set, in run order.
+    pub(crate) benchmarks: &'a [BenchmarkProfile],
     scale: Scale,
     seed: u64,
     engine_config: EngineConfig,
-) -> f64 {
-    if profiles.is_empty() {
-        return 0.0;
+    /// One outcome per benchmark for each technique run so far. DET01:
+    /// point lookups only, never iterated.
+    done: HashMap<Technique, Vec<LifetimeOutcome>>,
+}
+
+impl<'a> LifetimeRuns<'a> {
+    /// No runs yet; a technique runs on its first request.
+    pub(crate) fn new(
+        benchmarks: &'a [BenchmarkProfile],
+        scale: Scale,
+        seed: u64,
+        engine_config: EngineConfig,
+    ) -> Self {
+        let done = HashMap::new();
+        LifetimeRuns {
+            benchmarks,
+            scale,
+            seed,
+            engine_config,
+            done,
+        }
     }
-    let total: u64 = profiles
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            lifetime_run_with(p, technique, scale, seed + i as u64, engine_config).writes_to_failure
+
+    /// The technique's outcome on each benchmark, in benchmark order.
+    pub(crate) fn outcomes(&mut self, technique: Technique) -> &[LifetimeOutcome] {
+        let (benchmarks, scale, config) = (self.benchmarks, self.scale, self.engine_config);
+        let seeds = self.seed..;
+        self.done.entry(technique).or_insert_with(|| {
+            (benchmarks.iter().zip(seeds))
+                .map(|(p, seed)| lifetime_run_with(p, technique, scale, seed, config))
+                .collect()
         })
-        .sum();
-    total as f64 / profiles.len() as f64
+    }
+
+    /// The technique's mean writes-to-failure across the benchmarks (0 for
+    /// an empty set).
+    pub(crate) fn mean(&mut self, technique: Technique) -> f64 {
+        let outcomes = self.outcomes(technique);
+        let total: u64 = outcomes.iter().map(|o| o.writes_to_failure).sum();
+        if outcomes.is_empty() {
+            0.0
+        } else {
+            total as f64 / outcomes.len() as f64
+        }
+    }
 }
 
 #[cfg(test)]

@@ -9,7 +9,8 @@ use std::fmt;
 
 use engine::EngineConfig;
 
-use crate::common::Scale;
+use crate::common::{Scale, Technique};
+use crate::lifetime::LifetimeRuns;
 use crate::{fig01, fig02, fig06, fig07, fig08, fig09, fig10, fig11, fig12, fig13};
 
 /// How the trace-driven figures obtain and replay their workloads.
@@ -174,13 +175,17 @@ pub fn reproduce_configured(
         }
     }
     if selection.lifetime {
+        // Figure 12's coset-insensitive and 256-coset runs are Figure 11's:
+        // one set of runs feeds both.
+        let benchmarks = scale.benchmarks();
+        let mut runs = LifetimeRuns::new(&benchmarks, scale, seed, engine_config);
         sections.push((
             "Figure 11 (per-benchmark lifetime)".into(),
-            fig11::run_with_engine(scale, seed, engine_config).to_string(),
+            fig11::from_runs(&mut runs, 256, &Technique::lifetime_roster(256)).to_string(),
         ));
         sections.push((
             "Figure 12 (lifetime vs coset count)".into(),
-            fig12::run_with_engine(scale, seed, engine_config).to_string(),
+            fig12::from_runs(&mut runs, &fig12::FIG12_COSET_COUNTS).to_string(),
         ));
     }
     if selection.performance {

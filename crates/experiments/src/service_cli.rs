@@ -418,4 +418,60 @@ mod tests {
         let output = String::from_utf8(control.into_output()).unwrap();
         assert!(output.contains("tenant"));
     }
+
+    /// Pins the rendered per-tenant report JSON of the `vcc64-x2` scenario
+    /// at `reproduce loadgen --fast` size, byte for byte. Fields that do not
+    /// replay are set to constants first: the producer's wall-clock
+    /// `active_secs`, and the queue-depth fields, which record lane
+    /// occupancy at pop time and so depend on thread scheduling. Every
+    /// other field is bit-identical to a solo sequential replay.
+    #[test]
+    fn loadgen_tenant_reports_render_pinned_json() {
+        let scenario = loadgen::default_matrix(true)
+            .into_iter()
+            .find(|s| s.name == "vcc64-x2")
+            .expect("the fast matrix runs vcc64 at two tenants");
+        let outcome =
+            loadgen::run_scenario(&scenario, &mut |ctx| technique_pipeline(ctx, Scale::Tiny));
+        let rendered: Vec<String> = outcome
+            .report
+            .tenants
+            .iter()
+            .map(|t| {
+                let mut t = t.clone();
+                t.active_secs = 0.5;
+                t.queue_depth_p50 = 0;
+                t.queue_depth_overflow = 0;
+                t.queue_depth_max = Some(0);
+                t.to_json().render()
+            })
+            .collect();
+        let expected = [
+            r#"{"name":"t0-mcf_like","technique":"vcc64","enqueued":472,"memory_fills":0,"reads":948,"#.to_owned()
+                + r#""pipeline":{"lines_written":472,"uncorrectable_lines":0,"failed_rows":0},"#
+                + r#""memory":{"row_writes":472,"word_writes":3776,"energy_pj":4658287.0,"cells_programmed":89344,"#
+                + r#""high_energy_programs":29385,"bit_flips":121629,"saw_cells":0,"saw_word_events":0,"dead_cells":0},"#
+                + r#""timing":{"writes":{"buckets":[0,0,0,0,0,0,0,0,472],"total_cycles":80240,"max_cycles":170},"#
+                + r#""reads":{"buckets":[0,0,0,0,0,0,0,948],"total_cycles":80580,"max_cycles":85},"busy_cycles":158928,"service_cycles":80240},"#
+                + r#""write_latency":{"count":472,"p50_cycles":255,"#
+                + r#""p99_cycles":255,"p999_cycles":255,"max_cycles":170,"mean_cycles":170.0},"#
+                + r#""queue_depth_p50":0,"queue_depth_overflow":0,"queue_depth_max":0,"active_secs":0.5,"#
+                + r#""faults":{"stuck_bursts":0,"burst_cells":0,"rows_killed":0,"forced_uncorrectable":0,"panics_injected":0,"read_timeouts":0,"#
+                + r#""retried_lines":0,"retry_attempts":0,"retired_rows":0,"spares_exhausted":0,"read_uncorrectable":0},"#
+                + r#""discarded":0,"quarantined_shards":[],"failure":null,"stream_error":false}"#,
+            r#"{"name":"t1-lbm_like","technique":"vcc64","enqueued":789,"memory_fills":0,"reads":1497,"#.to_owned()
+                + r#""pipeline":{"lines_written":789,"uncorrectable_lines":0,"failed_rows":0},"#
+                + r#""memory":{"row_writes":789,"word_writes":6312,"energy_pj":7783105.0,"cells_programmed":149274,"#
+                + r#""high_energy_programs":49097,"bit_flips":202978,"saw_cells":0,"saw_word_events":0,"dead_cells":0},"#
+                + r#""timing":{"writes":{"buckets":[0,0,0,0,0,0,0,0,789],"total_cycles":134130,"max_cycles":170},"#
+                + r#""reads":{"buckets":[0,0,0,0,0,0,0,1497],"total_cycles":127245,"max_cycles":85},"busy_cycles":258300,"service_cycles":134130},"#
+                + r#""write_latency":{"count":789,"p50_cycles":255,"#
+                + r#""p99_cycles":255,"p999_cycles":255,"max_cycles":170,"mean_cycles":170.0},"#
+                + r#""queue_depth_p50":0,"queue_depth_overflow":0,"queue_depth_max":0,"active_secs":0.5,"#
+                + r#""faults":{"stuck_bursts":0,"burst_cells":0,"rows_killed":0,"forced_uncorrectable":0,"panics_injected":0,"read_timeouts":0,"#
+                + r#""retried_lines":0,"retry_attempts":0,"retired_rows":0,"spares_exhausted":0,"read_uncorrectable":0},"#
+                + r#""discarded":0,"quarantined_shards":[],"failure":null,"stream_error":false}"#,
+        ];
+        assert_eq!(rendered, expected);
+    }
 }

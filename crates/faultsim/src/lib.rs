@@ -23,6 +23,10 @@
 //! shard or tenant lane, and shard granularity obviously differs between
 //! shard counts; those faults instead carry an accounting contract
 //! (`admitted == executed + discarded`) enforced by the chaos suites.
+//!
+//! The injected-fault and recovery counters, [`FaultLog`], are declared
+//! through `serde::counters!`: one line per counter, with the field-wise
+//! `merge` and the `to_json` generated from that declaration.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -93,76 +97,43 @@ impl WriteFaults {
     }
 }
 
-/// Mergeable counters describing every fault injected and every recovery
-/// action taken. Lives beside (not inside) `PipelineStats` so the legacy
-/// stats JSON schema is untouched.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultLog {
-    /// Stuck-cell bursts injected into rows.
-    pub stuck_bursts: u64,
-    /// Individual cells newly stuck by bursts.
-    pub burst_cells: u64,
-    /// Rows killed outright (every cell frozen).
-    pub rows_killed: u64,
-    /// Writes whose outcome was forced uncorrectable.
-    pub forced_uncorrectable: u64,
-    /// Worker panics injected.
-    pub panics_injected: u64,
-    /// Reads that drew an injected queue-wait timeout.
-    pub read_timeouts: u64,
-    /// Lines that went through at least one in-place retry.
-    pub retried_lines: u64,
-    /// Total retry attempts issued (bounded by the recovery policy).
-    pub retry_attempts: u64,
-    /// Rows retired onto spares from the per-bank retirement pool.
-    pub retired_rows: u64,
-    /// Retirement requests that found the target bank's spare pool empty.
-    pub spares_exhausted: u64,
-    /// Reads refused with `ReadError::Uncorrectable` instead of returning
-    /// silently corrupted data.
-    pub read_uncorrectable: u64,
+serde::counters! {
+    /// Mergeable counters describing every fault injected and every recovery
+    /// action taken. Lives beside (not inside) `PipelineStats` so the legacy
+    /// stats JSON schema is untouched. Pure integer sums, so shard merge
+    /// order cannot matter.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct FaultLog {
+        /// Stuck-cell bursts injected into rows.
+        pub stuck_bursts: u64 => sum,
+        /// Individual cells newly stuck by bursts.
+        pub burst_cells: u64 => sum,
+        /// Rows killed outright (every cell frozen).
+        pub rows_killed: u64 => sum,
+        /// Writes whose outcome was forced uncorrectable.
+        pub forced_uncorrectable: u64 => sum,
+        /// Worker panics injected.
+        pub panics_injected: u64 => sum,
+        /// Reads that drew an injected queue-wait timeout.
+        pub read_timeouts: u64 => sum,
+        /// Lines that went through at least one in-place retry.
+        pub retried_lines: u64 => sum,
+        /// Total retry attempts issued (bounded by the recovery policy).
+        pub retry_attempts: u64 => sum,
+        /// Rows retired onto spares from the per-bank retirement pool.
+        pub retired_rows: u64 => sum,
+        /// Retirement requests that found the target bank's spare pool empty.
+        pub spares_exhausted: u64 => sum,
+        /// Reads refused with `ReadError::Uncorrectable` instead of returning
+        /// silently corrupted data.
+        pub read_uncorrectable: u64 => sum,
+    }
 }
 
 impl FaultLog {
-    /// Accumulate `other` into `self`. Pure integer sums, so merging is
-    /// associative and commutative — shard merge order cannot matter.
-    pub fn merge(&mut self, other: &FaultLog) {
-        self.stuck_bursts += other.stuck_bursts;
-        self.burst_cells += other.burst_cells;
-        self.rows_killed += other.rows_killed;
-        self.forced_uncorrectable += other.forced_uncorrectable;
-        self.panics_injected += other.panics_injected;
-        self.read_timeouts += other.read_timeouts;
-        self.retried_lines += other.retried_lines;
-        self.retry_attempts += other.retry_attempts;
-        self.retired_rows += other.retired_rows;
-        self.spares_exhausted += other.spares_exhausted;
-        self.read_uncorrectable += other.read_uncorrectable;
-    }
-
     /// True when nothing was injected and no recovery action ran.
     pub fn is_empty(&self) -> bool {
         *self == FaultLog::default()
-    }
-
-    /// Serialize for reports and snapshots.
-    pub fn to_json(&self) -> serde::json::Value {
-        use serde::json::Value;
-        Value::object()
-            .with("stuck_bursts", Value::UInt(self.stuck_bursts))
-            .with("burst_cells", Value::UInt(self.burst_cells))
-            .with("rows_killed", Value::UInt(self.rows_killed))
-            .with(
-                "forced_uncorrectable",
-                Value::UInt(self.forced_uncorrectable),
-            )
-            .with("panics_injected", Value::UInt(self.panics_injected))
-            .with("read_timeouts", Value::UInt(self.read_timeouts))
-            .with("retried_lines", Value::UInt(self.retried_lines))
-            .with("retry_attempts", Value::UInt(self.retry_attempts))
-            .with("retired_rows", Value::UInt(self.retired_rows))
-            .with("spares_exhausted", Value::UInt(self.spares_exhausted))
-            .with("read_uncorrectable", Value::UInt(self.read_uncorrectable))
     }
 }
 
@@ -375,6 +346,48 @@ mod tests {
         let base = FaultPlan::chaos(9);
         assert_eq!(tenant_plan(&base, 0), tenant_plan(&base, 0));
         assert_ne!(tenant_plan(&base, 0).seed, tenant_plan(&base, 1).seed);
+    }
+
+    /// Every counter distinct and nonzero at `k = 1`, the last past 2^53.
+    fn every_field_log(k: u64) -> FaultLog {
+        FaultLog {
+            stuck_bursts: k,
+            burst_cells: 2 * k,
+            rows_killed: 3 * k,
+            forced_uncorrectable: 4 * k,
+            panics_injected: 5 * k,
+            read_timeouts: 6 * k,
+            retried_lines: 7 * k,
+            retry_attempts: 8 * k,
+            retired_rows: 9 * k,
+            spares_exhausted: 10 * k,
+            read_uncorrectable: ((1 << 53) + 1) * k,
+        }
+    }
+
+    #[test]
+    fn fault_log_json_renders_every_counter_in_declaration_order() {
+        assert_eq!(
+            every_field_log(1).to_json().render(),
+            r#"{"stuck_bursts":1,"burst_cells":2,"rows_killed":3,"forced_uncorrectable":4,"#
+                .to_owned()
+                + r#""panics_injected":5,"read_timeouts":6,"retried_lines":7,"retry_attempts":8,"#
+                + r#""retired_rows":9,"spares_exhausted":10,"read_uncorrectable":9007199254740993}"#
+        );
+    }
+
+    #[test]
+    fn fault_log_merge_doubles_every_field_with_default_identity() {
+        let x = every_field_log(1);
+        let mut doubled = x;
+        doubled.merge(&x);
+        assert_eq!(doubled, every_field_log(2));
+        let mut left = FaultLog::default();
+        left.merge(&x);
+        assert_eq!(left, x);
+        let mut right = x;
+        right.merge(&FaultLog::default());
+        assert_eq!(right, x);
     }
 
     #[test]

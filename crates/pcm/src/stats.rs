@@ -1,4 +1,7 @@
 //! Aggregate statistics collected by the memory simulator.
+//!
+//! [`MemoryStats`] is declared through `serde::counters!`, which generates
+//! its `merge` and `to_json`; [`LatencyHistogram`] is written out by hand.
 
 use std::ops::AddAssign;
 
@@ -110,64 +113,46 @@ impl FromIterator<WordWriteOutcome> for LineWriteOutcome {
     }
 }
 
-/// Running totals over the lifetime of a simulated memory.
-#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct MemoryStats {
-    /// Row (cache line) writes serviced.
-    pub row_writes: u64,
-    /// Word writes serviced.
-    pub word_writes: u64,
-    /// Total programming energy in pJ.
-    pub energy_pj: f64,
-    /// Total programming events.
-    pub cells_programmed: u64,
-    /// Programming events into high-energy levels.
-    pub high_energy_programs: u64,
-    /// Total bit flips.
-    pub bit_flips: u64,
-    /// Total stuck-at-wrong cell observations.
-    pub saw_cells: u64,
-    /// Word writes that left at least one stuck-at-wrong cell.
-    pub saw_word_events: u64,
-    /// Cells that have exceeded their endurance limit.
-    pub dead_cells: u64,
-}
-
-impl AddAssign<&MemoryStats> for MemoryStats {
-    fn add_assign(&mut self, rhs: &MemoryStats) {
-        self.row_writes += rhs.row_writes;
-        self.word_writes += rhs.word_writes;
-        // DET-OK: integer-pJ addends (Table-I), exact f64 sum; see
-        // WordWriteOutcome::add_assign.
-        self.energy_pj += rhs.energy_pj;
-        self.cells_programmed += rhs.cells_programmed;
-        self.high_energy_programs += rhs.high_energy_programs;
-        self.bit_flips += rhs.bit_flips;
-        self.saw_cells += rhs.saw_cells;
-        self.saw_word_events += rhs.saw_word_events;
-        self.dead_cells += rhs.dead_cells;
+serde::counters! {
+    /// Running totals over the lifetime of a simulated memory.
+    ///
+    /// Statistics collected over disjoint subsets of a workload (e.g.
+    /// per-bank shards) merge to the totals one sequential accumulator
+    /// would have produced. Table-I programming energies are integer
+    /// picojoules, so even the floating-point `energy_pj` sum is exact and
+    /// order-independent (see `merge_energy`).
+    #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+    pub struct MemoryStats {
+        /// Row (cache line) writes serviced.
+        pub row_writes: u64 => sum,
+        /// Word writes serviced.
+        pub word_writes: u64 => sum,
+        /// Total programming energy in pJ.
+        pub energy_pj: f64 => float(merge_energy),
+        /// Total programming events.
+        pub cells_programmed: u64 => sum,
+        /// Programming events into high-energy levels.
+        pub high_energy_programs: u64 => sum,
+        /// Total bit flips.
+        pub bit_flips: u64 => sum,
+        /// Total stuck-at-wrong cell observations.
+        pub saw_cells: u64 => sum,
+        /// Word writes that left at least one stuck-at-wrong cell.
+        pub saw_word_events: u64 => sum,
+        /// Cells that have exceeded their endurance limit.
+        pub dead_cells: u64 => sum,
     }
 }
 
-impl AddAssign for MemoryStats {
-    fn add_assign(&mut self, rhs: MemoryStats) {
-        *self += &rhs;
-    }
+/// The merge of [`MemoryStats::energy_pj`], the one float lane.
+fn merge_energy(mut total: f64, other: f64) -> f64 {
+    // DET-OK: integer-pJ addends (Table-I), exact f64 sum; see
+    // WordWriteOutcome::add_assign.
+    total += other;
+    total
 }
 
 impl MemoryStats {
-    /// Merges another accumulator into this one (field-wise sum).
-    ///
-    /// The merge is associative and commutative with [`MemoryStats::default`]
-    /// as the identity, so statistics collected over disjoint subsets of a
-    /// workload (e.g. per-bank shards) can be folded in any grouping and
-    /// match the totals a single sequential accumulator would have produced.
-    /// (Table-I programming energies are integer picojoules, so even the
-    /// floating-point `energy_pj` sum is exact and order-independent.)
-    pub fn merge(&mut self, other: &MemoryStats) {
-        *self += other;
-    }
-
     /// Folds one word outcome into the totals.
     pub fn absorb(&mut self, w: &WordWriteOutcome) {
         self.word_writes += 1;
@@ -200,27 +185,6 @@ impl MemoryStats {
         } else {
             self.saw_cells as f64 / self.word_writes as f64
         }
-    }
-
-    /// Snapshots the accumulator as a JSON object (the shared stats schema
-    /// of the service frontend and the load generator). Counters stay in
-    /// the integer lane, so values past 2^53 render exactly, and
-    /// `energy_pj` in the float lane.
-    pub fn to_json(&self) -> serde::json::Value {
-        use serde::json::Value;
-        Value::object()
-            .with("row_writes", Value::UInt(self.row_writes))
-            .with("word_writes", Value::UInt(self.word_writes))
-            .with("energy_pj", Value::Num(self.energy_pj))
-            .with("cells_programmed", Value::UInt(self.cells_programmed))
-            .with(
-                "high_energy_programs",
-                Value::UInt(self.high_energy_programs),
-            )
-            .with("bit_flips", Value::UInt(self.bit_flips))
-            .with("saw_cells", Value::UInt(self.saw_cells))
-            .with("saw_word_events", Value::UInt(self.saw_word_events))
-            .with("dead_cells", Value::UInt(self.dead_cells))
     }
 }
 
@@ -541,8 +505,32 @@ mod tests {
         with_id.merge(&a);
         assert_eq!(with_id, a);
         let mut a2 = a;
-        a2 += MemoryStats::default();
+        a2.merge(&MemoryStats::default());
         assert_eq!(a2, a);
+    }
+
+    #[test]
+    fn merge_doubles_every_field_with_default_identity() {
+        let mk = |k: u64| MemoryStats {
+            row_writes: k,
+            word_writes: 2 * k,
+            energy_pj: 3.0 * k as f64,
+            cells_programmed: 4 * k,
+            high_energy_programs: 5 * k,
+            bit_flips: 6 * k,
+            saw_cells: 7 * k,
+            saw_word_events: 8 * k,
+            dead_cells: 9 * k,
+        };
+        let mut doubled = mk(1);
+        doubled.merge(&mk(1));
+        assert_eq!(doubled, mk(2));
+        let mut left = MemoryStats::default();
+        left.merge(&mk(1));
+        assert_eq!(left, mk(1));
+        let mut right = mk(1);
+        right.merge(&MemoryStats::default());
+        assert_eq!(right, mk(1));
     }
 
     #[test]
