@@ -382,11 +382,6 @@ impl WritePipeline {
         &self.recovery
     }
 
-    /// The attached fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.injector.as_ref().map(FaultInjector::plan)
-    }
-
     /// Number of logical rows retired onto spare rows.
     pub fn retired_row_count(&self) -> usize {
         self.retire.retired_rows()

@@ -135,15 +135,6 @@ impl TimingParams {
         self
     }
 
-    /// Sets the logical bank count. Shard counts that divide it keep the
-    /// timing model shard-invariant (module docs).
-    #[must_use]
-    pub fn with_banks(mut self, banks: usize) -> Self {
-        assert!(banks > 0, "bank count must be positive");
-        self.banks = banks;
-        self
-    }
-
     /// Bank occupancy of one write: the read-modify-write array time.
     pub fn write_service_cycles(&self) -> u64 {
         self.read_cycles + self.write_cycles

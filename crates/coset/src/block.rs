@@ -206,11 +206,6 @@ impl Block {
         self.bits
     }
 
-    /// Iterator over the bits, LSB first.
-    pub fn iter_bits(&self) -> impl Iterator<Item = bool> + '_ {
-        (0..self.len).map(move |i| self.bit(i))
-    }
-
     /// Concatenates two blocks (`self` occupies the low bits).
     ///
     /// # Panics

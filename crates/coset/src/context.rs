@@ -301,12 +301,12 @@ impl WriteContext {
 /// Materialized once per write by [`WriteContext::cost_model`], then driven
 /// by the encoders' hot loops: whole candidate words are costed with a
 /// handful of masked popcounts per transition class
-/// ([`CostModel::word_cost`]), and VCC/FNW-style per-partition selection
-/// derives the class planes once per candidate word
-/// ([`CostModel::planes`]) and pops each partition mask out of them
-/// ([`CostModel::plane_cost`]) — evaluating all partitions of a block as
-/// parallel bit operations, the way the paper's VCC hardware evaluates all
-/// partitions and both complement forms at once.
+/// ([`CostModel::word_cost`]), and VCC's per-partition selection derives
+/// the class planes of a candidate and its complement form once
+/// ([`CostModel::planes_pair`]) and counts every partition field of them at
+/// once ([`CostModel::field_counts`]) — evaluating all partitions of a
+/// block as parallel bit operations, the way the paper's VCC hardware
+/// evaluates all partitions and both complement forms at once.
 ///
 /// Costs accumulate in fixed-point [`FixedCost`] and compare via
 /// [`FixedCost::packed`]; `f64` appears only at the [`crate::Encoded`]
@@ -336,28 +336,6 @@ impl CostModel {
     /// Width of the modeled data region in bits.
     pub fn bits(&self) -> usize {
         self.bits
-    }
-
-    /// Mask of the significant bits of the data word.
-    #[inline(always)]
-    pub fn word_mask(&self) -> u64 {
-        self.mask
-    }
-
-    /// Class planes for writing `new` over the destination word, covering
-    /// its significant bits.
-    #[inline(always)]
-    pub fn planes(&self, new: u64) -> [u64; ClassSet::MAX] {
-        self.classes
-            .planes(new, self.old, self.stuck_mask, self.stuck_value, self.mask)
-    }
-
-    /// Cost of precomputed planes restricted to `mask` (a partition of the
-    /// word the planes were derived for). For MLC classes the mask must
-    /// cover whole symbols.
-    #[inline(always)]
-    pub fn plane_cost(&self, planes: &[u64; ClassSet::MAX], mask: u64) -> FixedCost {
-        self.classes.plane_cost(planes, mask)
     }
 
     /// Fused class planes for a candidate word and its complement form

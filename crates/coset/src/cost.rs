@@ -263,7 +263,7 @@ impl CompiledClass {
     /// Fused plane derivation for a candidate `new` and its complement form
     /// `new ^ cmask`: `new` enters the formula linearly, so the complement's
     /// difference plane is one extra XOR and the stuck gate is shared. This
-    /// is the per-kernel workhorse of the VCC/FNW cheaper-of-two search.
+    /// is the per-kernel workhorse of the VCC cheaper-of-two search.
     #[inline(always)]
     fn plane_pair(
         &self,
@@ -294,10 +294,10 @@ impl CompiledClass {
 /// The transition classes of a cost function (at most [`ClassSet::MAX`]).
 ///
 /// Obtained from [`CostFunction::classes`]; evaluated either over whole
-/// words ([`ClassSet::cost`]) or over precomputed planes restricted to
-/// partition masks ([`ClassSet::planes`] + [`ClassSet::plane_cost`]) — the
-/// latter is what lets the VCC encoder cost every partition of a block with
-/// a handful of popcounts.
+/// words ([`ClassSet::cost`]) or per partition field of precomputed planes
+/// ([`ClassSet::planes_pair`] + [`ClassSet::field_counts`]) — the latter is
+/// what lets the VCC encoder cost every partition of a block with a handful
+/// of popcounts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClassSet {
     classes: [CostClass; ClassSet::MAX],

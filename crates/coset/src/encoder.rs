@@ -291,14 +291,14 @@ mod tests {
     #[test]
     fn scratch_and_output_survive_width_changes() {
         use crate::cost::{ScalarOnly, WriteEnergy};
-        use crate::{Fnw, Rcc, Vcc};
+        use crate::{Rcc, Vcc};
         let mut rng = StdRng::seed_from_u64(9);
         let encoders: Vec<Box<dyn Encoder>> = vec![
             Box::new(Vcc::stored(64, 16, 4, &mut rng)),
             Box::new(Vcc::stored(32, 16, 4, &mut rng)),
             Box::new(Vcc::paper_mlc(64)),
             Box::new(Rcc::random(48, 8, &mut rng)),
-            Box::new(Fnw::with_sub_block(16, 4)),
+            Box::new(Vcc::flip_n_write(16, 4)),
             Box::new(Vcc::stored(64, 32, 4, &mut rng)),
         ];
         let mut scratch = EncodeScratch::new();

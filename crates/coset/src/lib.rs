@@ -4,8 +4,10 @@
 //! Coding for Encrypted Non-Volatile Memories with Multi-Level Cells*
 //! (HPCA 2022): the VCC encoder itself (Algorithm 1), its runtime kernel
 //! generator (Algorithm 2), and every baseline the paper compares against —
-//! random coset coding (RCC), biased coset coding / Flip-N-Write / DBI, and
-//! Flipcy — together with the cost functions (bit flips, MLC write energy,
+//! random coset coding (RCC), Flipcy, and the selective-inversion schemes
+//! (biased coset coding, Flip-N-Write, DBI), which are VCC over the single
+//! all-zero kernel ([`Vcc::flip_n_write`], [`Vcc::dbi`], [`Vcc::bcc`]) —
+//! together with the cost functions (bit flips, MLC write energy,
 //! stuck-at-wrong cells, lexicographic combinations) used to select coset
 //! candidates, and the analytical effectiveness models of Section III.
 //!
@@ -107,11 +109,13 @@
 //!
 //! **When the scalar fallback runs:** objectives without classes (custom
 //! non-per-class or non-integer energy tables, or any cost wrapped in
-//! [`cost::ScalarOnly`]), kernel widths that do not tile a 64-bit word,
-//! partition widths that break the classes' cell alignment (odd widths
-//! under an MLC objective), generated-kernel partitions whose symbol field
-//! is not a power of two, and Flipcy (three candidates never amortize the
-//! model build). The scalar loops are retained as the reference oracle.
+//! [`cost::ScalarOnly`]), kernel widths that do not tile a 64-bit word
+//! (including selective-inversion sub-blocks such as a 48-bit block split
+//! 24/24), partition widths that break the classes' cell alignment (odd
+//! widths under an MLC objective), generated-kernel partitions whose
+//! symbol field is not a power of two, and Flipcy (three candidates never
+//! amortize the model build). The scalar loops are retained as the
+//! reference oracle.
 //!
 //! # Crate layout
 //!
@@ -122,11 +126,10 @@
 //! | [`cost`] | [`cost::CostFunction`], the paper's objectives, transition classes |
 //! | [`context`] | [`WriteContext`], [`StuckBits`] and the per-write [`CostModel`] |
 //! | [`encoder`] | the [`Encoder`] trait, [`EncodeScratch`] sessions, unencoded baseline |
-//! | [`fnw`] | Flip-N-Write, DBI and BCC |
 //! | [`flipcy`] | Flipcy (identity / one's / two's complement) |
 //! | [`rcc`] | random coset coding with stored candidates |
 //! | [`kernel`] | coset kernels and the Algorithm 2 generator |
-//! | [`vcc`] | Virtual Coset Coding (Algorithm 1) |
+//! | [`vcc`] | Virtual Coset Coding (Algorithm 1), and Flip-N-Write, DBI and BCC as its zero-kernel case |
 //! | [`analysis`] | Equations 1 and 2 (Figure 1 analytical model) |
 //!
 //! # Invariants
@@ -147,7 +150,6 @@ pub mod context;
 pub mod cost;
 pub mod encoder;
 pub mod flipcy;
-pub mod fnw;
 pub mod kernel;
 pub mod rcc;
 pub mod symbol;
@@ -158,7 +160,6 @@ pub use context::{CostModel, StuckBits, WriteContext};
 pub use cost::{Cost, CostFunction, FixedCost};
 pub use encoder::{check_roundtrip, EncodeScratch, Encoded, Encoder, Unencoded};
 pub use flipcy::Flipcy;
-pub use fnw::Fnw;
 pub use kernel::{broadcast_word, generate_kernels, GeneratorConfig, KernelSet};
 pub use rcc::Rcc;
 pub use symbol::CellKind;
@@ -178,8 +179,8 @@ mod crate_tests {
         let mut rng = StdRng::seed_from_u64(99);
         let encoders: Vec<Box<dyn Encoder>> = vec![
             Box::new(Unencoded::new(64)),
-            Box::new(Fnw::with_sub_block(64, 16)),
-            Box::new(Fnw::dbi(64)),
+            Box::new(Vcc::flip_n_write(64, 16)),
+            Box::new(Vcc::dbi(64)),
             Box::new(Flipcy::new(64)),
             Box::new(Rcc::random(64, 16, &mut rng)),
             Box::new(Vcc::paper_stored(256, &mut rng)),

@@ -105,12 +105,6 @@ pub fn right_digit(symbol: u8) -> u8 {
     symbol & 1
 }
 
-/// Left (high, energy-insensitive) digit of a 2-bit MLC symbol.
-#[inline]
-pub fn left_digit(symbol: u8) -> u8 {
-    (symbol >> 1) & 1
-}
-
 /// Iterates the 2-bit symbols of a block, LSB-first.
 ///
 /// # Panics

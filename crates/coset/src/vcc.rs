@@ -20,6 +20,15 @@
 //!   recovers the kernels from the stored (unmodified) left digits, so no
 //!   kernel ROM is needed and the kernels cannot be learned without the
 //!   plaintext.
+//!
+//! **Selective inversion is the zero-kernel case.** Flip-N-Write, Data
+//! Block Inversion and BCC (Section II-C) write each sub-block either as
+//! the data or as its inverse, one aux bit per sub-block. That is
+//! Algorithm 1 over the single all-zero kernel: a partition takes the
+//! kernel (the data) or its complement (the inverse), and with one kernel
+//! the aux word is just the complement flags. [`Vcc::flip_n_write`],
+//! [`Vcc::dbi`] and [`Vcc::bcc`] build exactly that, so the baselines run
+//! the same full-block search as VCC-Stored.
 
 use rand::Rng;
 
@@ -114,7 +123,11 @@ impl Vcc {
             "kernel width {kernel_bits} must divide block width {block_bits}"
         );
         let partitions = block_bits / kernel_bits;
-        assert!(partitions < 64, "too many partitions for one aux word");
+        assert!(
+            partitions < 64,
+            "{partitions} partitions of a {block_bits}-bit block do not fit one aux word \
+             (at most 63 partitions)"
+        );
         // SWAR-OK: candidate-count arithmetic (r * 2^p), not packed-lane math.
         let n_virtual = num_kernels << partitions;
         Vcc {
@@ -230,6 +243,73 @@ impl Vcc {
         vcc
     }
 
+    /// Flip-N-Write: each `sub_bits`-wide sub-block is written directly or
+    /// inverted, whichever costs less, with one aux bit per sub-block (the
+    /// paper's lifetime study uses 16-bit sub-blocks). Named `fnw{sub_bits}`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use coset::{Block, Vcc, WriteContext, Encoder, cost::BitFlips};
+    ///
+    /// let fnw = Vcc::flip_n_write(64, 16);
+    /// assert_eq!((fnw.name(), fnw.partitions(), fnw.aux_bits()), ("fnw16", 4, 4));
+    /// let data = Block::from_u64(u64::MAX, 64);
+    /// let ctx = WriteContext::blank(64, fnw.aux_bits());
+    /// let enc = fnw.encode(&data, &ctx, &BitFlips);
+    /// // Everything differs from the all-zero row, so all four sub-blocks invert.
+    /// assert_eq!(enc.codeword.count_ones(), 0);
+    /// assert_eq!(fnw.decode(&enc.codeword, enc.aux), data);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block_bits` is not in `1..=64`, `sub_bits` is zero or does
+    /// not divide `block_bits`, or the block has 64 sub-blocks (more aux
+    /// bits than one word holds).
+    pub fn flip_n_write(block_bits: usize, sub_bits: usize) -> Self {
+        Self::selective_inversion(block_bits, sub_bits, format!("fnw{sub_bits}"))
+    }
+
+    /// Data Block Inversion: one sub-block covering the whole block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block_bits` is not in `1..=64`.
+    pub fn dbi(block_bits: usize) -> Self {
+        Self::selective_inversion(block_bits, block_bits, "dbi".to_string())
+    }
+
+    /// BCC(n, N): selective inversion over `log2(n_cosets)` sub-blocks, so
+    /// the `n_cosets` biased coset candidates are all concatenations of
+    /// all-zero / all-one sub-block patterns. Named `bcc{n_cosets}`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_cosets` is not a power of two ≥ 2, the sub-block count
+    /// does not divide `block_bits`, or `block_bits` is not in `1..=64`.
+    pub fn bcc(block_bits: usize, n_cosets: usize) -> Self {
+        assert!(
+            n_cosets.is_power_of_two() && n_cosets >= 2,
+            "coset count must be a power of two ≥ 2"
+        );
+        let sections = n_cosets.trailing_zeros() as usize;
+        assert!(
+            block_bits.is_multiple_of(sections),
+            "{sections} sub-blocks do not divide a {block_bits}-bit block"
+        );
+        Self::selective_inversion(block_bits, block_bits / sections, format!("bcc{n_cosets}"))
+    }
+
+    /// Full-block VCC over the single all-zero kernel: each partition takes
+    /// the data (the kernel) or its inverse (the complement), and the aux
+    /// word is the complement flags alone.
+    fn selective_inversion(block_bits: usize, sub_bits: usize, name: String) -> Self {
+        let mut vcc = Self::with_kernels(block_bits, KernelSet::new(sub_bits, vec![0]));
+        vcc.name = name;
+        vcc
+    }
+
     /// Number of partitions `p`.
     pub fn partitions(&self) -> usize {
         self.partitions
@@ -317,8 +397,15 @@ impl Vcc {
     /// the per-candidate class planes, and the cheaper-of-two per partition
     /// is selected with a packed fixed-point compare — all partitions and
     /// both complement forms evaluated as data-parallel word operations,
-    /// mirroring the paper's VCC hardware. Only the winning kernel's
-    /// codeword is ever materialized.
+    /// mirroring the paper's VCC hardware. The winning partitions' flips
+    /// accumulate as a mask during the select, so each candidate word is
+    /// one XOR away.
+    ///
+    /// Kept out of line: inlined into [`Encoder::encode_into`] beside the
+    /// generated-kernel search it shares that function's large frame, which
+    /// costs the one- and few-kernel sets (Flip-N-Write, DBI) tens of ns
+    /// per word.
+    #[inline(never)]
     fn encode_full_block_fast(
         &self,
         data: &Block,
@@ -331,8 +418,7 @@ impl Vcc {
         let dw = data.as_u64();
         let mut best = FixedCost::ZERO;
         let mut best_aux = 0u64;
-        let mut best_kernel = 0usize;
-        let mut best_flags = 0u64;
+        let mut best_word = 0u64;
         let mut found = false;
         let weighted = model.weighted_fields_fit(m);
         for i in 0..kernels.len() {
@@ -342,7 +428,10 @@ impl Vcc {
             let (dp, cp) = model.planes_pair(y, u64::MAX);
             let direct = model.field_counts(&dp, m);
             let comp = model.field_counts(&cp, m);
+            // `flip` collects the partitions whose complement form wins, so
+            // the candidate word is `y ^ flip`.
             let mut flags = 0u64;
+            let mut flip = 0u64;
             let mut data_cost = FixedCost::ZERO;
             if weighted {
                 // Counts fold into weighted per-field cost words, so each
@@ -362,15 +451,18 @@ impl Vcc {
                     let (take_c, chosen) = FixedCost::select_min(c, c_c);
                     // SWAR-OK: take_c is 0 or 1, so exactly bit j is set.
                     flags |= take_c << j;
+                    flip |= (m_mask & take_c.wrapping_neg()) << sh;
                     data_cost += chosen;
                 }
             } else {
                 for j in 0..self.partitions {
-                    let c = model.count_cost(&direct, j * m, m_mask);
-                    let c_c = model.count_cost(&comp, j * m, m_mask);
+                    let sh = j * m;
+                    let c = model.count_cost(&direct, sh, m_mask);
+                    let c_c = model.count_cost(&comp, sh, m_mask);
                     let (take_c, chosen) = FixedCost::select_min(c, c_c);
                     // SWAR-OK: take_c is 0 or 1, so exactly bit j is set.
                     flags |= take_c << j;
+                    flip |= (m_mask & take_c.wrapping_neg()) << sh;
                     data_cost += chosen;
                 }
             }
@@ -385,22 +477,12 @@ impl Vcc {
             if !found || total.packed() < best.packed() {
                 best = total;
                 best_aux = aux;
-                best_kernel = i;
-                best_flags = flags;
+                best_word = y ^ flip;
                 found = true;
             }
         }
         assert!(found, "at least one kernel");
-
-        // Materialize only the winner: data ^ broadcast kernel, flipping the
-        // partitions whose complement form won.
-        let mut flip = 0u64;
-        for j in 0..self.partitions {
-            if (best_flags >> j) & 1 == 1 {
-                flip |= m_mask << (j * m);
-            }
-        }
-        out.codeword = Block::from_u64(dw ^ kernels.broadcast(best_kernel) ^ flip, self.block_bits);
+        out.codeword = Block::from_u64(best_word, self.block_bits);
         out.aux = best_aux;
         out.cost = best.to_cost();
     }
@@ -1159,7 +1241,7 @@ mod tests {
         // worse; on random data it still reaches VCC-like ones reduction.
         let mut rng = StdRng::seed_from_u64(51);
         let hybrid = Vcc::hybrid(64, 16, 16, &mut rng);
-        let fnw = crate::Fnw::with_sub_block(64, 16);
+        let fnw = Vcc::flip_n_write(64, 16);
         let mut hybrid_total = 0u64;
         let mut fnw_total = 0u64;
         for _ in 0..200 {
@@ -1208,5 +1290,131 @@ mod tests {
             ratio < 1.10,
             "hybrid should stay close to pure VCC on random data ({ratio:.3})"
         );
+    }
+
+    /// Selective inversion (Flip-N-Write, DBI, BCC): VCC over the single
+    /// all-zero kernel.
+    mod selective_inversion {
+        use super::*;
+        use rand::Rng;
+
+        #[test]
+        fn constructors() {
+            let f = Vcc::flip_n_write(64, 16);
+            assert_eq!(f.partitions(), 4);
+            assert_eq!(f.aux_bits(), 4);
+            assert_eq!(f.kernel_bits(), 16);
+            assert_eq!(f.num_virtual_cosets(), 16);
+            assert_eq!(f.name(), "fnw16");
+
+            let b = Vcc::bcc(64, 16);
+            assert_eq!(b.partitions(), 4);
+            assert_eq!(b.name(), "bcc16");
+
+            let d = Vcc::dbi(64);
+            assert_eq!(d.partitions(), 1);
+            assert_eq!(d.name(), "dbi");
+        }
+
+        #[test]
+        #[should_panic(expected = "must divide")]
+        fn rejects_non_dividing_sub_block() {
+            Vcc::flip_n_write(64, 24);
+        }
+
+        #[test]
+        #[should_panic(expected = "1..=64 bits")]
+        fn rejects_blocks_wider_than_a_word() {
+            Vcc::flip_n_write(128, 16);
+        }
+
+        #[test]
+        #[should_panic(expected = "power of two")]
+        fn rejects_non_power_of_two_cosets() {
+            Vcc::bcc(64, 12);
+        }
+
+        /// One aux bit per sub-block: 64 one-bit sub-blocks would need a
+        /// 64-bit aux word, which the aux packing does not support.
+        #[test]
+        #[should_panic(expected = "at most 63 partitions")]
+        fn rejects_one_bit_sub_blocks_of_a_word() {
+            Vcc::flip_n_write(64, 1);
+        }
+
+        #[test]
+        fn never_worse_than_unencoded_on_data_bits() {
+            let fnw = Vcc::flip_n_write(64, 16);
+            let mut rng = StdRng::seed_from_u64(5);
+            for _ in 0..200 {
+                let data = Block::random(&mut rng, 64);
+                let old = Block::random(&mut rng, 64);
+                let ctx = WriteContext::new(old, 0, fnw.aux_bits());
+                let enc = fnw.encode(&data, &ctx, &BitFlips);
+                let baseline = data.hamming_distance(&old);
+                let enc_flips = enc.codeword.hamming_distance(&old);
+                assert!(enc_flips <= baseline, "FNW increased data-bit flips");
+            }
+        }
+
+        #[test]
+        fn ones_minimization_on_blank_row_halves_weight() {
+            let fnw = Vcc::flip_n_write(64, 16);
+            let mut rng = StdRng::seed_from_u64(6);
+            for _ in 0..100 {
+                let data = Block::random(&mut rng, 64);
+                let ctx = WriteContext::blank(64, fnw.aux_bits());
+                let enc = fnw.encode(&data, &ctx, &OnesCount);
+                // Every 16-bit sub-block ends up with at most 8 ones.
+                for j in 0..4 {
+                    let w = enc.codeword.extract(j * 16, 16).count_ones();
+                    assert!(w <= 8, "sub-block weight {w} > 8");
+                }
+            }
+        }
+
+        #[test]
+        fn roundtrip_random() {
+            let mut rng = StdRng::seed_from_u64(7);
+            for sub in [8usize, 16, 32, 64] {
+                let fnw = Vcc::flip_n_write(64, sub);
+                check_roundtrip(&fnw, &BitFlips, &mut rng, 100);
+            }
+            let narrow = Vcc::flip_n_write(48, 16);
+            check_roundtrip(&narrow, &OnesCount, &mut rng, 20);
+        }
+
+        #[test]
+        fn roundtrip_with_energy_cost() {
+            let mut rng = StdRng::seed_from_u64(8);
+            let fnw = Vcc::flip_n_write(64, 16);
+            check_roundtrip(&fnw, &WriteEnergy::mlc(), &mut rng, 100);
+        }
+
+        #[test]
+        fn masks_single_stuck_cell_when_possible() {
+            let fnw = Vcc::flip_n_write(64, 16);
+            let mut rng = StdRng::seed_from_u64(9);
+            let mut masked = 0;
+            let trials = 200;
+            for _ in 0..trials {
+                let data = Block::random(&mut rng, 64);
+                let mut stuck = StuckBits::none(64);
+                let idx = rng.gen_range(0..64);
+                let val = rng.gen_bool(0.5);
+                stuck.stick_bit(idx, val);
+                let ctx = WriteContext::new(Block::random(&mut rng, 64), 0, fnw.aux_bits())
+                    .with_stuck(stuck.clone());
+                let enc = fnw.encode(&data, &ctx, &SawCount);
+                if stuck.saw_count(&enc.codeword) == 0 {
+                    masked += 1;
+                }
+                // Data must still decode correctly regardless.
+                assert_eq!(fnw.decode(&enc.codeword, enc.aux), data);
+            }
+            // With two candidates per sub-block a single stuck bit is always
+            // maskable: one of {d, !d} matches any stuck value.
+            assert_eq!(masked, trials);
+        }
     }
 }

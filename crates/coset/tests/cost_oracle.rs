@@ -23,8 +23,7 @@ use coset::cost::{
     ScalarOnly, WriteEnergy,
 };
 use coset::{
-    Block, EncodeScratch, Encoded, Encoder, Flipcy, Fnw, Rcc, StuckBits, Unencoded, Vcc,
-    WriteContext,
+    Block, EncodeScratch, Encoded, Encoder, Flipcy, Rcc, StuckBits, Unencoded, Vcc, WriteContext,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -123,10 +122,10 @@ fn encoders(seed: u64) -> Vec<Box<dyn Encoder>> {
         Box::new(Vcc::hybrid(64, 16, 8, &mut rng)),
         Box::new(Rcc::random(64, 32, &mut rng)),
         Box::new(Rcc::random_with_identity(64, 16, &mut rng)),
-        Box::new(Fnw::with_sub_block(64, 16)),
-        Box::new(Fnw::with_sub_block(64, 8)),
-        Box::new(Fnw::dbi(64)),
-        Box::new(Fnw::with_cosets(64, 16)),
+        Box::new(Vcc::flip_n_write(64, 16)),
+        Box::new(Vcc::flip_n_write(64, 8)),
+        Box::new(Vcc::dbi(64)),
+        Box::new(Vcc::bcc(64, 16)),
         Box::new(Flipcy::new(64)),
     ]
 }

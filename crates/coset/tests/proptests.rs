@@ -8,8 +8,8 @@ use coset::block::parse_bits;
 use coset::cost::{BitFlips, OnesCount, SawCount, WriteEnergy};
 use coset::symbol::{extract_left_digits, extract_right_digits, interleave_digits};
 use coset::{
-    Block, EncodeScratch, Encoded, Encoder, Flipcy, Fnw, GeneratorConfig, KernelSet, Rcc,
-    StuckBits, Unencoded, Vcc, WriteContext,
+    Block, EncodeScratch, Encoded, Encoder, Flipcy, GeneratorConfig, KernelSet, Rcc, StuckBits,
+    Unencoded, Vcc, WriteContext,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -25,9 +25,9 @@ fn encoders(seed: u64) -> Vec<Box<dyn Encoder>> {
     let mut rng = StdRng::seed_from_u64(seed);
     vec![
         Box::new(Unencoded::new(64)),
-        Box::new(Fnw::with_sub_block(64, 16)),
-        Box::new(Fnw::dbi(64)),
-        Box::new(Fnw::with_cosets(64, 16)),
+        Box::new(Vcc::flip_n_write(64, 16)),
+        Box::new(Vcc::dbi(64)),
+        Box::new(Vcc::bcc(64, 16)),
         Box::new(Flipcy::new(64)),
         Box::new(Rcc::random(64, 32, &mut rng)),
         Box::new(Vcc::paper_stored(64, &mut rng)),
@@ -75,7 +75,7 @@ proptest! {
         let data_block = Block::from_u64(data, 64);
         let old_block = Block::from_u64(old, 64);
         let baseline = data_block.hamming_distance(&old_block);
-        let fnw = Fnw::with_sub_block(64, 16);
+        let fnw = Vcc::flip_n_write(64, 16);
         let flipcy = Flipcy::new(64);
         for encoder in [&fnw as &dyn Encoder, &flipcy] {
             let ctx = WriteContext::new(old_block, 0, encoder.aux_bits());
@@ -120,7 +120,7 @@ proptest! {
         stuck_idx in 0usize..64,
         stuck_val in any::<bool>(),
     ) {
-        let fnw = Fnw::with_sub_block(64, 16);
+        let fnw = Vcc::flip_n_write(64, 16);
         let mut stuck = StuckBits::none(64);
         stuck.stick_bit(stuck_idx, stuck_val);
         let ctx = WriteContext::new(Block::from_u64(old, 64), 0, fnw.aux_bits())

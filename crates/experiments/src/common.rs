@@ -4,7 +4,7 @@
 
 use controller::{TimingParams, WritePipeline};
 use coset::cost::CostFunction;
-use coset::{Encoder, Flipcy, Fnw, Rcc, Unencoded, Vcc};
+use coset::{Encoder, Flipcy, Rcc, Unencoded, Vcc};
 use engine::{EngineConfig, ShardedEngine};
 use hwmodel::EncoderHwConfig;
 use pcm::{FaultMap, PcmConfig};
@@ -129,7 +129,8 @@ pub enum Technique {
     Secded,
     /// Plain writeback protected by ECP with three entries per row.
     Ecp3,
-    /// Data block inversion / Flip-N-Write at 16-bit granularity.
+    /// Data block inversion / Flip-N-Write at 16-bit granularity: the
+    /// zero-kernel VCC ([`Vcc::flip_n_write`]).
     DbiFnw,
     /// Flipcy (identity, one's or two's complement).
     Flipcy,
@@ -219,7 +220,7 @@ impl Technique {
             Technique::Unencoded | Technique::Secded | Technique::Ecp3 => {
                 Box::new(Unencoded::new(64))
             }
-            Technique::DbiFnw => Box::new(Fnw::with_sub_block(64, 16)),
+            Technique::DbiFnw => Box::new(Vcc::flip_n_write(64, 16)),
             Technique::Flipcy => Box::new(Flipcy::new(64)),
             Technique::Rcc { cosets } => Box::new(Rcc::random(64, *cosets, &mut rng)),
             Technique::VccStored { cosets } => Box::new(Vcc::paper_stored(*cosets, &mut rng)),

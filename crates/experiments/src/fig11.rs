@@ -7,10 +7,10 @@
 
 use std::fmt;
 
-use engine::EngineConfig;
+use engine::{EngineConfig, LifetimeSummary};
 
 use crate::common::{eng, Scale, Technique};
-use crate::lifetime::{LifetimeOutcome, LifetimeRuns};
+use crate::lifetime::LifetimeRuns;
 
 /// One (benchmark, technique) lifetime measurement.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -20,7 +20,7 @@ pub struct Fig11Cell {
     /// Technique label.
     pub technique: String,
     /// The measured lifetime.
-    pub outcome: LifetimeOutcome,
+    pub outcome: LifetimeSummary,
 }
 
 /// Result of the Figure 11 reproduction.

@@ -23,32 +23,10 @@
 use std::collections::HashMap;
 
 use coset::cost::opt_saw_then_energy;
-use engine::EngineConfig;
+use engine::{EngineConfig, LifetimeSummary};
 
 use crate::common::{trace_for, Scale, Technique};
 use workload::BenchmarkProfile;
-
-/// Outcome of one lifetime run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct LifetimeOutcome {
-    /// Row writes performed before the failure criterion was met.
-    pub writes_to_failure: u64,
-    /// Whether the run actually reached the failure criterion (false means
-    /// the safety cap was hit first — treat the value as a lower bound).
-    pub reached_failure: bool,
-    /// Number of rows that had failed when the run stopped.
-    pub failed_rows: usize,
-}
-
-impl From<engine::LifetimeSummary> for LifetimeOutcome {
-    fn from(s: engine::LifetimeSummary) -> Self {
-        LifetimeOutcome {
-            writes_to_failure: s.writes_to_failure,
-            reached_failure: s.reached_failure,
-            failed_rows: s.failed_rows,
-        }
-    }
-}
 
 /// Runs one (benchmark, technique) lifetime simulation on the default
 /// (single-shard) engine.
@@ -57,7 +35,7 @@ pub fn lifetime_run(
     technique: Technique,
     scale: Scale,
     seed: u64,
-) -> LifetimeOutcome {
+) -> LifetimeSummary {
     lifetime_run_with(profile, technique, scale, seed, EngineConfig::default())
 }
 
@@ -74,7 +52,7 @@ pub fn lifetime_run_with(
     scale: Scale,
     seed: u64,
     engine_config: EngineConfig,
-) -> LifetimeOutcome {
+) -> LifetimeSummary {
     let trace = trace_for(profile, scale, seed);
     let mut engine = technique.engine(
         engine_config,
@@ -84,29 +62,7 @@ pub fn lifetime_run_with(
         seed ^ 0xC0DE,
         || Box::new(opt_saw_then_energy()),
     );
-
-    if trace.is_empty() {
-        return LifetimeOutcome {
-            writes_to_failure: 0,
-            reached_failure: false,
-            failed_rows: 0,
-        };
-    }
-
-    engine
-        .lifetime_replay(&trace, scale.rows_to_failure(), scale.lifetime_write_cap())
-        .into()
-}
-
-/// Averages the lifetime of a technique over a set of benchmarks on the
-/// default (single-shard) engine.
-pub fn mean_lifetime(
-    profiles: &[BenchmarkProfile],
-    technique: Technique,
-    scale: Scale,
-    seed: u64,
-) -> f64 {
-    LifetimeRuns::new(profiles, scale, seed, EngineConfig::default()).mean(technique)
+    engine.lifetime_replay(&trace, scale.rows_to_failure(), scale.lifetime_write_cap())
 }
 
 /// The lifetime runs of one benchmark set, each (benchmark, technique) run
@@ -121,7 +77,7 @@ pub(crate) struct LifetimeRuns<'a> {
     engine_config: EngineConfig,
     /// One outcome per benchmark for each technique run so far. DET01:
     /// point lookups only, never iterated.
-    done: HashMap<Technique, Vec<LifetimeOutcome>>,
+    done: HashMap<Technique, Vec<LifetimeSummary>>,
 }
 
 impl<'a> LifetimeRuns<'a> {
@@ -143,7 +99,7 @@ impl<'a> LifetimeRuns<'a> {
     }
 
     /// The technique's outcome on each benchmark, in benchmark order.
-    pub(crate) fn outcomes(&mut self, technique: Technique) -> &[LifetimeOutcome] {
+    pub(crate) fn outcomes(&mut self, technique: Technique) -> &[LifetimeSummary] {
         let (benchmarks, scale, config) = (self.benchmarks, self.scale, self.engine_config);
         let seeds = self.seed..;
         self.done.entry(technique).or_insert_with(|| {
@@ -215,11 +171,13 @@ mod tests {
     #[test]
     fn mean_lifetime_averages_runs() {
         let profiles = Scale::Tiny.benchmarks();
-        let m = mean_lifetime(&profiles[..1], Technique::Unencoded, Scale::Tiny, 7);
+        let config = EngineConfig::default();
+        let m =
+            LifetimeRuns::new(&profiles[..1], Scale::Tiny, 7, config).mean(Technique::Unencoded);
         let single = lifetime_run(&profiles[0], Technique::Unencoded, Scale::Tiny, 7);
         assert_eq!(m, single.writes_to_failure as f64);
         assert_eq!(
-            mean_lifetime(&[], Technique::Unencoded, Scale::Tiny, 7),
+            LifetimeRuns::new(&[], Scale::Tiny, 7, config).mean(Technique::Unencoded),
             0.0
         );
     }

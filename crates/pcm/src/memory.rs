@@ -126,12 +126,6 @@ impl PcmMemory {
         self
     }
 
-    /// Replaces the default endurance model.
-    pub fn with_endurance(mut self, endurance: EnduranceModel) -> Self {
-        self.endurance = endurance;
-        self
-    }
-
     /// The memory configuration.
     pub fn config(&self) -> &PcmConfig {
         &self.config
@@ -687,7 +681,7 @@ impl PcmMemory {
 mod tests {
     use super::*;
     use coset::cost::{opt_saw_then_energy, SawCount, WriteEnergy};
-    use coset::{Fnw, Rcc, Unencoded, Vcc};
+    use coset::{Rcc, Unencoded, Vcc};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -803,7 +797,7 @@ mod tests {
         };
 
         let (unenc_dead, unenc_high) = run(&Unencoded::new(64));
-        let (_fnw_dead, fnw_high) = run(&Fnw::with_sub_block(64, 16));
+        let (_fnw_dead, fnw_high) = run(&Vcc::flip_n_write(64, 16));
         assert!(unenc_dead > 0, "unencoded stream should wear out cells");
         assert!(
             fnw_high < unenc_high,
@@ -963,7 +957,7 @@ mod tests {
         cfg.seed = 3;
         cfg.energy_weighted_wear = true;
         let map = FaultMap::uniform(2e-2, CellKind::Mlc, 7);
-        let fnw = Fnw::with_sub_block(64, 16);
+        let fnw = Vcc::flip_n_write(64, 16);
         let cf = opt_saw_then_energy();
 
         let mut swar = PcmMemory::new(cfg.clone()).with_fault_map(map);

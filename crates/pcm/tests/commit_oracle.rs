@@ -16,7 +16,7 @@
 
 use coset::cost::{opt_saw_then_energy, CostFunction, WriteEnergy};
 use coset::symbol::CellKind;
-use coset::{Block, Encoder, Fnw, Rcc, Unencoded, Vcc};
+use coset::{Block, Encoder, Rcc, Unencoded, Vcc};
 use pcm::{FaultMap, PcmConfig, PcmMemory};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -36,7 +36,7 @@ fn config(kind: CellKind, energy_weighted: bool, seed: u64) -> PcmConfig {
 fn encoder(idx: usize, rng: &mut StdRng) -> Box<dyn Encoder> {
     match idx % 4 {
         0 => Box::new(Unencoded::new(64)),
-        1 => Box::new(Fnw::with_sub_block(64, 16)),
+        1 => Box::new(Vcc::flip_n_write(64, 16)),
         2 => Box::new(Rcc::random(64, 16, rng)),
         _ => Box::new(Vcc::paper_mlc(64)),
     }
@@ -206,7 +206,7 @@ fn slc_smoke_equivalence() {
     let map = FaultMap::uniform(2e-2, CellKind::Slc, 53);
     let mut rng = StdRng::seed_from_u64(54);
     let lines: Vec<[u64; 8]> = (0..200).map(|_| rng.gen()).collect();
-    let enc = Fnw::with_sub_block(64, 16);
+    let enc = Vcc::flip_n_write(64, 16);
     assert_paths_agree(cfg, Some(map), &enc, &WriteEnergy::slc(), &lines, 4);
 }
 

@@ -9,7 +9,7 @@
 
 use controller::{PipelineStats, TimingStats, WritePipeline};
 use coset::cost::WriteEnergy;
-use coset::{Fnw, Unencoded, Vcc};
+use coset::{Unencoded, Vcc};
 use pcm::{FaultMap, MemoryStats, PcmConfig};
 use proptest::prelude::*;
 use service::{tenant_seed, MemoryService, ServiceConfig, ServiceReport, TenantSpec};
@@ -27,7 +27,7 @@ fn pcm_config() -> PcmConfig {
 fn build_technique(technique: &str, crypt_seed: u64) -> WritePipeline {
     let p = match technique {
         "unencoded" => WritePipeline::new(pcm_config(), Box::new(Unencoded::new(64))),
-        "fnw16" => WritePipeline::new(pcm_config(), Box::new(Fnw::with_sub_block(64, 16))),
+        "fnw16" => WritePipeline::new(pcm_config(), Box::new(Vcc::flip_n_write(64, 16))),
         "vcc64" => WritePipeline::new(pcm_config(), Box::new(Vcc::paper_mlc(64)))
             .with_correction(Box::new(protect::EcpScheme::ecp6_iso_area())),
         other => panic!("unknown test technique {other:?}"),

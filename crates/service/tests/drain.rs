@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use controller::WritePipeline;
 use coset::cost::WriteEnergy;
-use coset::{Fnw, Unencoded};
+use coset::{Unencoded, Vcc};
 use pcm::PcmConfig;
 use service::{CommandLoop, ControlPlane, MemoryService, ServiceConfig, ServiceHandle, TenantSpec};
 use workload::{MemoryReader, TraceSource, WriteBack};
@@ -59,7 +59,7 @@ fn build_technique(technique: &str, _crypt_seed: u64) -> WritePipeline {
     cfg.seed = 0xA11CE;
     let p = match technique {
         "unencoded" => WritePipeline::new(cfg, Box::new(Unencoded::new(64))),
-        "fnw16" => WritePipeline::new(cfg, Box::new(Fnw::with_sub_block(64, 16))),
+        "fnw16" => WritePipeline::new(cfg, Box::new(Vcc::flip_n_write(64, 16))),
         other => panic!("unknown test technique {other:?}"),
     };
     p.with_cost(Box::new(WriteEnergy::mlc()))

@@ -24,7 +24,7 @@ use rand::{Rng, SeedableRng};
 
 use vcc_repro::coset::cost::{CostFunction, ScalarOnly, WriteEnergy};
 use vcc_repro::coset::{
-    Block, EncodeScratch, Encoded, Encoder, Flipcy, Fnw, Rcc, Unencoded, Vcc, WriteContext,
+    Block, EncodeScratch, Encoded, Encoder, Flipcy, Rcc, Unencoded, Vcc, WriteContext,
 };
 
 /// Seed of the kernel draws and the encoded lines.
@@ -77,7 +77,9 @@ fn headline() {
         ("vcc256_generated", Box::new(Vcc::paper_mlc(256))),
         ("vcc256_stored", Box::new(Vcc::paper_stored(256, &mut rng))),
         ("rcc256", Box::new(Rcc::random(64, 256, &mut rng))),
-        ("fnw16", Box::new(Fnw::with_sub_block(64, 16))),
+        // Flip-N-Write is VCC over the one all-zero kernel: the same
+        // full-block search as vcc256_stored, with 1 kernel instead of 16.
+        ("fnw16", Box::new(Vcc::flip_n_write(64, 16))),
         ("flipcy", Box::new(Flipcy::new(64))),
         ("unencoded", Box::new(Unencoded::new(64))),
     ];

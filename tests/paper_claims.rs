@@ -109,6 +109,28 @@ fn tiny_reproduce_report_is_byte_identical_to_golden_fixture() {
     );
 }
 
+/// The same golden report from a 4-shard engine: under the default unified
+/// keying the shard count is a wall-clock knob only, so `--shards` may never
+/// change a reported number.
+#[test]
+fn sharded_tiny_reproduce_report_is_byte_identical_to_golden_fixture() {
+    let report = reproduce_with_engine(
+        Scale::Tiny,
+        0x5EED,
+        Selection {
+            lifetime: false,
+            ..Selection::all()
+        },
+        EngineConfig::default().with_shards(4),
+    );
+    let expected = include_str!("fixtures/reproduce_tiny_nolifetime.txt");
+    assert_eq!(
+        format!("{report}\n"),
+        expected,
+        "4-shard tiny-scale report drifted from tests/fixtures/reproduce_tiny_nolifetime.txt"
+    );
+}
+
 /// Full-selection variant including the lifetime figures (minutes of
 /// runtime): opt-in via `GOLDEN_FULL=1`, which the CI commit-oracle job
 /// sets on release builds.
