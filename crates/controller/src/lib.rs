@@ -25,9 +25,10 @@
 //! engine: each per-word [`coset::WriteContext`] built by
 //! [`PcmMemory::write_line_with`] materializes a per-write
 //! [`coset::CostModel`] (destination bit-planes + the objective's compiled
-//! transition classes), so VCC/RCC/FNW evaluate all partitions and both
-//! complement forms of every candidate as parallel word operations with
-//! fixed-point integer costs. This is automatic for the stock objectives
+//! transition classes), and RCC and every VCC variant (FNW/DBI/BCC
+//! included) price their candidates through one lane-batched search that
+//! evaluates all partitions and both complement forms of every candidate
+//! as parallel word operations with fixed-point integer costs. This is automatic for the stock objectives
 //! ([`WriteEnergy`], flips/ones/SAW counts and their lexicographic
 //! combinations); a custom [`CostFunction`] without transition classes —
 //! or one wrapped in [`coset::cost::ScalarOnly`] — routes the same writes

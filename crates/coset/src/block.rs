@@ -105,13 +105,6 @@ impl Block {
         }
     }
 
-    /// Flips bit `idx`.
-    #[inline]
-    pub fn toggle_bit(&mut self, idx: usize) {
-        assert!(idx < self.len, "bit index {idx} out of range {}", self.len);
-        self.bits ^= 1u64 << idx;
-    }
-
     /// Number of set bits.
     pub fn count_ones(&self) -> u32 {
         self.bits.count_ones()
@@ -204,18 +197,6 @@ impl Block {
     /// Returns the block as a `u64`.
     pub fn as_u64(&self) -> u64 {
         self.bits
-    }
-
-    /// Concatenates two blocks (`self` occupies the low bits).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two lengths add up to more than 64 bits.
-    pub fn concat(&self, other: &Block) -> Block {
-        let mut out = Block::zeros(self.len + other.len);
-        out.splice(0, self);
-        out.splice(self.len, other);
-        out
     }
 }
 
@@ -331,8 +312,7 @@ mod tests {
         assert_eq!(b.count_ones(), 3);
         b.set_bit(40, false);
         assert_eq!(b.count_ones(), 2);
-        b.toggle_bit(40);
-        assert!(b.bit(40));
+        assert!(!b.bit(40));
     }
 
     #[test]
@@ -371,15 +351,6 @@ mod tests {
         assert_eq!(c.extract(10, 40), b.extract(10, 40));
         assert_eq!(c.extract(0, 10), 0);
         assert_eq!(c.extract(50, 14), 0);
-    }
-
-    #[test]
-    fn concat_orders_low_then_high() {
-        let lo = Block::from_u64(0b01, 2);
-        let hi = Block::from_u64(0b11, 2);
-        let c = lo.concat(&hi);
-        assert_eq!(c.len(), 4);
-        assert_eq!(c.as_u64(), 0b1101);
     }
 
     #[test]

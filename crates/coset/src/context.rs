@@ -7,7 +7,8 @@
 //! the stuck-at state of a bit range.
 
 use crate::block::{low_bits, Block};
-use crate::cost::{ClassSet, Cost, CostFunction, Field, FixedCost, LANES};
+use crate::cost::{BasePlanes, Bases, ClassSet, Cost, CostFunction, Field, FixedCost};
+use crate::search::LANES;
 
 /// Stuck-at information for a block-sized region of memory.
 ///
@@ -243,8 +244,8 @@ impl WriteContext {
     /// Materializes the per-write broadcast-SWAR cost engine for this
     /// destination, or `None` when `cf` admits no word-batched integer
     /// path (see [`CostFunction::classes`]) — callers then run their scalar
-    /// fallback.
-    pub fn cost_model(&self, cf: &dyn CostFunction) -> Option<CostModel> {
+    /// fallback. The model borrows the objective's class set.
+    pub fn cost_model<'a>(&self, cf: &'a dyn CostFunction) -> Option<CostModel<'a>> {
         let classes = cf.classes()?;
         // MLC classes fold per-cell flags onto even bit positions: the data
         // region must be a whole number of cells for the planes (and the
@@ -268,11 +269,10 @@ impl WriteContext {
             (1u64 << aux_bits) - 1
         };
         Some(CostModel {
-            classes: *classes,
+            classes,
             old: self.old_data.as_u64(),
             stuck_mask: self.stuck.mask().as_u64(),
             stuck_value: self.stuck.value().as_u64(),
-            bits: self.data_bits(),
             mask: low_bits(self.data_bits()),
             aux_old: self.old_aux,
             aux_stuck_mask: self.stuck_aux_mask,
@@ -296,30 +296,27 @@ impl WriteContext {
 
 /// The per-write broadcast-SWAR cost engine: the destination word's
 /// bit-planes copied from a [`WriteContext`] plus the objective's compiled
-/// transition classes ([`ClassSet`]).
+/// transition classes ([`ClassSet`]), borrowed from the objective.
 ///
 /// Materialized once per write by [`WriteContext::cost_model`], then driven
-/// by the encoders' hot loops: whole candidate words are costed with a
-/// handful of masked popcounts per transition class
-/// ([`CostModel::word_cost`]), and VCC's per-partition selection derives
-/// the class planes of a candidate and its complement form once
-/// ([`CostModel::planes_pair`]) and counts every partition field of them at
-/// once ([`CostModel::field_counts`]) — evaluating all partitions of a
-/// block as parallel bit operations, the way the paper's VCC hardware
-/// evaluates all partitions and both complement forms at once.
+/// by the encoders' one candidate search: it derives the class planes of
+/// the data under the four repeated cell patterns once, mixes every
+/// candidate's planes from them, and counts every partition field at once
+/// — evaluating all partitions of a block as parallel bit operations, the
+/// way the paper's VCC hardware evaluates all partitions and both
+/// complement forms at once.
 ///
 /// Costs accumulate in fixed-point [`FixedCost`] and compare via
 /// [`FixedCost::packed`]; `f64` appears only at the [`crate::Encoded`]
 /// boundary. All built-in class costs are integers (counts or integer-pJ
 /// Table I energies), so results are bit-identical to the scalar path.
 #[derive(Debug, Clone, Copy)]
-pub struct CostModel {
-    classes: ClassSet,
+pub struct CostModel<'a> {
+    classes: &'a ClassSet,
     old: u64,
     stuck_mask: u64,
     stuck_value: u64,
-    bits: usize,
-    /// Mask of the `bits` significant bits of the word.
+    /// Mask of the significant bits of the data word.
     mask: u64,
     aux_old: u64,
     aux_stuck_mask: u64,
@@ -327,94 +324,24 @@ pub struct CostModel {
     aux_mask: u64,
 }
 
-impl CostModel {
+impl CostModel<'_> {
     /// The compiled transition classes.
     pub fn classes(&self) -> &ClassSet {
-        &self.classes
+        self.classes
     }
 
-    /// Width of the modeled data region in bits.
-    pub fn bits(&self) -> usize {
-        self.bits
-    }
-
-    /// Fused class planes for a candidate word and its complement form
-    /// `new ^ cmask` (see [`ClassSet::planes_pair`]).
+    /// The [`BasePlanes`] of writing candidates `data ^ c` over the
+    /// destination word (see [`ClassSet::base_planes`]).
     #[inline(always)]
-    pub fn planes_pair(
-        &self,
-        new: u64,
-        cmask: u64,
-    ) -> ([u64; ClassSet::MAX], [u64; ClassSet::MAX]) {
-        self.classes.planes_pair(
-            new,
-            cmask,
+    pub(crate) fn base_planes(&self, data: u64, bases: Bases) -> BasePlanes {
+        self.classes.base_planes(
+            data,
             self.old,
             self.stuck_mask,
             self.stuck_value,
             self.mask,
+            bases,
         )
-    }
-
-    /// Whether weighted per-field cost words fit `field_bits`-wide fields
-    /// (see [`ClassSet::weighted_fields_fit`]).
-    pub fn weighted_fields_fit(&self, field_bits: usize) -> bool {
-        self.classes.weighted_fields_fit(field_bits)
-    }
-
-    /// Whether the packed cheaper-of-two is exact on `field_bits`-wide
-    /// weighted fields (see [`ClassSet::packed_select_fits`]).
-    pub(crate) fn packed_select_fits(&self, field_bits: usize) -> bool {
-        self.classes.packed_select_fits(field_bits)
-    }
-
-    /// Weighted per-field cost words from per-field counts (see
-    /// [`ClassSet::weighted_fields`]).
-    #[inline(always)]
-    pub fn weighted_fields(&self, counts: &[u64; ClassSet::MAX]) -> (u64, u64) {
-        self.classes.weighted_fields(counts)
-    }
-
-    /// Per-partition popcounts of precomputed planes
-    /// ([`ClassSet::field_counts`]); `field_bits` must be a power of two.
-    #[inline(always)]
-    pub fn field_counts(
-        &self,
-        planes: &[u64; ClassSet::MAX],
-        field_bits: usize,
-    ) -> [u64; ClassSet::MAX] {
-        self.classes.field_counts(planes, field_bits)
-    }
-
-    /// Cost of one partition out of precomputed
-    /// [`CostModel::field_counts`] (see [`ClassSet::count_cost`]).
-    #[inline(always)]
-    pub fn count_cost(
-        &self,
-        counts: &[u64; ClassSet::MAX],
-        shift: usize,
-        field_mask: u64,
-    ) -> FixedCost {
-        self.classes.count_cost(counts, shift, field_mask)
-    }
-
-    /// Cost of writing `new` over the destination word, restricted to
-    /// `mask`.
-    #[inline(always)]
-    pub fn word_cost_masked(&self, new: u64, mask: u64) -> FixedCost {
-        self.classes.cost(
-            new,
-            self.old,
-            self.stuck_mask,
-            self.stuck_value,
-            mask & self.mask,
-        )
-    }
-
-    /// Cost of writing `new` over the whole destination word.
-    #[inline(always)]
-    pub fn word_cost(&self, new: u64) -> FixedCost {
-        self.word_cost_masked(new, u64::MAX)
     }
 
     /// Cost of writing `aux` into the auxiliary cells (the fixed-point
@@ -540,6 +467,7 @@ mod tests {
     #[test]
     fn cost_model_matches_scalar_costs() {
         use crate::cost::{opt_saw_then_energy, WriteEnergy};
+        use crate::search::{search, Complement, Layout};
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(23);
@@ -559,11 +487,19 @@ mod tests {
                 Box::new(opt_saw_then_energy()),
             ] {
                 let model = ctx.cost_model(cf.as_ref()).expect("classes available");
-                let cand = rng.gen::<u64>();
-                let cand_block = Block::from_u64(cand, 64);
+                // One candidate through the search: data ^ c under aux 0.
+                let (data, c) = (rng.gen::<u64>(), rng.gen::<u64>());
+                let layout = Layout {
+                    field_bits: 64,
+                    fields: 1,
+                    complement: Complement::None,
+                };
+                let won = search(&model, data, layout, 1, |_, batch| batch[0] = c);
+                assert_eq!(won.word, data ^ c);
                 assert_eq!(
-                    model.word_cost(cand).to_cost(),
-                    ctx.data_cost(cf.as_ref(), &cand_block),
+                    won.cost.to_cost(),
+                    ctx.data_cost(cf.as_ref(), &Block::from_u64(data ^ c, 64))
+                        + ctx.aux_cost(cf.as_ref(), 0),
                     "word cost diverged for {}",
                     cf.name()
                 );

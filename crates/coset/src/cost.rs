@@ -145,7 +145,7 @@ impl ClassRule {
     /// onto even bit positions, so evaluation masks must cover whole 2-bit
     /// symbols; every other rule is position-independent.
     #[inline]
-    pub fn cell_bits(self) -> u32 {
+    pub const fn cell_bits(self) -> u32 {
         match self {
             ClassRule::MlcHigh | ClassRule::MlcLow => 2,
             _ => 1,
@@ -259,45 +259,15 @@ impl CompiledClass {
         let pol = (new & self.e) | (!new & self.f);
         base & gate & pol & mask
     }
-
-    /// Fused plane derivation for a candidate `new` and its complement form
-    /// `new ^ cmask`: `new` enters the formula linearly, so the complement's
-    /// difference plane is one extra XOR and the stuck gate is shared. This
-    /// is the per-kernel workhorse of the VCC cheaper-of-two search.
-    #[inline(always)]
-    fn plane_pair(
-        &self,
-        new: u64,
-        cmask: u64,
-        old: u64,
-        sm: u64,
-        sv: u64,
-        mask: u64,
-    ) -> (u64, u64) {
-        let diffish = new ^ (old & self.a) ^ (sv & self.b);
-        let diffish_c = diffish ^ cmask;
-        let folded = (diffish | (diffish >> 1)) & MLC_RIGHT_DIGITS;
-        let folded_c = (diffish_c | (diffish_c >> 1)) & MLC_RIGHT_DIGITS;
-        let base = (folded & self.fold) | (diffish & !self.fold);
-        let base_c = (folded_c & self.fold) | (diffish_c & !self.fold);
-        let smf = (sm | (sm >> 1)) & MLC_RIGHT_DIGITS;
-        let smx = (smf & self.fold) | (sm & !self.fold);
-        let gate = (smx & self.c) | (!smx & self.d);
-        let new_c = new ^ cmask;
-        let pol = (new & self.e) | (!new & self.f);
-        let pol_c = (new_c & self.e) | (!new_c & self.f);
-        let gm = gate & mask;
-        (base & pol & gm, base_c & pol_c & gm)
-    }
 }
 
 /// The transition classes of a cost function (at most [`ClassSet::MAX`]).
 ///
 /// Obtained from [`CostFunction::classes`]; evaluated either over whole
-/// words ([`ClassSet::cost`]) or per partition field of precomputed planes
-/// ([`ClassSet::planes_pair`] + [`ClassSet::field_counts`]) — the latter is
-/// what lets the VCC encoder cost every partition of a block with a handful
-/// of popcounts.
+/// words ([`ClassSet::cost`]) or, in the encoders' candidate search, per
+/// partition field of class planes mixed from four base plane sets
+/// ([`ClassSet::field_counts`]) — which lets one search cost every
+/// partition of a block with a handful of popcounts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClassSet {
     classes: [CostClass; ClassSet::MAX],
@@ -306,6 +276,13 @@ pub struct ClassSet {
     /// Whether any class charges a secondary (tie-break) unit; when false
     /// the hot loops skip the secondary accumulation entirely.
     has_secondary: bool,
+    /// Widest cell any class assumes, kept up to date by
+    /// [`ClassSet::push`] so the per-write gates read one byte.
+    cell_bits: u8,
+    /// Sums of the primary and secondary units: a field's worst-case cost
+    /// per bit, kept up to date by [`ClassSet::push`] for the per-write
+    /// fit checks.
+    unit_sums: (u64, u64),
 }
 
 impl Default for ClassSet {
@@ -314,12 +291,15 @@ impl Default for ClassSet {
     }
 }
 
-/// Splits a word into `field_bits`-wide fields (a power of two dividing 64)
+/// Splits a word into `field_bits`-wide fields (a power of two up to 64)
 /// and returns a word holding each field's population count in place — the
 /// SWAR primitive that costs every VCC partition of a class plane at once.
 #[inline(always)]
 pub fn per_field_popcount(x: u64, field_bits: usize) -> u64 {
     debug_assert!(field_bits.is_power_of_two() && field_bits <= 64);
+    if field_bits == 64 {
+        return u64::from(x.count_ones());
+    }
     if field_bits == 1 {
         return x;
     }
@@ -339,126 +319,68 @@ pub fn per_field_popcount(x: u64, field_bits: usize) -> u64 {
     if field_bits == 16 {
         return x;
     }
-    x = (x + (x >> 16)) & 0x0000_FFFF_0000_FFFF;
-    if field_bits == 32 {
-        return x;
-    }
-    (x + (x >> 32)) & 0x7F
+    (x + (x >> 16)) & 0x0000_FFFF_0000_FFFF
 }
 
-/// Candidates costed per pass by the lane-batched kernel search: the
-/// per-candidate words of one pass sit in `[u64; LANES]` arrays that every
-/// step walks with the same straight-line code.
-pub(crate) const LANES: usize = 4;
-
-/// The class plane of a candidate assembled from two candidates that share
-/// every bit outside `sel`: where `sel` is set it takes `alt`'s plane bit,
-/// elsewhere `base`'s.
+/// The class planes of one destination word written with `new ^ q`, for
+/// the four cell patterns `q` (`00`, `01`, `10`, `11` repeated across the
+/// word), from which [`BasePlanes::mix`] assembles the planes of any
+/// candidate `new ^ c`.
 ///
-/// Exact whenever every plane bit depends only on its own cell, the
-/// candidates differ only in right digits and `sel` is a set of right
-/// digits: true for every [`ClassRule`], because the MLC rules fold a
-/// cell's flags onto its right-digit position. With `base`/`alt` the
-/// planes of `data` and `data ^ right_digits`, this yields the planes of
-/// `data ^ k` for any right-digit kernel `k` in two operations per class.
-#[inline(always)]
-pub(crate) fn mix_plane(base: u64, alt: u64, sel: u64) -> u64 {
-    base ^ ((base ^ alt) & sel)
-}
-
-/// Lane geometry for packed per-field arithmetic on weighted cost words:
-/// `bits`-wide fields (a power of two below 64), as produced by
-/// [`ClassSet::field_counts`] + [`ClassSet::weighted_fields`]. Lets the
-/// cheaper-of-two partition select run on every field of a word at once.
+/// Exact because every plane bit depends only on its own cell: per cell,
+/// the planes of `new ^ c` are those of the base whose pattern matches
+/// `c`'s two bits there. The MLC rules fold a cell's flags onto its right
+/// digit and the other rules are bitwise, so the right-digit difference
+/// planes `d0` and `d1` vanish on left digits, and `c` itself selects the
+/// right-digit half with no spreading.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct FieldLanes {
-    bits: usize,
-    /// `log2(bits)`: index into [`FieldLanes::PAIR_LOW`].
-    log2: usize,
-    /// The top bit of every field.
-    tops: u64,
+pub(crate) struct BasePlanes {
+    /// Planes of `new` (pattern `00`).
+    p00: [u64; ClassSet::MAX],
+    /// `p00` XOR the planes of `new ^ right digits` (pattern `01`).
+    d0: [u64; ClassSet::MAX],
+    /// Planes of `new ^ left digits` (pattern `10`).
+    p10: [u64; ClassSet::MAX],
+    /// `p10` XOR the planes of `new ^ !0` (pattern `11`).
+    d1: [u64; ClassSet::MAX],
 }
 
-impl FieldLanes {
-    /// Bit 0 of every `2^k`-bit field, for `k` in `0..6`.
-    const BOTTOMS: [u64; 6] = [
-        u64::MAX,
-        0x5555_5555_5555_5555,
-        0x1111_1111_1111_1111,
-        0x0101_0101_0101_0101,
-        0x0001_0001_0001_0001,
-        0x0000_0001_0000_0001,
-    ];
-    /// The low half of every `2^(k+1)`-bit field, for `k` in `0..6`.
-    const PAIR_LOW: [u64; 6] = [
-        0x5555_5555_5555_5555,
-        0x3333_3333_3333_3333,
-        0x0F0F_0F0F_0F0F_0F0F,
-        0x00FF_00FF_00FF_00FF,
-        0x0000_FFFF_0000_FFFF,
-        0x0000_0000_FFFF_FFFF,
-    ];
+/// Which [`BasePlanes`] a search derives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Bases {
+    /// All four: candidates flip any bits.
+    Four,
+    /// `00` and `01`: candidates flip right digits only (zero high
+    /// selector).
+    RightDigits,
+    /// `00` and `11`: the only candidate is `new` itself (selector 0), so
+    /// [`BasePlanes::mix`] yields its planes and those of `!new`.
+    Pair,
+}
 
-    /// Lanes of `bits`-wide fields.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `bits` is a power of two below 64.
-    pub(crate) fn new(bits: usize) -> Self {
-        assert!(
-            bits.is_power_of_two() && bits < 64,
-            "field lanes need a power-of-two width below 64"
-        );
-        let log2 = bits.trailing_zeros() as usize;
-        FieldLanes {
-            bits,
-            log2,
-            tops: Self::BOTTOMS[log2] << (bits - 1),
-        }
+impl BasePlanes {
+    /// The high selector of candidate `c`: every cell whose left digit `c`
+    /// flips, with both of its bits set.
+    #[inline(always)]
+    pub(crate) fn high_selector(c: u64) -> u64 {
+        let h = (c >> 1) & MLC_RIGHT_DIGITS;
+        h | (h << 1)
     }
 
-    /// Packed cheaper-of-two: for every field, whether `b` is strictly
-    /// cheaper than `a` (the field's top bit set in the first word — the
-    /// per-field [`FixedCost::select_min`] on primary-only costs) and the
-    /// cheaper value (`a` on ties) in the second word.
-    ///
-    /// Exact only while every field of `a` and `b` stays below the field's
-    /// top bit ([`ClassSet::packed_select_fits`]).
+    /// Class `k`'s planes of the candidates `new ^ c` and `new ^ !c`, with
+    /// `hi` the [`BasePlanes::high_selector`] of `c`: one mix of the
+    /// right-digit planes per left-digit value, then one mix between the
+    /// two. With `hi == 0` (a candidate that flips right digits only) the
+    /// first plane is `p00 ^ (d0 & c)`, and only `p00` and `d0` are read.
     #[inline(always)]
-    pub(crate) fn select_min(&self, a: u64, b: u64) -> (u64, u64) {
-        // Every field of a and b is below its top bit, so each field of
-        // (b | tops) - a lies in (0, 2^bits): no borrow crosses a field, and
-        // the top bit survives exactly where b >= a.
-        let b_ge_a = (b | self.tops).wrapping_sub(a);
-        let take_b = !b_ge_a & self.tops;
-        // take_b holds at most the top bit of each field, so the
-        // subtraction fills only that field's lower bits.
-        let full = take_b | (take_b - (take_b >> (self.bits - 1)));
-        (take_b, a ^ ((a ^ b) & full))
-    }
-
-    /// Sum of all fields of `x`: pairwise widening adds, so no partial sum
-    /// carries out of its field.
-    #[inline(always)]
-    pub(crate) fn sum(&self, x: u64) -> u64 {
-        let mut x = x;
-        for (k, low) in Self::PAIR_LOW.iter().enumerate().skip(self.log2) {
-            // `low` keeps one 2^k-bit field per 2^(k+1)-bit lane; two such
-            // fields sum below 2^(k+1), inside the wider lane.
-            x = (x & low) + ((x >> (1usize << k)) & low);
-        }
-        x
-    }
-
-    /// Gathers the top bit of field `j` into bit `j`, for the low `fields`
-    /// fields.
-    #[inline(always)]
-    pub(crate) fn gather_tops(&self, tops: u64, fields: usize) -> u64 {
-        let mut out = 0u64;
-        for j in 0..fields {
-            out |= ((tops >> (j * self.bits + self.bits - 1)) & 1) << j;
-        }
-        out
+    pub(crate) fn mix(&self, k: usize, c: u64, hi: u64) -> (u64, u64) {
+        let low = self.p00[k] ^ (self.d0[k] & c);
+        let high = self.p10[k] ^ (self.d1[k] & c);
+        let across = low ^ high;
+        // `!c` flips both selectors: each right-digit mix takes its other
+        // base, and the high mix swaps its two sides.
+        let across_c = across ^ self.d0[k] ^ self.d1[k];
+        (low ^ (across & hi), high ^ self.d1[k] ^ (across_c & hi))
     }
 }
 
@@ -479,6 +401,8 @@ impl ClassSet {
             compiled: [CompiledClass::compile(ClassRule::Ones); Self::MAX],
             len: 0,
             has_secondary: false,
+            cell_bits: 1,
+            unit_sums: (0, 0),
         }
     };
 
@@ -500,6 +424,14 @@ impl ClassSet {
             self.compiled[self.len as usize] = CompiledClass::compile(class.rule);
             self.len += 1;
             self.has_secondary = self.has_secondary || class.secondary != 0;
+            // SWAR-OK: a rule's cell width is 1 or 2; the cast cannot truncate.
+            let cell_bits = class.rule.cell_bits() as u8;
+            if cell_bits > self.cell_bits {
+                self.cell_bits = cell_bits;
+            }
+            // Saturating: a sum that would overflow fits no field anyway.
+            self.unit_sums.0 = self.unit_sums.0.saturating_add(class.primary);
+            self.unit_sums.1 = self.unit_sums.1.saturating_add(class.secondary);
             true
         } else {
             false
@@ -509,8 +441,8 @@ impl ClassSet {
     /// Per-partition population counts of precomputed planes: each entry is
     /// a word whose `field_bits`-wide fields hold that partition's plane
     /// popcount ([`per_field_popcount`]). `field_bits` must be a power of
-    /// two — always the case in the broadcast fast paths, whose gate
-    /// requires partition widths dividing 64.
+    /// two — always the case in the candidate search, whose gates require
+    /// partition widths dividing 64.
     #[inline(always)]
     pub fn field_counts(&self, planes: &[u64; Self::MAX], field_bits: usize) -> [u64; Self::MAX] {
         let mut counts = [0u64; Self::MAX];
@@ -525,34 +457,21 @@ impl ClassSet {
     /// field without carrying into its neighbour (checked separately for
     /// the primary and secondary components).
     pub fn weighted_fields_fit(&self, field_bits: usize) -> bool {
-        if field_bits >= 64 {
-            return false;
-        }
-        let cap = 1u128 << field_bits;
-        let worst = |unit_of: fn(&CostClass) -> u64| -> u128 {
-            self.classes()
-                .iter()
-                .map(|c| unit_of(c) as u128 * field_bits as u128)
-                .sum()
-        };
-        worst(|c| c.primary) < cap && worst(|c| c.secondary) < cap
+        let worst = |sum: u64| u128::from(sum) * field_bits as u128;
+        field_bits <= 64
+            && worst(self.unit_sums.0) < 1u128 << field_bits
+            && worst(self.unit_sums.1) < 1u128 << field_bits
     }
 
-    /// Whether the packed cheaper-of-two ([`FieldLanes::select_min`]) is
-    /// exact on weighted cost words of `field_bits`-wide fields: the
-    /// objective charges no secondary unit, and a field's worst-case cost
-    /// `Σ units × field_bits` stays below the field's top bit, which the
-    /// packed compare borrows.
+    /// Whether the packed cheaper-of-two (`FieldLanes::select_min` of the
+    /// candidate search) is exact on weighted cost words of
+    /// `field_bits`-wide fields: the objective charges no secondary unit,
+    /// and a field's worst-case cost `Σ units × field_bits` stays below the
+    /// field's top bit, which the packed compare borrows.
     pub(crate) fn packed_select_fits(&self, field_bits: usize) -> bool {
-        if self.has_secondary || field_bits >= 64 {
-            return false;
-        }
-        let worst: u128 = self
-            .classes()
-            .iter()
-            .map(|c| c.primary as u128 * field_bits as u128)
-            .sum();
-        worst < 1u128 << (field_bits - 1)
+        !self.has_secondary
+            && (1..=64).contains(&field_bits)
+            && u128::from(self.unit_sums.0) * (field_bits as u128) < 1u128 << (field_bits - 1)
     }
 
     /// Folds per-field counts into weighted per-field cost words: each
@@ -571,45 +490,6 @@ impl ClassSet {
             }
         }
         (primary, secondary)
-    }
-
-    /// Class planes of the candidate that takes `alt`'s right digits under
-    /// `sel` and `base`'s elsewhere ([`mix_plane`] per class).
-    #[inline(always)]
-    pub(crate) fn mixed_planes(
-        &self,
-        base: &[u64; Self::MAX],
-        alt: &[u64; Self::MAX],
-        sel: u64,
-    ) -> [u64; Self::MAX] {
-        let mut planes = [0u64; Self::MAX];
-        for ((p, b), a) in planes.iter_mut().zip(base).zip(alt).take(self.len as usize) {
-            *p = mix_plane(*b, *a, sel);
-        }
-        planes
-    }
-
-    /// Weighted per-field primary cost words of [`LANES`] mixed candidates
-    /// at once (lane `l` selects with `sel[l]`, see
-    /// [`ClassSet::mixed_planes`]): per-field popcounts of every class
-    /// plane, times the class unit. The secondary units are ignored, so
-    /// callers gate on [`ClassSet::packed_select_fits`].
-    #[inline(always)]
-    pub(crate) fn mixed_cost_lanes(
-        &self,
-        base: &[u64; Self::MAX],
-        alt: &[u64; Self::MAX],
-        sel: &[u64; LANES],
-        field_bits: usize,
-    ) -> [u64; LANES] {
-        let mut cost = [0u64; LANES];
-        for ((b, a), class) in base.iter().zip(alt).zip(self.classes()) {
-            for (c, s) in cost.iter_mut().zip(sel) {
-                let n = per_field_popcount(mix_plane(*b, *a, *s), field_bits);
-                *c = c.wrapping_add(n.wrapping_mul(class.primary));
-            }
-        }
-        cost
     }
 
     /// Cost of one partition from precomputed [`ClassSet::field_counts`]:
@@ -641,12 +521,9 @@ impl ClassSet {
 
     /// Widest cell any class assumes (2 when an MLC class is present):
     /// evaluation masks must cover whole cells of this width.
+    #[inline]
     pub fn cell_bits(&self) -> u32 {
-        self.classes()
-            .iter()
-            .map(|c| c.rule.cell_bits())
-            .max()
-            .unwrap_or(1)
+        u32::from(self.cell_bits)
     }
 
     /// Derives every class's programmed-bit plane for writing `new` over a
@@ -671,49 +548,48 @@ impl ClassSet {
         planes
     }
 
-    /// Fused variant of [`ClassSet::planes`] deriving the planes of a
-    /// candidate `new` *and* of its complement form `new ^ cmask` in one
-    /// pass (shared difference/stuck subexpressions): the per-kernel
-    /// workhorse of the cheaper-of-two partition search.
+    /// The [`BasePlanes`] of writing candidates `new ^ c` over one
+    /// destination word; `bases` says which of the four are derived.
     #[inline(always)]
-    pub fn planes_pair(
+    pub(crate) fn base_planes(
         &self,
         new: u64,
-        cmask: u64,
         old: u64,
         stuck_mask: u64,
         stuck_value: u64,
         mask: u64,
-    ) -> ([u64; Self::MAX], [u64; Self::MAX]) {
-        let mut direct = [0u64; Self::MAX];
-        let mut comp = [0u64; Self::MAX];
-        for ((p, q), compiled) in direct
-            .iter_mut()
-            .zip(comp.iter_mut())
-            .zip(self.compiled[..self.len as usize].iter())
-        {
-            let (a, b) = compiled.plane_pair(new, cmask, old, stuck_mask, stuck_value, mask);
-            *p = a;
-            *q = b;
-        }
-        (direct, comp)
-    }
-
-    /// Sums the class costs of precomputed planes restricted to `mask`
-    /// (e.g. one VCC partition). `mask` must be a subset of the mask the
-    /// planes were derived with, and must cover whole cells for MLC rules.
-    #[inline(always)]
-    pub fn plane_cost(&self, planes: &[u64; Self::MAX], mask: u64) -> FixedCost {
-        let mut cost = FixedCost::ZERO;
-        for (p, class) in planes.iter().zip(self.classes()) {
-            let n = (p & mask).count_ones() as u64;
-            // DET-OK: u64 fixed-point — exact integer accumulation.
-            cost.primary += n * class.primary;
-            if self.has_secondary {
-                cost.secondary += n * class.secondary; // DET-OK: u64 add
+        bases: Bases,
+    ) -> BasePlanes {
+        let planes = |q: u64| self.planes(new ^ q, old, stuck_mask, stuck_value, mask);
+        let diff = |a: [u64; Self::MAX], b: [u64; Self::MAX]| -> [u64; Self::MAX] {
+            std::array::from_fn(|k| a[k] ^ b[k])
+        };
+        let zero = [0u64; Self::MAX];
+        let p00 = planes(0);
+        match bases {
+            Bases::Four => {
+                let p10 = planes(!MLC_RIGHT_DIGITS);
+                BasePlanes {
+                    p00,
+                    d0: diff(p00, planes(MLC_RIGHT_DIGITS)),
+                    p10,
+                    d1: diff(p10, planes(u64::MAX)),
+                }
             }
+            Bases::RightDigits => BasePlanes {
+                p00,
+                d0: diff(p00, planes(MLC_RIGHT_DIGITS)),
+                p10: zero,
+                d1: zero,
+            },
+            // Selector 0 reads `p00` and `p10 ^ d1` alone.
+            Bases::Pair => BasePlanes {
+                p00,
+                d0: zero,
+                p10: zero,
+                d1: planes(u64::MAX),
+            },
         }
-        cost
     }
 
     /// Full cost of writing `new` over one destination word, restricted to
@@ -728,7 +604,16 @@ impl ClassSet {
         mask: u64,
     ) -> FixedCost {
         let planes = self.planes(new, old, stuck_mask, stuck_value, mask);
-        self.plane_cost(&planes, mask)
+        let mut cost = FixedCost::ZERO;
+        for (p, class) in planes.iter().zip(self.classes()) {
+            let n = u64::from(p.count_ones());
+            // DET-OK: u64 fixed-point — exact integer accumulation.
+            cost.primary += n * class.primary;
+            if self.has_secondary {
+                cost.secondary += n * class.secondary; // DET-OK: u64 add
+            }
+        }
+        cost
     }
 }
 
@@ -863,13 +748,6 @@ impl Field {
         } else {
             (1u64 << self.bits) - 1
         }
-    }
-
-    /// The data that will actually end up stored: stuck cells keep their
-    /// frozen value, everything else takes the new value.
-    #[inline]
-    pub fn effective_stored(&self) -> u64 {
-        ((self.new & !self.stuck_mask) | (self.stuck_value & self.stuck_mask)) & self.bit_mask()
     }
 
     /// Number of stuck-at-wrong bits: stuck cells whose frozen value differs
@@ -1083,20 +961,6 @@ impl TransitionEnergy {
         }
     }
 
-    /// Builds a custom SLC table from a 2x2 matrix.
-    pub fn custom_slc(table: [[f64; 2]; 2]) -> Self {
-        let mut full = [[0.0f64; 4]; 4];
-        for old in 0..2 {
-            for new in 0..2 {
-                full[old][new] = table[old][new];
-            }
-        }
-        TransitionEnergy {
-            kind: CellKind::Slc,
-            table: full,
-        }
-    }
-
     /// The cell kind this table describes.
     pub fn kind(&self) -> CellKind {
         self.kind
@@ -1107,11 +971,6 @@ impl TransitionEnergy {
     #[inline]
     pub fn energy(&self, old: u8, new: u8) -> f64 {
         self.table[old as usize][new as usize]
-    }
-
-    /// The largest single-cell transition energy in the table.
-    pub fn max_energy(&self) -> f64 {
-        self.table.iter().flatten().copied().fold(0.0f64, f64::max)
     }
 }
 
@@ -1483,7 +1342,6 @@ mod tests {
         // write 1: stuck-at-wrong.
         assert_eq!(SawCount.field_cost(&f).primary, 1.0);
         assert_eq!(f.saw_bits(), 1);
-        assert_eq!(f.effective_stored(), 0b1011);
     }
 
     #[test]
@@ -1501,7 +1359,6 @@ mod tests {
         assert_eq!(t.energy(0b00, 0b10), MLC_LOW_TRANSITION_PJ);
         assert_eq!(t.energy(0b01, 0b00), MLC_LOW_TRANSITION_PJ);
         assert_eq!(t.energy(0b11, 0b10), MLC_LOW_TRANSITION_PJ);
-        assert!(t.max_energy() >= MLC_HIGH_TRANSITION_PJ);
     }
 
     #[test]
@@ -1764,25 +1621,27 @@ mod tests {
         ];
         let mut rng = StdRng::seed_from_u64(29);
         for _ in 0..500 {
-            let (new, old, sv): (u64, u64, u64) = (rng.gen(), rng.gen(), rng.gen());
+            let (new, old, sv, c): (u64, u64, u64, u64) =
+                (rng.gen(), rng.gen(), rng.gen(), rng.gen());
             // Whole-cell and single-bit stuck masks: the identity holds for
             // both, since no rule couples two cells.
             let sm = rng.gen::<u64>() & rng.gen::<u64>();
-            let sel = rng.gen::<u64>() & MLC_RIGHT_DIGITS;
+            let right = c & MLC_RIGHT_DIGITS;
             let mask = u64::MAX >> (2 * rng.gen_range(0..32u32));
             for rule in rules {
                 let set = ClassSet::single(rule, 1);
-                let (base, alt) = set.planes_pair(new, MLC_RIGHT_DIGITS, old, sm, sv, mask);
-                let direct = set.planes(new ^ sel, old, sm, sv, mask);
-                assert_eq!(
-                    set.mixed_planes(&base, &alt, sel),
-                    direct,
-                    "{rule:?}: mixed planes diverge for new {new:#x} sel {sel:#x}"
-                );
-                let lanes = set.mixed_cost_lanes(&base, &alt, &[sel, 0, MLC_RIGHT_DIGITS, sel], 8);
-                assert_eq!(lanes[0], per_field_popcount(direct[0], 8), "{rule:?}");
-                assert_eq!(lanes[1], per_field_popcount(base[0], 8), "{rule:?}");
-                assert_eq!(lanes[2], per_field_popcount(alt[0], 8), "{rule:?}");
+                let direct = |x: u64| set.planes(x, old, sm, sv, mask)[0];
+                // Four bases: any candidate and its complement.
+                let four = set.base_planes(new, old, sm, sv, mask, Bases::Four);
+                let (p, p_c) = four.mix(0, c, BasePlanes::high_selector(c));
+                assert_eq!(p, direct(new ^ c), "{rule:?}: new {new:#x} c {c:#x}");
+                assert_eq!(p_c, direct(new ^ !c), "{rule:?}: complement of {c:#x}");
+                // Two bases: right-digit candidates, high selector zero.
+                let two = set.base_planes(new, old, sm, sv, mask, Bases::RightDigits);
+                assert_eq!(two.mix(0, right, 0).0, direct(new ^ right), "{rule:?}");
+                // The pair: the word itself and its complement.
+                let pair = set.base_planes(new, old, sm, sv, mask, Bases::Pair);
+                assert_eq!(pair.mix(0, 0, 0), (direct(new), direct(!new)), "{rule:?}");
             }
         }
     }
@@ -1801,9 +1660,6 @@ mod tests {
 
     #[test]
     fn custom_tables() {
-        let slc = TransitionEnergy::custom_slc([[0.0, 5.0], [7.0, 0.0]]);
-        assert_eq!(slc.energy(0, 1), 5.0);
-        assert_eq!(slc.energy(1, 0), 7.0);
         let mut m = [[1.0f64; 4]; 4];
         m[2][3] = 9.0;
         let mlc = TransitionEnergy::custom_mlc(m);

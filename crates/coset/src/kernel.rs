@@ -163,11 +163,6 @@ impl KernelSet {
         self.broadcasts[i]
     }
 
-    /// Number of auxiliary bits needed to name a kernel.
-    pub fn index_bits(&self) -> u32 {
-        self.kernels.len().trailing_zeros()
-    }
-
     /// Expands the kernel set into the full list of `r · 2^p` virtual coset
     /// candidates over `p` partitions, mainly for testing the equivalence
     /// between VCC and explicit RCC over the virtual candidates.
@@ -370,7 +365,6 @@ mod tests {
         assert_eq!(ks.kernel(0), 0xAB);
         assert_eq!(ks.kernel_complement(0), 0x54);
         assert_eq!(ks.kernel_complement(1), 0x00);
-        assert_eq!(ks.index_bits(), 2);
     }
 
     #[test]
@@ -409,7 +403,7 @@ mod tests {
         let base0 = parse_bits("1101101100000100");
         let base1 = parse_bits("0001000011000011");
         // Seed layout: base vector j occupies bits [j*m, (j+1)*m).
-        let seed = base0.concat(&base1);
+        let seed = Block::from_u64(base0.as_u64() | (base1.as_u64() << 16), 32);
         let ks = generate_kernels(&seed, GeneratorConfig::new(16, 4));
         assert_eq!(ks.len(), 4);
         let expect: Vec<u64> = [

@@ -73,49 +73,55 @@
 //! "programmed-bit plane" of a candidate word from the destination's
 //! bit-planes. Per write, [`WriteContext::cost_model`] materializes a
 //! [`CostModel`] — the destination's old-data / stuck-mask / stuck-value
-//! words plus the compiled classes — and the encoders then:
+//! words plus the objective's borrowed classes.
 //!
-//! * broadcast each kernel across the block (`kernel_broadcast` words
-//!   precomputed in [`KernelSet`], or derived in closed form per write for
-//!   the Algorithm-2 deployment) and form whole-block candidate and
-//!   complement words with two XORs,
-//! * cost **every partition at once** with per-field popcounts over the
-//!   class planes ([`cost::per_field_popcount`]), and
-//! * pick the cheaper complement form per partition branch-free.
+//! RCC and every VCC variant then run **one candidate search**: XOR the
+//! block with each candidate, cost the result against the destination,
+//! keep the cheapest. The encoders differ only in what they feed it:
 //!
-//! The generated-kernel search (the paper's MLC deployment, and the warm
-//! write path) goes further with three exact identities:
-//!
-//! * **Plane mixing.** A kernel flips only right digits and every class
-//!   plane bit depends only on its own cell, so a candidate's planes are
-//!   kernel 0's planes where the kernel is clear and the all-ones kernel's
-//!   where it is set: two operations per class, from two base planes
-//!   derived once per write.
-//! * **Four kernels per pass.** Per-field popcounts, weighted fields, the
-//!   packed cheaper-of-two and the field sums run over `[u64; 4]` lane
-//!   arrays, one kernel per lane, with no per-kernel branch; selection then
-//!   scans the lanes in index order, so ties keep the lowest kernel.
+//! * **Three candidate sources.** RCC's stored cosets; a stored kernel
+//!   broadcast across the block (VCC-Stored, the hybrid, and Flip-N-Write,
+//!   DBI and BCC over the all-zero kernel), whose partitions each take the
+//!   kernel or its complement; and the Algorithm-2 kernels of the MLC
+//!   deployment, derived in closed form on the right digits per write,
+//!   whose partitions each take the kernel or its right-digit complement.
+//! * **Plane mixing.** Every class-plane bit depends only on its own cell,
+//!   so the planes of `data ^ c` are a per-cell choice among the planes of
+//!   `data ^ q` for the four repeated cell patterns `q`, selected by `c`'s
+//!   low and high cell bits: a few operations per class, from base planes
+//!   derived once per write. Right-digit candidates have no high selector
+//!   and mix from two bases; a lone candidate (the one-kernel selective
+//!   inversion sets) is costed from its own two forms.
+//! * **Two costing modes.** Per-field popcounts count every partition at
+//!   once ([`cost::per_field_popcount`]). When the weighted partition costs
+//!   fit below their fields' top bits and the objective charges no
+//!   secondary unit, the cheaper-of-two and the field sums run packed over
+//!   `[u64; 4]` lane arrays, one candidate per lane, with no per-candidate
+//!   branch. Otherwise each candidate's partitions are costed one by one,
+//!   read from weighted per-field cost words when they fit and counted
+//!   class by class when they do not.
 //! * **Packed aux cost.** The four candidate aux words of a pass sit in
 //!   16-bit fields of one word, costed against the destination's aux state
 //!   broadcast to every field, whenever the aux region and its weighted
-//!   costs fit such a field.
+//!   costs fit such a field. Selection then scans the lanes in index
+//!   order, so ties keep the lowest candidate index.
 //!
 //! Hot-loop costs accumulate in fixed-point [`FixedCost`] (`u64`
 //! primary/secondary, compared as one packed `u128`); `f64` only reappears
 //! at the [`Encoded`] boundary. Every built-in class cost is an integer
 //! (counts, or the integer-picojoule Table I energies), so the fixed-point
-//! sums convert exactly and the broadcast path is **bit-identical** to the
-//! scalar route — pinned by the differential `cost_oracle` suite.
+//! sums convert exactly and the search is **bit-identical** to the scalar
+//! route — pinned by the differential `cost_oracle` suite.
 //!
 //! **When the scalar fallback runs:** objectives without classes (custom
 //! non-per-class or non-integer energy tables, or any cost wrapped in
-//! [`cost::ScalarOnly`]), kernel widths that do not tile a 64-bit word
-//! (including selective-inversion sub-blocks such as a 48-bit block split
-//! 24/24), partition widths that break the classes' cell alignment (odd
-//! widths under an MLC objective), generated-kernel partitions whose
-//! symbol field is not a power of two, and Flipcy (three candidates never
-//! amortize the model build). The scalar loops are retained as the
-//! reference oracle.
+//! [`cost::ScalarOnly`]), stored kernel widths that do not tile a 64-bit
+//! word (including selective-inversion sub-blocks such as a 48-bit block
+//! split 24/24), stored partition widths that break the classes' cell
+//! alignment (odd widths under an MLC objective), generated-kernel
+//! partitions whose symbol field is not a power of two, and Flipcy (three
+//! candidates never amortize the model build). The scalar loops are
+//! retained as the reference oracle.
 //!
 //! # Crate layout
 //!
@@ -152,6 +158,7 @@ pub mod encoder;
 pub mod flipcy;
 pub mod kernel;
 pub mod rcc;
+mod search;
 pub mod symbol;
 pub mod vcc;
 

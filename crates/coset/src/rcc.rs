@@ -6,6 +6,11 @@
 //! cheapest; `log2(N)` auxiliary bits record the winning index. RCC is the
 //! quality upper bound that VCC approximates at a fraction of the hardware
 //! cost (Figures 6 and 7).
+//!
+//! Encoding runs the crate's one candidate search, shared with VCC (see the
+//! crate docs): every stored coset is one candidate over a single 64-bit
+//! field, with no complement form. The per-candidate scalar loop remains
+//! as the reference oracle for objectives without transition classes.
 
 use rand::Rng;
 
@@ -13,6 +18,7 @@ use crate::block::Block;
 use crate::context::WriteContext;
 use crate::cost::CostFunction;
 use crate::encoder::{check_block_bits, EncodeScratch, Encoded, Encoder};
+use crate::search::{search, Complement, Layout};
 
 /// Random coset coding with stored full-length coset candidates.
 ///
@@ -94,11 +100,6 @@ impl Rcc {
         Self::new(block_bits, cosets)
     }
 
-    /// Number of coset candidates.
-    pub fn num_cosets(&self) -> usize {
-        self.cosets.len()
-    }
-
     /// The stored coset candidates.
     pub fn cosets(&self) -> &[Block] {
         &self.cosets
@@ -128,31 +129,26 @@ impl Encoder for Rcc {
     ) {
         assert_eq!(data.len(), self.block_bits, "data width mismatch");
         assert_eq!(ctx.data_bits(), self.block_bits, "context width mismatch");
-        // Broadcast-SWAR path: cost every coset candidate with masked
-        // popcounts over the transition-class planes — each candidate word
-        // is formed on the fly with one XOR.
+        // The one candidate search: each coset is one candidate, costed
+        // over a single 64-bit field with no complement form.
         if let Some(model) = ctx.cost_model(cost) {
-            let dw = data.as_u64();
-            let mut best = crate::cost::FixedCost::ZERO;
-            let mut best_idx = 0usize;
-            let mut found = false;
-            for (i, coset) in self.cosets.iter().enumerate() {
-                let c = model.word_cost(dw ^ coset.as_u64());
-                // Aux-cost pruning: costs are non-negative, so a candidate
-                // whose data cost alone already loses cannot win.
-                if found && c.packed() >= best.packed() {
-                    continue;
-                }
-                let total = c + model.aux_cost(i as u64);
-                if !found || total.packed() < best.packed() {
-                    best = total;
-                    best_idx = i;
-                    found = true;
-                }
-            }
-            out.codeword = data.xor(&self.cosets[best_idx]);
-            out.aux = best_idx as u64;
-            out.cost = best.to_cost();
+            let layout = Layout {
+                field_bits: 64,
+                fields: 1,
+                complement: Complement::None,
+            };
+            search(
+                &model,
+                data.as_u64(),
+                layout,
+                self.cosets.len(),
+                |first, batch| {
+                    for (c, coset) in batch.iter_mut().zip(&self.cosets[first..]) {
+                        *c = coset.as_u64();
+                    }
+                },
+            )
+            .store(self.block_bits, out);
             return;
         }
         // Scalar fallback (objectives without transition classes).
@@ -190,7 +186,7 @@ mod tests {
     fn constructor_checks() {
         let mut rng = StdRng::seed_from_u64(20);
         let rcc = Rcc::random(64, 16, &mut rng);
-        assert_eq!(rcc.num_cosets(), 16);
+        assert_eq!(rcc.cosets().len(), 16);
         assert_eq!(rcc.aux_bits(), 4);
         assert_eq!(rcc.block_bits(), 64);
         assert_eq!(rcc.name(), "rcc");

@@ -90,21 +90,6 @@ pub fn gray_level_of_symbol(symbol: u8) -> u8 {
     }
 }
 
-/// Maps a physical level (0..4) to the Gray-coded 2-bit symbol stored there.
-///
-/// # Panics
-///
-/// Panics if `level >= 4`.
-pub fn symbol_of_gray_level(level: u8) -> u8 {
-    MLC_GRAY_SEQUENCE[level as usize]
-}
-
-/// Right (low, energy-determining) digit of a 2-bit MLC symbol.
-#[inline]
-pub fn right_digit(symbol: u8) -> u8 {
-    symbol & 1
-}
-
 /// Iterates the 2-bit symbols of a block, LSB-first.
 ///
 /// # Panics
@@ -260,40 +245,6 @@ pub fn interleave_digits(left: &Block, right: &Block) -> Block {
     )
 }
 
-/// Counts symbols in `new` whose write over `old` is a high-energy
-/// transition: the symbol changes and the new symbol's right digit is `1`
-/// (an intermediate Gray level), per Table I.
-///
-/// # Panics
-///
-/// Panics if lengths differ or are odd.
-pub fn count_high_energy_transitions(old: &Block, new: &Block) -> u32 {
-    assert_eq!(old.len(), new.len(), "length mismatch");
-    assert!(old.len().is_multiple_of(2), "length must be even");
-    let mut count = 0;
-    for s in 0..old.len() / 2 {
-        let o = old.extract(2 * s, 2) as u8;
-        let n = new.extract(2 * s, 2) as u8;
-        if o != n && right_digit(n) == 1 {
-            count += 1;
-        }
-    }
-    count
-}
-
-/// Counts symbols that change state at all (any programming event).
-pub fn count_symbol_transitions(old: &Block, new: &Block) -> u32 {
-    assert_eq!(old.len(), new.len(), "length mismatch");
-    assert!(old.len().is_multiple_of(2), "length must be even");
-    let mut count = 0;
-    for s in 0..old.len() / 2 {
-        if old.extract(2 * s, 2) != new.extract(2 * s, 2) {
-            count += 1;
-        }
-    }
-    count
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,6 +256,12 @@ mod tests {
         for w in MLC_GRAY_SEQUENCE.windows(2) {
             assert_eq!((w[0] ^ w[1]).count_ones(), 1, "not a Gray code: {w:?}");
         }
+    }
+
+    /// The Gray-coded symbol stored at physical level `level` (0..4): the
+    /// inverse [`gray_level_of_symbol`] is checked against.
+    fn symbol_of_gray_level(level: u8) -> u8 {
+        MLC_GRAY_SEQUENCE[level as usize]
     }
 
     #[test]
@@ -352,24 +309,6 @@ mod tests {
         let right = extract_right_digits(&b);
         assert_eq!(left.as_u64(), 0b01);
         assert_eq!(right.as_u64(), 0b10);
-    }
-
-    #[test]
-    fn high_energy_transitions_follow_table_i() {
-        // old symbol 00 -> new 01 : changes, new right digit 1 => high
-        // old symbol 00 -> new 10 : changes, new right digit 0 => low
-        // old symbol 01 -> new 01 : no change => not counted
-        let mut old = Block::zeros(6);
-        let mut new = Block::zeros(6);
-        // symbol 0: old 00 -> new 01 (high)
-        new.insert(0, 2, 0b01);
-        // symbol 1: old 00 -> new 10 (low)
-        new.insert(2, 2, 0b10);
-        // symbol 2: old 01 -> new 01 (no change)
-        old.insert(4, 2, 0b01);
-        new.insert(4, 2, 0b01);
-        assert_eq!(count_high_energy_transitions(&old, &new), 1);
-        assert_eq!(count_symbol_transitions(&old, &new), 2);
     }
 
     /// Per-bit reference for the Morton expansion.

@@ -29,19 +29,28 @@
 //! the aux word is just the complement flags. [`Vcc::flip_n_write`],
 //! [`Vcc::dbi`] and [`Vcc::bcc`] build exactly that, so the baselines run
 //! the same full-block search as VCC-Stored.
+//!
+//! **One search for both modes.** Encoding runs the crate's one candidate
+//! search, shared with RCC (see the crate docs): stored mode feeds it the
+//! kernel broadcasts, each partition taking the kernel or its complement;
+//! generated mode feeds it the Algorithm-2 kernels in closed form on the
+//! right digits, each partition taking the kernel or its right-digit
+//! complement. The per-partition scalar loops remain as the reference
+//! oracles for objectives and widths the search does not take.
 
 use rand::Rng;
 
 use crate::block::{low_bits, Block};
 use crate::context::{CostModel, WriteContext};
-use crate::cost::{ClassSet, Cost, CostFunction, FieldLanes, FixedCost, LANES};
+use crate::cost::{Cost, CostFunction};
 use crate::encoder::{check_block_bits, EncodeScratch, Encoded, Encoder};
 use crate::kernel::{
     ceil_log2, generate_kernels_into, kernel_at, repeat_mask, GeneratorConfig, KernelSet,
 };
+use crate::search::{search, Complement, Layout, Winner};
 use crate::symbol::{
     compress_even_bits_word, extract_left_digits, extract_right_digits, interleave_digits,
-    interleave_word, spread_to_right_digits, MLC_RIGHT_DIGITS,
+    interleave_word, spread_to_right_digits,
 };
 
 /// How a [`Vcc`] instance obtains kernels and which bits it encodes.
@@ -331,12 +340,6 @@ impl Vcc {
         self.num_kernels << self.partitions
     }
 
-    /// Whether this instance generates kernels from the data (true) or uses
-    /// a stored ROM (false).
-    pub fn uses_generated_kernels(&self) -> bool {
-        matches!(self.mode, VccMode::MlcGenerated { .. })
-    }
-
     fn kernel_index_bits(&self) -> u32 {
         // SWAR-OK: ceil_log2 of a kernel count is at most 64; cannot truncate.
         ceil_log2(self.num_kernels) as u32
@@ -365,10 +368,18 @@ impl Vcc {
 
     /// Encodes in full-block mode: partition j covers bits [j·m, (j+1)·m).
     ///
-    /// Routes through the broadcast-SWAR search whenever the objective
-    /// compiles to transition classes ([`WriteContext::cost_model`]), the
-    /// kernels tile 64-bit words and the partitions respect the classes'
-    /// cell alignment; otherwise the retained scalar path runs.
+    /// Runs the one candidate search over the kernel broadcasts, each
+    /// partition taking the kernel or its complement, whenever the
+    /// objective compiles to transition classes
+    /// ([`WriteContext::cost_model`]), the kernels tile 64-bit words and the
+    /// partitions respect the classes' cell alignment; otherwise the
+    /// retained scalar path runs.
+    ///
+    /// Kept out of line: inlined into [`Encoder::encode_into`] beside the
+    /// generated-kernel search it shares that function's large frame, which
+    /// costs the one- and few-kernel sets (Flip-N-Write, DBI) tens of ns
+    /// per word.
+    #[inline(never)]
     fn encode_full_block(
         &self,
         data: &Block,
@@ -379,112 +390,30 @@ impl Vcc {
     ) {
         if kernels.has_broadcasts() {
             if let Some(model) = ctx.cost_model(cost) {
-                if self
-                    .kernel_bits
-                    .is_multiple_of(model.classes().cell_bits() as usize)
-                {
-                    self.encode_full_block_fast(data, &model, kernels, out);
+                // Cells are 1 or 2 bits wide, so a mask tests the alignment.
+                if self.kernel_bits & (model.classes().cell_bits() as usize - 1) == 0 {
+                    let layout = Layout {
+                        field_bits: self.kernel_bits,
+                        fields: self.partitions,
+                        complement: Complement::Field,
+                    };
+                    search(
+                        &model,
+                        data.as_u64(),
+                        layout,
+                        kernels.len(),
+                        |first, batch| {
+                            for (c, i) in batch.iter_mut().zip(first..kernels.len()) {
+                                *c = kernels.broadcast(i);
+                            }
+                        },
+                    )
+                    .store(self.block_bits, out);
                     return;
                 }
             }
         }
         self.encode_full_block_scalar(data, ctx, cost, kernels, out);
-    }
-
-    /// Broadcast-SWAR full-block search: each kernel is XORed across the
-    /// whole block at once (its complement form is the bitwise NOT of the
-    /// same word), every partition is costed with per-field popcounts over
-    /// the per-candidate class planes, and the cheaper-of-two per partition
-    /// is selected with a packed fixed-point compare — all partitions and
-    /// both complement forms evaluated as data-parallel word operations,
-    /// mirroring the paper's VCC hardware. The winning partitions' flips
-    /// accumulate as a mask during the select, so each candidate word is
-    /// one XOR away.
-    ///
-    /// Kept out of line: inlined into [`Encoder::encode_into`] beside the
-    /// generated-kernel search it shares that function's large frame, which
-    /// costs the one- and few-kernel sets (Flip-N-Write, DBI) tens of ns
-    /// per word.
-    #[inline(never)]
-    fn encode_full_block_fast(
-        &self,
-        data: &Block,
-        model: &CostModel,
-        kernels: &KernelSet,
-        out: &mut Encoded,
-    ) {
-        let m = self.kernel_bits;
-        let m_mask = low_bits(m);
-        let dw = data.as_u64();
-        let mut best = FixedCost::ZERO;
-        let mut best_aux = 0u64;
-        let mut best_word = 0u64;
-        let mut found = false;
-        let weighted = model.weighted_fields_fit(m);
-        for i in 0..kernels.len() {
-            let y = dw ^ kernels.broadcast(i);
-            // All partitions costed at once: fused class planes for both
-            // complement forms, then per-field popcounts.
-            let (dp, cp) = model.planes_pair(y, u64::MAX);
-            let direct = model.field_counts(&dp, m);
-            let comp = model.field_counts(&cp, m);
-            // `flip` collects the partitions whose complement form wins, so
-            // the candidate word is `y ^ flip`.
-            let mut flags = 0u64;
-            let mut flip = 0u64;
-            let mut data_cost = FixedCost::ZERO;
-            if weighted {
-                // Counts fold into weighted per-field cost words, so each
-                // partition's cost is one shift-and-mask away.
-                let (pd, sd) = model.weighted_fields(&direct);
-                let (pc, sc) = model.weighted_fields(&comp);
-                for j in 0..self.partitions {
-                    let sh = j * m;
-                    let c = FixedCost {
-                        primary: (pd >> sh) & m_mask,
-                        secondary: (sd >> sh) & m_mask,
-                    };
-                    let c_c = FixedCost {
-                        primary: (pc >> sh) & m_mask,
-                        secondary: (sc >> sh) & m_mask,
-                    };
-                    let (take_c, chosen) = FixedCost::select_min(c, c_c);
-                    // SWAR-OK: take_c is 0 or 1, so exactly bit j is set.
-                    flags |= take_c << j;
-                    flip |= (m_mask & take_c.wrapping_neg()) << sh;
-                    data_cost += chosen;
-                }
-            } else {
-                for j in 0..self.partitions {
-                    let sh = j * m;
-                    let c = model.count_cost(&direct, sh, m_mask);
-                    let c_c = model.count_cost(&comp, sh, m_mask);
-                    let (take_c, chosen) = FixedCost::select_min(c, c_c);
-                    // SWAR-OK: take_c is 0 or 1, so exactly bit j is set.
-                    flags |= take_c << j;
-                    flip |= (m_mask & take_c.wrapping_neg()) << sh;
-                    data_cost += chosen;
-                }
-            }
-            // Aux-cost pruning: costs are non-negative, so a kernel whose
-            // data cost alone is not better than the incumbent total can
-            // never win — skip its aux evaluation.
-            if found && data_cost.packed() >= best.packed() {
-                continue;
-            }
-            let aux = self.pack_aux(i, flags);
-            let total = data_cost + model.aux_cost(aux);
-            if !found || total.packed() < best.packed() {
-                best = total;
-                best_aux = aux;
-                best_word = y ^ flip;
-                found = true;
-            }
-        }
-        assert!(found, "at least one kernel");
-        out.codeword = Block::from_u64(best_word, self.block_bits);
-        out.aux = best_aux;
-        out.cost = best.to_cost();
     }
 
     /// Scalar full-block reference path: per-partition extract / XOR /
@@ -539,9 +468,9 @@ impl Vcc {
     /// Encodes in MLC generated mode: only the right digits are transformed;
     /// costs are evaluated on whole symbols (left digit interleaved back in).
     ///
-    /// Routes through the broadcast-SWAR search whenever the objective
-    /// compiles to transition classes and a partition's symbol field is a
-    /// power of two; the retained scalar path runs otherwise.
+    /// Runs the one candidate search whenever the objective compiles to
+    /// transition classes and a partition's symbol field is a power of two;
+    /// the retained scalar path runs otherwise.
     fn encode_mlc_generated(
         &self,
         data: &Block,
@@ -553,63 +482,33 @@ impl Vcc {
     ) {
         if (2 * self.kernel_bits).is_power_of_two() {
             if let Some(model) = ctx.cost_model(cost) {
-                self.encode_mlc_generated_fast(data, ctx, &model, config, out);
+                self.generated_search(data, ctx, &model, config)
+                    .store(self.block_bits, out);
                 return;
             }
         }
         self.encode_mlc_generated_scalar(data, ctx, cost, config, scratch, out);
     }
 
-    /// Lane-batched generated-kernel search. The whole candidate block is
-    /// formed in the symbol domain with one XOR: spreading the kernel
-    /// broadcast onto the right-digit positions
-    /// ([`spread_to_right_digits`]) turns the per-partition right-digit
-    /// XOR into `data ^ k_sym`, and the complement form is a further XOR
-    /// with the right-digit mask. Digit extraction and re-interleaving
-    /// vanish from the kernel loop entirely (the winner needs no
-    /// interleave at all — its symbol word is already assembled).
+    /// The generated kernels as candidates of the one search, in the symbol
+    /// domain: spreading a kernel broadcast onto the right-digit positions
+    /// ([`spread_to_right_digits`]) turns the per-partition right-digit XOR
+    /// into `data ^ k_sym`, and the complement form flips the field's right
+    /// digits ([`Complement::RightDigits`]). Digit extraction and
+    /// re-interleaving vanish from the search entirely.
     ///
-    /// Three exact identities and a lane layout keep the per-kernel work
-    /// small:
-    ///
-    /// * **Closed-form kernels.** Algorithm 2 is linear: kernel `v·b + j`
-    ///   is base vector `j` of the seed XOR variant mask `v`. Both spread
-    ///   to one partition's symbol field, and one multiplication by a word
-    ///   with a set bit per field repeats the XOR across the block — no
-    ///   kernel set, no per-kernel broadcast loop.
-    /// * **Plane mixing.** A kernel flips only right digits, and every
-    ///   class plane bit depends only on its own cell, so the planes of
-    ///   `data ^ k_sym` are those of kernel 0 where `k_sym` is clear and
-    ///   those of the all-ones kernel where it is set
-    ///   ([`mix_plane`](crate::cost::mix_plane)): two operations per class
-    ///   instead of the whole selector formula. Both base planes come from
-    ///   one fused derivation per write.
-    /// * **Direct form only.** Per symbol, the direct and complement forms
-    ///   of any kernel are the two right-digit values of that symbol — the
-    ///   same pair kernel 0 and the all-ones kernel give. For a per-symbol
-    ///   additive objective, `cost_j(k) + cost_j(¬k)` is therefore a
-    ///   per-word constant, and the complement costs one subtraction.
-    /// * **Four kernels per pass.** Kernels are walked in batches of
-    ///   [`LANES`]. When the weighted per-partition costs fit below their
-    ///   fields' top bits and there is no secondary unit
-    ///   ([`CostModel::packed_select_fits`]), the per-field popcounts,
-    ///   weighted fields, cheaper-of-two ([`FieldLanes::select_min`]) and
-    ///   field sums of a batch run over `[u64; 4]` lane arrays with no
-    ///   per-kernel branch; other objectives cost each kernel of the batch
-    ///   with the per-partition loop. The batch's candidate aux words are
-    ///   then costed together in 16-bit fields of one word
-    ///   ([`CostModel::aux_cost_lanes`]) when the aux region and its
-    ///   weighted costs fit such a field, else one by one. Selection scans
-    ///   the batch in index order, so ties keep the lowest kernel index,
-    ///   as in the scalar path.
-    fn encode_mlc_generated_fast(
+    /// The kernels come in closed form: Algorithm 2 is linear, so kernel
+    /// `v·b + j` is base vector `j` of the seed XOR variant mask `v`. Both
+    /// spread to one partition's symbol field, and one multiplication by a
+    /// word with a set bit per field repeats the XOR across the block — no
+    /// kernel set and no per-kernel broadcast loop.
+    fn generated_search(
         &self,
         data: &Block,
         ctx: &WriteContext,
-        model: &CostModel,
+        model: &CostModel<'_>,
         config: &GeneratorConfig,
-        out: &mut Encoded,
-    ) {
+    ) -> Winner {
         let m = self.kernel_bits; // right-digit bits per partition
         let f = 2 * m; // symbol bits per partition
         let digit_bits = self.block_bits / 2;
@@ -617,52 +516,29 @@ impl Vcc {
         let sm = ctx.stuck.mask().as_u64();
         let sv = ctx.stuck.value().as_u64();
         let block_mask = low_bits(self.block_bits);
-        let right_mask = MLC_RIGHT_DIGITS & block_mask;
         let sym_mask = low_bits(f);
-        let classes = model.classes();
 
         // Seed Algorithm 2 with the left digits as they will actually be
         // stored (stuck cells keep their frozen value), like the scalar
-        // path and the decoder, and derive its kernels in closed form. The
-        // fast-path gate guarantees 2m is a power of two, so the partition
-        // fields tile the word and `repeat` has one set bit per field.
+        // path and the decoder. The gate guarantees 2m is a power of two,
+        // so the partition fields tile the word and `repeat` has one set
+        // bit per field.
         let seed = compress_even_bits_word(((dw & !sm) | (sv & sm)) >> 1) & low_bits(digit_bits);
         let seed_sym = spread_to_right_digits(seed);
         let (b, mask_bits) = config.shape(digit_bits);
         let repeat = u64::MAX / sym_mask;
         let variant_field = |v: usize| spread_to_right_digits(repeat_mask(v as u64, mask_bits, m));
 
-        // Class planes of kernel 0 and of the all-ones kernel: every
-        // kernel's planes mix these two. Their per-field counts sum to the
-        // direct + complement total of every kernel; wrapping word
-        // arithmetic is exact here because each field of a difference
-        // `total - direct` is itself a count that fits its field.
-        let (zero, ones) = model.planes_pair(dw, right_mask);
-        let (zero_counts, ones_counts) =
-            (model.field_counts(&zero, f), model.field_counts(&ones, f));
-        let mut pair_counts = [0u64; ClassSet::MAX];
-        for (t, (z, o)) in pair_counts
-            .iter_mut()
-            .zip(zero_counts.iter().zip(ones_counts.iter()))
-        {
-            *t = z.wrapping_add(*o);
-        }
-        let lanes = model.packed_select_fits(f).then(|| FieldLanes::new(f));
-        let pair_cost = model.weighted_fields(&pair_counts).0;
-        let aux_lanes = model.aux_lanes_fit();
-
-        let mut best = FixedCost::ZERO;
-        let mut best_aux = 0u64;
-        let mut best_k_sym = 0u64;
-        let mut best_flags = 0u64;
-        let mut found = false;
-        // Kernel i = v·b + j, walked in index order in batches of LANES.
+        let layout = Layout {
+            field_bits: f,
+            fields: self.partitions,
+            complement: Complement::RightDigits,
+        };
+        // Kernel i = v·b + j, filled in index order.
         let (mut v, mut j) = (0usize, 0usize);
         let mut v_field = variant_field(0);
-        for first in (0..self.num_kernels).step_by(LANES) {
-            let live = LANES.min(self.num_kernels - first);
-            let mut k_sym = [0u64; LANES];
-            for k in k_sym.iter_mut().take(live) {
+        search(model, dw, layout, self.num_kernels, |first, batch| {
+            for k in batch.iter_mut().take(self.num_kernels - first) {
                 if j == b {
                     (v, j) = (v + 1, 0);
                     v_field = variant_field(v);
@@ -670,70 +546,7 @@ impl Vcc {
                 *k = ((((seed_sym >> (j * f)) & sym_mask) ^ v_field) * repeat) & block_mask;
                 j += 1;
             }
-            let mut flags = [0u64; LANES];
-            let mut data_cost = [FixedCost::ZERO; LANES];
-            if let Some(lanes) = lanes {
-                let cost = classes.mixed_cost_lanes(&zero, &ones, &k_sym, f);
-                for ((c, fl), dc) in cost.iter().zip(&mut flags).zip(&mut data_cost) {
-                    let (take_c, chosen) = lanes.select_min(*c, pair_cost.wrapping_sub(*c));
-                    *fl = lanes.gather_tops(take_c, self.partitions);
-                    dc.primary = lanes.sum(chosen);
-                }
-            } else {
-                for ((k, fl), dc) in k_sym.iter().zip(&mut flags).zip(&mut data_cost).take(live) {
-                    let direct = model.field_counts(&classes.mixed_planes(&zero, &ones, *k), f);
-                    let mut comp = [0u64; ClassSet::MAX];
-                    for (c, (t, d)) in comp.iter_mut().zip(pair_counts.iter().zip(direct.iter())) {
-                        *c = t.wrapping_sub(*d);
-                    }
-                    for part in 0..self.partitions {
-                        let sh = part * f;
-                        let c = model.count_cost(&direct, sh, sym_mask);
-                        let c_c = model.count_cost(&comp, sh, sym_mask);
-                        let (take_c, chosen) = FixedCost::select_min(c, c_c);
-                        // SWAR-OK: take_c is 0 or 1, so exactly one flag is set.
-                        *fl |= take_c << part;
-                        *dc += chosen;
-                    }
-                }
-            }
-            let mut aux = [0u64; LANES];
-            for (l, (a, fl)) in aux.iter_mut().zip(&flags).enumerate().take(live) {
-                *a = self.pack_aux(first + l, *fl);
-            }
-            let aux_cost = aux_lanes.then(|| model.aux_cost_lanes(&aux));
-            for l in 0..live {
-                // Aux-cost pruning (see encode_full_block_fast).
-                if found && data_cost[l].packed() >= best.packed() {
-                    continue;
-                }
-                let aux_l = match aux_cost {
-                    Some(costs) => costs[l],
-                    None => model.aux_cost(aux[l]),
-                };
-                let total = data_cost[l] + aux_l;
-                if !found || total.packed() < best.packed() {
-                    best = total;
-                    best_aux = aux[l];
-                    best_k_sym = k_sym[l];
-                    best_flags = flags[l];
-                    found = true;
-                }
-            }
-        }
-        assert!(found, "at least one kernel");
-
-        // Materialize the winner: flip the right digits of the partitions
-        // whose complement form won.
-        let mut flip = 0u64;
-        for j in 0..self.partitions {
-            if (best_flags >> j) & 1 == 1 {
-                flip |= right_mask & (sym_mask << (j * f));
-            }
-        }
-        out.codeword = Block::from_u64(dw ^ best_k_sym ^ flip, self.block_bits);
-        out.aux = best_aux;
-        out.cost = best.to_cost();
+        })
     }
 
     /// Scalar generated-kernel reference path (digit extraction, per-bit
@@ -775,8 +588,8 @@ impl Vcc {
                 let y_c = d ^ kernels.kernel_complement(i);
                 // Evaluate the cost of the full 2m-bit symbol group.
                 let sym_start = 2 * rd_start;
-                let sym_cand = interleave_bits(l, y, m);
-                let sym_cand_c = interleave_bits(l, y_c, m);
+                let sym_cand = interleave_word(l, y);
+                let sym_cand_c = interleave_word(l, y_c);
                 let c = ctx.range_cost(cost, sym_cand, sym_start, 2 * m);
                 let c_c = ctx.range_cost(cost, sym_cand_c, sym_start, 2 * m);
                 if c_c.is_better_than(&c) {
@@ -800,16 +613,6 @@ impl Vcc {
         assert!(found, "at least one kernel");
         out.codeword = interleave_digits(&left, &best);
     }
-}
-
-/// Interleaves `m` left-digit bits and `m` right-digit bits into a `2m`-bit
-/// symbol-group word: symbol `s` = (left bit `s`, right bit `s`). Backed by
-/// the precomputed Morton byte tables of [`crate::symbol`] instead of a
-/// per-bit loop; callers pass values already masked to `m ≤ 32` bits.
-#[inline]
-fn interleave_bits(left: u64, right: u64, m: usize) -> u64 {
-    debug_assert!(m <= 32, "symbol-group words hold at most 32 symbols");
-    interleave_word(left, right)
 }
 
 impl Encoder for Vcc {
@@ -907,14 +710,14 @@ mod tests {
         assert_eq!(vcc.num_kernels(), 16);
         assert_eq!(vcc.num_virtual_cosets(), 256);
         assert_eq!(vcc.aux_bits(), 8); // log2(16) + 4
-        assert!(!vcc.uses_generated_kernels());
+        assert!(matches!(vcc.mode, VccMode::FullBlock { .. }));
 
         let g = Vcc::paper_mlc(256);
         assert_eq!(g.partitions(), 4);
         assert_eq!(g.num_kernels(), 16);
         assert_eq!(g.num_virtual_cosets(), 256);
         assert_eq!(g.aux_bits(), 8);
-        assert!(g.uses_generated_kernels());
+        assert!(matches!(g.mode, VccMode::MlcGenerated { .. }));
 
         for n in [32usize, 64, 128, 256] {
             let v = Vcc::paper_mlc(n);

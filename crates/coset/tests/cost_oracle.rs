@@ -8,7 +8,8 @@
 //!    [`CostFunction::field_cost`] on arbitrary destination planes, for all
 //!    five objectives.
 //! 2. **Encoder level** — every broadcast-path encoder (VCC
-//!    stored/generated/hybrid, RCC, FNW/DBI/BCC, Flipcy) must produce a
+//!    stored/generated/hybrid, RCC, FNW/DBI/BCC, Flipcy), each coset
+//!    encoder running the one shared candidate search, must produce a
 //!    bit-identical [`Encoded`] (codeword, aux **and** cost) to the same
 //!    encoder running with [`ScalarOnly`], which hides the objective's
 //!    transition classes and forces the retained scalar path — across
@@ -122,6 +123,15 @@ fn encoders(seed: u64) -> Vec<Box<dyn Encoder>> {
         Box::new(Vcc::hybrid(64, 16, 8, &mut rng)),
         Box::new(Rcc::random(64, 32, &mut rng)),
         Box::new(Rcc::random_with_identity(64, 16, &mut rng)),
+        // Candidate counts below one four-candidate batch of the shared
+        // search (a partly filled batch), a lone random kernel or coset
+        // (the search rebases the data on it), and the lifetime study's
+        // RCC-256.
+        Box::new(Rcc::random(64, 2, &mut rng)),
+        Box::new(Vcc::stored(64, 16, 2, &mut rng)),
+        Box::new(Vcc::stored(64, 16, 1, &mut rng)),
+        Box::new(Rcc::random(64, 1, &mut rng)),
+        Box::new(Rcc::random(64, 256, &mut rng)),
         Box::new(Vcc::flip_n_write(64, 16)),
         Box::new(Vcc::flip_n_write(64, 8)),
         Box::new(Vcc::dbi(64)),

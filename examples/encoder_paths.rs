@@ -80,6 +80,8 @@ fn headline() {
         // Flip-N-Write is VCC over the one all-zero kernel: the same
         // full-block search as vcc256_stored, with 1 kernel instead of 16.
         ("fnw16", Box::new(Vcc::flip_n_write(64, 16))),
+        // DBI: the same one-kernel search over a single 64-bit partition.
+        ("dbi", Box::new(Vcc::dbi(64))),
         ("flipcy", Box::new(Flipcy::new(64))),
         ("unencoded", Box::new(Unencoded::new(64))),
     ];
