@@ -979,9 +979,11 @@ mod tests {
 
     #[test]
     fn with_timing_overrides_parameters() {
-        let params = TimingParams::default()
-            .with_encoder_cycles(5)
-            .with_issue_interval(1_000);
+        let params = TimingParams {
+            encoder_cycles: 5,
+            ..TimingParams::default()
+        }
+        .with_issue_interval(1_000);
         let mut p =
             WritePipeline::new(tiny_config(), Box::new(Unencoded::new(64))).with_timing(params);
         let report = p.write_line(0, &[0u64; 8]);

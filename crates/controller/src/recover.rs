@@ -154,11 +154,6 @@ impl RetirementPool {
         *self.remap.get(&row_addr).unwrap_or(&row_addr)
     }
 
-    /// Whether a logical row has been retired onto a spare.
-    pub fn is_retired(&self, row_addr: u64) -> bool {
-        self.remap.contains_key(&row_addr)
-    }
-
     /// Number of logical rows retired onto spares.
     pub fn retired_rows(&self) -> usize {
         self.remap.len()
@@ -199,7 +194,6 @@ mod tests {
     fn fresh_pool_maps_rows_to_themselves() {
         let pool = RetirementPool::new(4);
         assert_eq!(pool.physical_of(17), 17);
-        assert!(!pool.is_retired(17));
         assert_eq!(pool.retired_rows(), 0);
     }
 

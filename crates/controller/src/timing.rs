@@ -121,13 +121,6 @@ impl TimingParams {
         self
     }
 
-    /// Sets the encoder depth directly, in cycles.
-    #[must_use]
-    pub fn with_encoder_cycles(mut self, cycles: u64) -> Self {
-        self.encoder_cycles = cycles;
-        self
-    }
-
     /// Sets the per-bank arrival interval (the offered-load knob).
     #[must_use]
     pub fn with_issue_interval(mut self, cycles: u64) -> Self {
@@ -318,9 +311,11 @@ mod tests {
 
     #[test]
     fn deep_queues_pay_the_stall_penalty() {
-        let p = TimingParams::default()
-            .with_issue_interval(1)
-            .with_encoder_cycles(1);
+        let p = TimingParams {
+            encoder_cycles: 1,
+            ..TimingParams::default()
+        }
+        .with_issue_interval(1);
         let mut m = TimingModel::new(p);
         let mut last = 0;
         for _ in 0..(p.queue_depth + 4) * 2 {

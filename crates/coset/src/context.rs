@@ -186,10 +186,8 @@ impl WriteContext {
 
     /// Costs writing `candidate` (data portion only) into this destination.
     ///
-    /// Stays on the scalar [`CostFunction::field_cost`] route: for a
-    /// one-off cost the class-compilation overhead of
-    /// [`CostFunction::cost_words`] outweighs its SWAR win — encoders that
-    /// evaluate many candidates build a [`CostModel`] once via
+    /// Stays on the scalar [`CostFunction::field_cost`] route: encoders
+    /// that evaluate many candidates build a [`CostModel`] once via
     /// [`WriteContext::cost_model`] instead.
     pub fn data_cost(&self, cf: &dyn CostFunction, candidate: &Block) -> Cost {
         assert_eq!(candidate.len(), self.old_data.len(), "candidate length");
@@ -344,30 +342,24 @@ impl CostModel<'_> {
         )
     }
 
-    /// Cost of writing `aux` into the auxiliary cells (the fixed-point
-    /// mirror of [`WriteContext::aux_cost`], including the odd-width
-    /// padding).
-    #[inline(always)]
-    pub fn aux_cost(&self, aux: u64) -> FixedCost {
-        if self.aux_mask == 0 {
-            return FixedCost::ZERO;
-        }
-        self.classes.cost(
-            aux,
-            self.aux_old,
-            self.aux_stuck_mask,
-            self.aux_stuck_value,
-            self.aux_mask,
-        )
+    /// Whether the candidate search prices every candidate over
+    /// `field_bits`-wide partitions exactly: the partition fields and the
+    /// aux lanes both hold the objective's worst case
+    /// ([`ClassSet::lanes_fit`], [`CostModel::aux_lanes_fit`]).
+    #[inline]
+    pub(crate) fn lanes_fit(&self, field_bits: usize) -> bool {
+        self.classes.lanes_fit(field_bits) && self.aux_lanes_fit()
     }
 
     /// Whether [`CostModel::aux_cost_lanes`] is exact: the padded aux
     /// region fits a 16-bit field and so do its weighted class costs.
     pub(crate) fn aux_lanes_fit(&self) -> bool {
-        self.aux_mask <= low_bits(AUX_LANE_BITS) && self.classes.weighted_fields_fit(AUX_LANE_BITS)
+        self.aux_mask <= low_bits(AUX_LANE_BITS) && self.classes.lanes_fit(AUX_LANE_BITS)
     }
 
-    /// [`CostModel::aux_cost`] of [`LANES`] candidate aux words in one
+    /// The cost of writing each of [`LANES`] candidate aux words into the
+    /// auxiliary cells (the fixed-point mirror of
+    /// [`WriteContext::aux_cost`], including the odd-width padding), in one
     /// pass: the candidates sit in 16-bit fields of one word, costed
     /// against the destination's aux planes broadcast to every field, so a
     /// single plane derivation plus per-field popcounts prices them all.
@@ -505,7 +497,7 @@ mod tests {
                 );
                 let aux = rng.gen::<u64>() & 0xFF;
                 assert_eq!(
-                    model.aux_cost(aux).to_cost(),
+                    model.aux_cost_lanes(&[aux; LANES])[0].to_cost(),
                     ctx.aux_cost(cf.as_ref(), aux),
                     "aux cost diverged for {}",
                     cf.name()
@@ -540,7 +532,12 @@ mod tests {
                     let aux: [u64; LANES] = std::array::from_fn(|_| rng.gen::<u64>() & wide);
                     let packed = model.aux_cost_lanes(&aux);
                     for (a, c) in aux.iter().zip(packed) {
-                        assert_eq!(c, model.aux_cost(*a), "{} aux {a:#x}", cf.name());
+                        assert_eq!(
+                            c.to_cost(),
+                            ctx.aux_cost(cf.as_ref(), *a),
+                            "{} aux {a:#x}",
+                            cf.name()
+                        );
                     }
                 }
             }

@@ -72,24 +72,6 @@ impl FixedCost {
             secondary: self.secondary as f64,
         }
     }
-
-    /// Branch-free cheaper-of-two: returns `(1, b)` when `b` is strictly
-    /// cheaper than `a` (packed lexicographic compare, matching
-    /// [`Cost::is_better_than`] on integer costs), else `(0, a)` — the
-    /// per-partition select of the broadcast candidate search.
-    #[inline(always)]
-    pub fn select_min(a: FixedCost, b: FixedCost) -> (u64, FixedCost) {
-        let take_b = (b.packed() < a.packed()) as u64;
-        let chosen = FixedCost {
-            primary: if take_b == 1 { b.primary } else { a.primary },
-            secondary: if take_b == 1 {
-                b.secondary
-            } else {
-                a.secondary
-            },
-        };
-        (take_b, chosen)
-    }
 }
 
 impl Add for FixedCost {
@@ -101,16 +83,6 @@ impl Add for FixedCost {
             primary: self.primary + rhs.primary,
             secondary: self.secondary + rhs.secondary,
         }
-    }
-}
-
-impl std::ops::AddAssign for FixedCost {
-    #[inline]
-    fn add_assign(&mut self, rhs: FixedCost) {
-        // DET-OK: u64 fixed-point accumulation — integer adds are exact by
-        // construction (the fields share names with the f64 `Cost`).
-        self.primary += rhs.primary;
-        self.secondary += rhs.secondary; // DET-OK: exact integer add
     }
 }
 
@@ -263,25 +235,25 @@ impl CompiledClass {
 
 /// The transition classes of a cost function (at most [`ClassSet::MAX`]).
 ///
-/// Obtained from [`CostFunction::classes`]; evaluated either over whole
-/// words ([`ClassSet::cost`]) or, in the encoders' candidate search, per
-/// partition field of class planes mixed from four base plane sets
-/// ([`ClassSet::field_counts`]) — which lets one search cost every
-/// partition of a block with a handful of popcounts.
+/// Obtained from [`CostFunction::classes`]; the encoders' candidate search
+/// evaluates it per partition field of class planes mixed from four base
+/// plane sets ([`ClassSet::field_counts`]), weighted into packed per-field
+/// cost words ([`ClassSet::weighted_fields`]) — which lets one search cost
+/// every partition of a block with a handful of popcounts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClassSet {
     classes: [CostClass; ClassSet::MAX],
     compiled: [CompiledClass; ClassSet::MAX],
     len: u8,
     /// Whether any class charges a secondary (tie-break) unit; when false
-    /// the hot loops skip the secondary accumulation entirely.
+    /// the candidate search runs no secondary costing at all.
     has_secondary: bool,
     /// Widest cell any class assumes, kept up to date by
     /// [`ClassSet::push`] so the per-write gates read one byte.
     cell_bits: u8,
     /// Sums of the primary and secondary units: a field's worst-case cost
     /// per bit, kept up to date by [`ClassSet::push`] for the per-write
-    /// fit checks.
+    /// fit check ([`ClassSet::lanes_fit`]).
     unit_sums: (u64, u64),
 }
 
@@ -452,33 +424,26 @@ impl ClassSet {
         counts
     }
 
-    /// Whether weighted per-field cost words stay within `field_bits`-wide
-    /// fields: the worst-case field cost `Σ units × field_bits` must fit a
-    /// field without carrying into its neighbour (checked separately for
-    /// the primary and secondary components).
-    pub fn weighted_fields_fit(&self, field_bits: usize) -> bool {
-        let worst = |sum: u64| u128::from(sum) * field_bits as u128;
-        field_bits <= 64
-            && worst(self.unit_sums.0) < 1u128 << field_bits
-            && worst(self.unit_sums.1) < 1u128 << field_bits
-    }
-
-    /// Whether the packed cheaper-of-two (`FieldLanes::select_min` of the
-    /// candidate search) is exact on weighted cost words of
-    /// `field_bits`-wide fields: the objective charges no secondary unit,
-    /// and a field's worst-case cost `Σ units × field_bits` stays below the
-    /// field's top bit, which the packed compare borrows.
-    pub(crate) fn packed_select_fits(&self, field_bits: usize) -> bool {
-        !self.has_secondary
-            && (1..=64).contains(&field_bits)
-            && u128::from(self.unit_sums.0) * (field_bits as u128) < 1u128 << (field_bits - 1)
+    /// Whether the candidate search's packed lanes are exact on
+    /// `field_bits`-wide fields: the width is a power of two up to 64 that
+    /// holds whole cells, and each cost component's worst case
+    /// `unit sum × field_bits` stays below the field's top bit, which the
+    /// packed cheaper-of-two borrows.
+    pub(crate) fn lanes_fit(&self, field_bits: usize) -> bool {
+        let below_top =
+            |sum: u64| u128::from(sum) * (field_bits as u128) < 1u128 << (field_bits - 1);
+        field_bits.is_power_of_two()
+            && field_bits <= 64
+            && field_bits.is_multiple_of(usize::from(self.cell_bits))
+            && below_top(self.unit_sums.0)
+            && below_top(self.unit_sums.1)
     }
 
     /// Folds per-field counts into weighted per-field cost words: each
     /// field of the returned `(primary, secondary)` words holds that
-    /// partition's full fixed-point cost component. Only valid when
-    /// [`ClassSet::weighted_fields_fit`] holds for the counts' field width
-    /// (otherwise the per-field products carry across fields).
+    /// partition's full fixed-point cost component. Only valid while each
+    /// component's worst case `unit sum × field_bits` fits the counts'
+    /// fields (otherwise the per-field products carry across fields).
     #[inline(always)]
     pub fn weighted_fields(&self, counts: &[u64; Self::MAX]) -> (u64, u64) {
         let mut primary = 0u64;
@@ -492,31 +457,16 @@ impl ClassSet {
         (primary, secondary)
     }
 
-    /// Cost of one partition from precomputed [`ClassSet::field_counts`]:
-    /// the partition's counts sit at `shift` under `field_mask`.
-    #[inline(always)]
-    pub fn count_cost(
-        &self,
-        counts: &[u64; Self::MAX],
-        shift: usize,
-        field_mask: u64,
-    ) -> FixedCost {
-        let mut cost = FixedCost::ZERO;
-        for (c, class) in counts[..self.len as usize].iter().zip(self.classes()) {
-            let n = (c >> shift) & field_mask;
-            // DET-OK: u64 fixed-point — exact integer accumulation.
-            cost.primary += n * class.primary;
-            if self.has_secondary {
-                cost.secondary += n * class.secondary; // DET-OK: u64 add
-            }
-        }
-        cost
-    }
-
     /// The classes as a slice.
     #[inline]
     pub fn classes(&self) -> &[CostClass] {
         &self.classes[..self.len as usize]
+    }
+
+    /// Whether any class charges a secondary (tie-break) unit.
+    #[inline]
+    pub(crate) fn has_secondary(&self) -> bool {
+        self.has_secondary
     }
 
     /// Widest cell any class assumes (2 when an MLC class is present):
@@ -590,30 +540,6 @@ impl ClassSet {
                 d1: planes(u64::MAX),
             },
         }
-    }
-
-    /// Full cost of writing `new` over one destination word, restricted to
-    /// `mask`.
-    #[inline(always)]
-    pub fn cost(
-        &self,
-        new: u64,
-        old: u64,
-        stuck_mask: u64,
-        stuck_value: u64,
-        mask: u64,
-    ) -> FixedCost {
-        let planes = self.planes(new, old, stuck_mask, stuck_value, mask);
-        let mut cost = FixedCost::ZERO;
-        for (p, class) in planes.iter().zip(self.classes()) {
-            let n = u64::from(p.count_ones());
-            // DET-OK: u64 fixed-point — exact integer accumulation.
-            cost.primary += n * class.primary;
-            if self.has_secondary {
-                cost.secondary += n * class.secondary; // DET-OK: u64 add
-            }
-        }
-        cost
     }
 }
 
@@ -783,30 +709,6 @@ pub trait CostFunction: Send + Sync {
     /// copies it exactly once per write.
     fn classes(&self) -> Option<&ClassSet> {
         None
-    }
-
-    /// Word-batched counterpart of [`CostFunction::field_cost`]: costs the
-    /// field through the transition-class planes when
-    /// [`CostFunction::classes`] provides them, and falls back to the
-    /// scalar path otherwise. Results are bit-identical to the scalar path
-    /// for every built-in objective.
-    fn cost_words(&self, field: &Field) -> Cost {
-        if let Some(classes) = self.classes() {
-            // MLC classes need whole symbols; odd widths take the scalar
-            // path so its cell-alignment assertion stays authoritative.
-            if field.bits.is_multiple_of(classes.cell_bits()) {
-                return classes
-                    .cost(
-                        field.new,
-                        field.old,
-                        field.stuck_mask,
-                        field.stuck_value,
-                        field.bit_mask(),
-                    )
-                    .to_cost();
-            }
-        }
-        self.field_cost(field)
     }
 }
 
@@ -1569,6 +1471,28 @@ mod tests {
         assert_eq!(wrapped.field_cost(&f), WriteEnergy::mlc().field_cost(&f));
     }
 
+    /// The cost of `field` priced from its class planes: each plane's
+    /// popcount times its class's units.
+    fn cost_words(classes: &ClassSet, field: &Field) -> Cost {
+        let planes = classes.planes(
+            field.new,
+            field.old,
+            field.stuck_mask,
+            field.stuck_value,
+            field.bit_mask(),
+        );
+        let mut cost = FixedCost::ZERO;
+        for (p, class) in planes.iter().zip(classes.classes()) {
+            let n = u64::from(p.count_ones());
+            cost = cost
+                + FixedCost {
+                    primary: n * class.primary,
+                    secondary: n * class.secondary,
+                };
+        }
+        cost.to_cost()
+    }
+
     #[test]
     fn cost_words_matches_region_cost_for_builtins() {
         use rand::rngs::StdRng;
@@ -1596,7 +1520,7 @@ mod tests {
                 let field = Field { bits, ..field };
                 for cf in &fns {
                     assert_eq!(
-                        cf.cost_words(&field),
+                        cost_words(cf.classes().unwrap(), &field),
                         cf.field_cost(&field),
                         "{} over {bits} bits",
                         cf.name()
@@ -1650,12 +1574,22 @@ mod tests {
     fn weighted_fields_bound_check() {
         let mlc_energy = WriteEnergy::mlc();
         let mlc = mlc_energy.classes().unwrap();
-        // 16-bit fields hold 8 cells × 132 pJ comfortably; 8-bit fields
-        // cannot hold 4 × 132.
-        assert!(mlc.weighted_fields_fit(16));
-        assert!(!mlc.weighted_fields_fit(8));
+        // 16-bit fields hold 8 cells × 145 pJ below their top bit; 8-bit
+        // fields cannot hold 4 × 145.
+        assert!(mlc.lanes_fit(16));
+        assert!(!mlc.lanes_fit(8));
+        // The secondary component must fit too.
+        let saw_then_energy = opt_saw_then_energy();
+        let lex = saw_then_energy.classes().unwrap();
+        assert!(lex.lanes_fit(16) && lex.lanes_fit(64));
+        assert!(!lex.lanes_fit(8));
+        // A count of 4 is below a 4-bit field's top bit; 2 is a 2-bit
+        // field's top bit itself.
         let ones = OnesCount.classes().unwrap();
-        assert!(ones.weighted_fields_fit(8));
+        assert!(ones.lanes_fit(4));
+        assert!(!ones.lanes_fit(2));
+        // Widths must be powers of two.
+        assert!(!ones.lanes_fit(12));
     }
 
     #[test]

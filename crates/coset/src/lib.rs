@@ -92,18 +92,18 @@
 //!   derived once per write. Right-digit candidates have no high selector
 //!   and mix from two bases; a lone candidate (the one-kernel selective
 //!   inversion sets) is costed from its own two forms.
-//! * **Two costing modes.** Per-field popcounts count every partition at
-//!   once ([`cost::per_field_popcount`]). When the weighted partition costs
-//!   fit below their fields' top bits and the objective charges no
-//!   secondary unit, the cheaper-of-two and the field sums run packed over
-//!   `[u64; 4]` lane arrays, one candidate per lane, with no per-candidate
-//!   branch. Otherwise each candidate's partitions are costed one by one,
-//!   read from weighted per-field cost words when they fit and counted
-//!   class by class when they do not.
+//! * **One costing mode: packed lanes.** Per-field popcounts count every
+//!   partition at once ([`cost::per_field_popcount`]), weighted into
+//!   per-field `(primary, secondary)` cost words. The cheaper-of-two and the
+//!   field sums then run packed over `[u64; 4]` lane arrays, one candidate
+//!   per lane, with no per-candidate branch. A lexicographic objective
+//!   ("Opt. SAW", "Opt. Energy") takes the complement form where its
+//!   primary is lower, or where the primaries tie and its secondary is
+//!   lower; an objective with no secondary unit runs no secondary work,
+//!   chosen once per write.
 //! * **Packed aux cost.** The four candidate aux words of a pass sit in
 //!   16-bit fields of one word, costed against the destination's aux state
-//!   broadcast to every field, whenever the aux region and its weighted
-//!   costs fit such a field. Selection then scans the lanes in index
+//!   broadcast to every field. Selection then scans the lanes in index
 //!   order, so ties keep the lowest candidate index.
 //!
 //! Hot-loop costs accumulate in fixed-point [`FixedCost`] (`u64`
@@ -115,13 +115,16 @@
 //!
 //! **When the scalar fallback runs:** objectives without classes (custom
 //! non-per-class or non-integer energy tables, or any cost wrapped in
-//! [`cost::ScalarOnly`]), stored kernel widths that do not tile a 64-bit
-//! word (including selective-inversion sub-blocks such as a 48-bit block
-//! split 24/24), stored partition widths that break the classes' cell
-//! alignment (odd widths under an MLC objective), generated-kernel
-//! partitions whose symbol field is not a power of two, and Flipcy (three
-//! candidates never amortize the model build). The scalar loops are
-//! retained as the reference oracle.
+//! [`cost::ScalarOnly`]); layouts the packed lanes cannot hold exactly —
+//! partition widths that are not a power of two or split cells (stored
+//! kernel widths that do not tile a 64-bit word, e.g. selective-inversion
+//! sub-blocks of a 48-bit block split 24/24), fields too narrow for the
+//! objective's worst case below their top bit (8-bit fields under an
+//! energy objective), and aux words wider than 16 bits; and Flipcy (three
+//! candidates never amortize the model build). Every paper configuration
+//! (FNW16, stored and generated VCC-32…256, RCC) stays on the search under
+//! every paper objective. The scalar loops are retained as the reference
+//! oracle.
 //!
 //! # Crate layout
 //!

@@ -10,12 +10,13 @@
 //! Encoding runs the crate's one candidate search, shared with VCC (see the
 //! crate docs): every stored coset is one candidate over a single 64-bit
 //! field, with no complement form. The per-candidate scalar loop remains
-//! as the reference oracle for objectives without transition classes.
+//! as the reference oracle, and runs for objectives without transition
+//! classes and for aux words wider than the search's packed lanes.
 
 use rand::Rng;
 
 use crate::block::Block;
-use crate::context::WriteContext;
+use crate::context::{CostModel, WriteContext};
 use crate::cost::CostFunction;
 use crate::encoder::{check_block_bits, EncodeScratch, Encoded, Encoder};
 use crate::search::{search, Complement, Layout};
@@ -104,6 +105,28 @@ impl Rcc {
     pub fn cosets(&self) -> &[Block] {
         &self.cosets
     }
+
+    /// The one candidate search's layout: each coset is one candidate over
+    /// a single 64-bit field, with no complement form.
+    const LAYOUT: Layout = Layout {
+        field_bits: 64,
+        fields: 1,
+        complement: Complement::None,
+    };
+
+    /// The cost model the one candidate search prices a write with, or
+    /// `None` when the scalar reference loop runs: the objective compiles
+    /// to no transition classes ([`WriteContext::cost_model`]) or the aux
+    /// word does not fit the search's packed lanes
+    /// ([`CostModel::lanes_fit`]).
+    pub(crate) fn search_model<'a>(
+        &self,
+        ctx: &WriteContext,
+        cost: &'a dyn CostFunction,
+    ) -> Option<CostModel<'a>> {
+        ctx.cost_model(cost)
+            .filter(|model| model.lanes_fit(Self::LAYOUT.field_bits))
+    }
 }
 
 impl Encoder for Rcc {
@@ -129,18 +152,11 @@ impl Encoder for Rcc {
     ) {
         assert_eq!(data.len(), self.block_bits, "data width mismatch");
         assert_eq!(ctx.data_bits(), self.block_bits, "context width mismatch");
-        // The one candidate search: each coset is one candidate, costed
-        // over a single 64-bit field with no complement form.
-        if let Some(model) = ctx.cost_model(cost) {
-            let layout = Layout {
-                field_bits: 64,
-                fields: 1,
-                complement: Complement::None,
-            };
+        if let Some(model) = self.search_model(ctx, cost) {
             search(
                 &model,
                 data.as_u64(),
-                layout,
+                Self::LAYOUT,
                 self.cosets.len(),
                 |first, batch| {
                     for (c, coset) in batch.iter_mut().zip(&self.cosets[first..]) {
@@ -151,7 +167,7 @@ impl Encoder for Rcc {
             .store(self.block_bits, out);
             return;
         }
-        // Scalar fallback (objectives without transition classes).
+        // The scalar reference loop.
         let mut found = false;
         for (i, coset) in self.cosets.iter().enumerate() {
             let cand = data.xor(coset);

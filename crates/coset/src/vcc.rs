@@ -35,8 +35,10 @@
 //! kernel broadcasts, each partition taking the kernel or its complement;
 //! generated mode feeds it the Algorithm-2 kernels in closed form on the
 //! right digits, each partition taking the kernel or its right-digit
-//! complement. The per-partition scalar loops remain as the reference
-//! oracles for objectives and widths the search does not take.
+//! complement. The search prices every candidate through packed lanes;
+//! the per-partition scalar loops remain as the reference oracles, and run
+//! for objectives without transition classes and for layouts the lanes
+//! cannot hold.
 
 use rand::Rng;
 
@@ -47,7 +49,7 @@ use crate::encoder::{check_block_bits, EncodeScratch, Encoded, Encoder};
 use crate::kernel::{
     ceil_log2, generate_kernels_into, kernel_at, repeat_mask, GeneratorConfig, KernelSet,
 };
-use crate::search::{search, Complement, Layout, Winner};
+use crate::search::{search, Complement, Layout, Winner, LANES};
 use crate::symbol::{
     compress_even_bits_word, extract_left_digits, extract_right_digits, interleave_digits,
     interleave_word, spread_to_right_digits,
@@ -366,14 +368,46 @@ impl Vcc {
         (idx, flags)
     }
 
-    /// Encodes in full-block mode: partition j covers bits [j·m, (j+1)·m).
-    ///
-    /// Runs the one candidate search over the kernel broadcasts, each
-    /// partition taking the kernel or its complement, whenever the
-    /// objective compiles to transition classes
-    /// ([`WriteContext::cost_model`]), the kernels tile 64-bit words and the
-    /// partitions respect the classes' cell alignment; otherwise the
-    /// retained scalar path runs.
+    /// The partitions the one candidate search costs: kernel-wide fields
+    /// under the whole-field complement (stored kernels), or a kernel's
+    /// symbol fields under the right-digit complement (generated kernels).
+    fn layout(&self) -> Layout {
+        let (field_bits, complement) = match self.mode {
+            VccMode::FullBlock { .. } => (self.kernel_bits, Complement::Field),
+            VccMode::MlcGenerated { .. } => (2 * self.kernel_bits, Complement::RightDigits),
+        };
+        Layout {
+            field_bits,
+            fields: self.partitions,
+            complement,
+        }
+    }
+
+    /// The cost model the one candidate search prices a write with, or
+    /// `None` when the scalar reference loop runs: the objective compiles
+    /// to no transition classes ([`WriteContext::cost_model`]), stored
+    /// kernels do not tile 64-bit words, or the search's packed lanes
+    /// cannot hold the partitions or the aux word
+    /// ([`CostModel::lanes_fit`]).
+    pub(crate) fn search_model<'a>(
+        &self,
+        ctx: &WriteContext,
+        cost: &'a dyn CostFunction,
+    ) -> Option<CostModel<'a>> {
+        if let VccMode::FullBlock { kernels } = &self.mode {
+            if !kernels.has_broadcasts() {
+                return None;
+            }
+        }
+        let field_bits = self.layout().field_bits;
+        ctx.cost_model(cost)
+            .filter(|model| model.lanes_fit(field_bits))
+    }
+
+    /// Encodes in full-block mode: partition j covers bits [j·m, (j+1)·m),
+    /// each taking the kernel or its complement. Runs the one candidate
+    /// search over the kernel broadcasts where [`Vcc::search_model`]
+    /// allows, else the scalar reference loop.
     ///
     /// Kept out of line: inlined into [`Encoder::encode_into`] beside the
     /// generated-kernel search it shares that function's large frame, which
@@ -388,39 +422,24 @@ impl Vcc {
         kernels: &KernelSet,
         out: &mut Encoded,
     ) {
-        if kernels.has_broadcasts() {
-            if let Some(model) = ctx.cost_model(cost) {
-                // Cells are 1 or 2 bits wide, so a mask tests the alignment.
-                if self.kernel_bits & (model.classes().cell_bits() as usize - 1) == 0 {
-                    let layout = Layout {
-                        field_bits: self.kernel_bits,
-                        fields: self.partitions,
-                        complement: Complement::Field,
-                    };
-                    search(
-                        &model,
-                        data.as_u64(),
-                        layout,
-                        kernels.len(),
-                        |first, batch| {
-                            for (c, i) in batch.iter_mut().zip(first..kernels.len()) {
-                                *c = kernels.broadcast(i);
-                            }
-                        },
-                    )
-                    .store(self.block_bits, out);
-                    return;
-                }
+        let Some(model) = self.search_model(ctx, cost) else {
+            return self.encode_full_block_scalar(data, ctx, cost, kernels, out);
+        };
+        let fill = |first: usize, batch: &mut [u64; LANES]| {
+            for (c, i) in batch.iter_mut().zip(first..kernels.len()) {
+                *c = kernels.broadcast(i);
             }
-        }
-        self.encode_full_block_scalar(data, ctx, cost, kernels, out);
+        };
+        search(&model, data.as_u64(), self.layout(), kernels.len(), fill)
+            .store(self.block_bits, out);
     }
 
     /// Scalar full-block reference path: per-partition extract / XOR /
-    /// `field_cost` virtual calls. Runs for objectives without transition
-    /// classes (e.g. custom energy tables, [`crate::cost::ScalarOnly`]) and
-    /// for kernel widths that do not tile a 64-bit word; also the oracle
-    /// the differential `cost_oracle` suite pins the fast path against.
+    /// `field_cost` virtual calls. Runs where [`Vcc::search_model`] declines
+    /// the write (e.g. custom energy tables, [`crate::cost::ScalarOnly`],
+    /// kernel widths that do not tile a 64-bit word, 8-bit partitions under
+    /// an energy objective); also the oracle the differential `cost_oracle`
+    /// suite pins the search against.
     fn encode_full_block_scalar(
         &self,
         data: &Block,
@@ -467,10 +486,8 @@ impl Vcc {
 
     /// Encodes in MLC generated mode: only the right digits are transformed;
     /// costs are evaluated on whole symbols (left digit interleaved back in).
-    ///
-    /// Runs the one candidate search whenever the objective compiles to
-    /// transition classes and a partition's symbol field is a power of two;
-    /// the retained scalar path runs otherwise.
+    /// Runs the one candidate search where [`Vcc::search_model`] allows,
+    /// else the scalar reference loop.
     fn encode_mlc_generated(
         &self,
         data: &Block,
@@ -480,14 +497,12 @@ impl Vcc {
         scratch: &mut EncodeScratch,
         out: &mut Encoded,
     ) {
-        if (2 * self.kernel_bits).is_power_of_two() {
-            if let Some(model) = ctx.cost_model(cost) {
-                self.generated_search(data, ctx, &model, config)
-                    .store(self.block_bits, out);
-                return;
-            }
+        match self.search_model(ctx, cost) {
+            Some(model) => self
+                .generated_search(data, ctx, &model, config)
+                .store(self.block_bits, out),
+            None => self.encode_mlc_generated_scalar(data, ctx, cost, config, scratch, out),
         }
-        self.encode_mlc_generated_scalar(data, ctx, cost, config, scratch, out);
     }
 
     /// The generated kernels as candidates of the one search, in the symbol
@@ -520,33 +535,34 @@ impl Vcc {
 
         // Seed Algorithm 2 with the left digits as they will actually be
         // stored (stuck cells keep their frozen value), like the scalar
-        // path and the decoder. The gate guarantees 2m is a power of two,
-        // so the partition fields tile the word and `repeat` has one set
-        // bit per field.
+        // path and the decoder. The search only runs on power-of-two
+        // fields, so the partition fields tile the word and `repeat` has
+        // one set bit per field.
         let seed = compress_even_bits_word(((dw & !sm) | (sv & sm)) >> 1) & low_bits(digit_bits);
         let seed_sym = spread_to_right_digits(seed);
         let (b, mask_bits) = config.shape(digit_bits);
         let repeat = u64::MAX / sym_mask;
         let variant_field = |v: usize| spread_to_right_digits(repeat_mask(v as u64, mask_bits, m));
 
-        let layout = Layout {
-            field_bits: f,
-            fields: self.partitions,
-            complement: Complement::RightDigits,
-        };
         // Kernel i = v·b + j, filled in index order.
         let (mut v, mut j) = (0usize, 0usize);
         let mut v_field = variant_field(0);
-        search(model, dw, layout, self.num_kernels, |first, batch| {
-            for k in batch.iter_mut().take(self.num_kernels - first) {
-                if j == b {
-                    (v, j) = (v + 1, 0);
-                    v_field = variant_field(v);
+        search(
+            model,
+            dw,
+            self.layout(),
+            self.num_kernels,
+            |first, batch| {
+                for k in batch.iter_mut().take(self.num_kernels - first) {
+                    if j == b {
+                        (v, j) = (v + 1, 0);
+                        v_field = variant_field(v);
+                    }
+                    *k = ((((seed_sym >> (j * f)) & sym_mask) ^ v_field) * repeat) & block_mask;
+                    j += 1;
                 }
-                *k = ((((seed_sym >> (j * f)) & sym_mask) ^ v_field) * repeat) & block_mask;
-                j += 1;
-            }
-        })
+            },
+        )
     }
 
     /// Scalar generated-kernel reference path (digit extraction, per-bit

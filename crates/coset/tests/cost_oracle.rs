@@ -3,16 +3,16 @@
 //!
 //! Two families of properties:
 //!
-//! 1. **Cost-function level** — the word-batched
-//!    [`CostFunction::cost_words`] entry point must agree with the scalar
-//!    [`CostFunction::field_cost`] on arbitrary destination planes, for all
-//!    five objectives.
+//! 1. **Cost-function level** — pricing an objective's transition-class
+//!    planes ([`ClassSet::planes`], popcount times unit) must agree with
+//!    the scalar [`CostFunction::field_cost`] on arbitrary destination
+//!    planes, for all five objectives.
 //! 2. **Encoder level** — every broadcast-path encoder (VCC
 //!    stored/generated/hybrid, RCC, FNW/DBI/BCC, Flipcy), each coset
 //!    encoder running the one shared candidate search, must produce a
 //!    bit-identical [`Encoded`] (codeword, aux **and** cost) to the same
 //!    encoder running with [`ScalarOnly`], which hides the objective's
-//!    transition classes and forces the retained scalar path — across
+//!    transition classes and forces the scalar reference loop — across
 //!    SLC/MLC objectives, stuck-cell incidences {0, 1e-2, 5e-2}, and
 //!    random destination state.
 //!
@@ -20,11 +20,12 @@
 //! class shape in the suite even if the property sampling shifts.
 
 use coset::cost::{
-    opt_energy_then_saw, opt_saw_then_energy, BitFlips, CostFunction, Field, OnesCount, SawCount,
-    ScalarOnly, WriteEnergy,
+    opt_energy_then_saw, opt_saw_then_energy, BitFlips, ClassSet, CostFunction, Field, OnesCount,
+    SawCount, ScalarOnly, WriteEnergy,
 };
 use coset::{
-    Block, EncodeScratch, Encoded, Encoder, Flipcy, Rcc, StuckBits, Unencoded, Vcc, WriteContext,
+    Block, Cost, EncodeScratch, Encoded, Encoder, FixedCost, Flipcy, Rcc, StuckBits, Unencoded,
+    Vcc, WriteContext,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -94,7 +95,33 @@ fn random_ctx(
     ctx
 }
 
-/// All broadcast-path encoders under test for 64-bit blocks.
+/// The cost of `field` priced from its transition-class planes: each
+/// plane's popcount times its class's units.
+fn cost_words(classes: &ClassSet, field: &Field) -> Cost {
+    let planes = classes.planes(
+        field.new,
+        field.old,
+        field.stuck_mask,
+        field.stuck_value,
+        field.bit_mask(),
+    );
+    let mut cost = FixedCost::ZERO;
+    for (p, class) in planes.iter().zip(classes.classes()) {
+        let n = u64::from(p.count_ones());
+        cost = cost
+            + FixedCost {
+                primary: n * class.primary,
+                secondary: n * class.secondary,
+            };
+    }
+    cost.to_cost()
+}
+
+/// Every encoder under test for 64-bit blocks. Each comment names the
+/// route a configuration takes under the paper objectives: the one
+/// candidate search prices it through packed lanes, or the scalar
+/// reference loop runs where the lanes cannot hold its partitions or aux
+/// word.
 fn encoders(seed: u64) -> Vec<Box<dyn Encoder>> {
     let mut rng = StdRng::seed_from_u64(seed);
     vec![
@@ -105,10 +132,11 @@ fn encoders(seed: u64) -> Vec<Box<dyn Encoder>> {
         Box::new(Vcc::paper_mlc(128)),
         Box::new(Vcc::paper_mlc(64)),
         Box::new(Vcc::paper_mlc(32)),
-        // Other kernel widths: 16-bit kernels (32-bit symbol fields, r > b,
-        // packed select for single-class objectives and energy) and 4-bit
-        // kernels (8-bit fields, r < b; energy does not fit the packed
-        // select, so the per-partition loop runs).
+        // Other kernel widths: 16-bit kernels (32-bit symbol fields, r > b;
+        // the search under every objective) and 4-bit kernels (8-bit
+        // fields, r < b; the search under the count objectives, the scalar
+        // loop under any objective charging energy, whose 8-bit worst case
+        // reaches the fields' top bit).
         Box::new(Vcc::generated_mlc(64, 16, 4)),
         Box::new(Vcc::generated_mlc(64, 4, 4)),
         // Kernel counts around the four-kernel batches of the generated
@@ -117,8 +145,7 @@ fn encoders(seed: u64) -> Vec<Box<dyn Encoder>> {
         Box::new(Vcc::generated_mlc(64, 8, 1)),
         Box::new(Vcc::generated_mlc(64, 8, 128)),
         // 2-bit kernels: 16 partitions, so 18 aux bits — wider than the
-        // 16-bit field of the batched aux cost, which falls back to one aux
-        // cost per kernel even where the packed select runs (bit-flips).
+        // 16-bit aux lanes, so the scalar loop runs under every objective.
         Box::new(Vcc::generated_mlc(64, 2, 4)),
         Box::new(Vcc::hybrid(64, 16, 8, &mut rng)),
         Box::new(Rcc::random(64, 32, &mut rng)),
@@ -133,9 +160,12 @@ fn encoders(seed: u64) -> Vec<Box<dyn Encoder>> {
         Box::new(Rcc::random(64, 1, &mut rng)),
         Box::new(Rcc::random(64, 256, &mut rng)),
         Box::new(Vcc::flip_n_write(64, 16)),
+        // 8-bit sub-blocks: the search under the count objectives, the
+        // scalar loop under energy, like the 4-bit generated kernels.
         Box::new(Vcc::flip_n_write(64, 8)),
         Box::new(Vcc::dbi(64)),
         Box::new(Vcc::bcc(64, 16)),
+        // Flipcy's three candidates always take its own scalar loop.
         Box::new(Flipcy::new(64)),
     ]
 }
@@ -193,9 +223,9 @@ fn assert_encoders_match(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// `cost_words` ≡ scalar `field_cost` on arbitrary fields of up to one
-    /// word for every objective (the MLC objectives see symbol-frozen
-    /// masks).
+    /// [`cost_words`] (class-plane pricing) ≡ scalar `field_cost` on
+    /// arbitrary fields of up to one word for every objective (the MLC objectives see
+    /// symbol-frozen masks).
     #[test]
     fn cost_words_matches_scalar_field_cost(seed in any::<u64>(), symbols in 1u32..=32) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -210,7 +240,7 @@ proptest! {
                 stuck_value: rng.gen(),
                 bits,
             };
-            let batched = fast.cost_words(&field);
+            let batched = cost_words(fast.classes().unwrap(), &field);
             let reference = scalar.field_cost(&field);
             prop_assert_eq!(
                 batched, reference,

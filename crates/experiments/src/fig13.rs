@@ -137,21 +137,6 @@ impl CrossCheckResult {
             .map(CrossCheckCell::gap)
             .fold(0.0, f64::max)
     }
-
-    /// Mean event-driven normalized IPC of a technique across benchmarks.
-    pub fn event_mean(&self, technique: &str) -> f64 {
-        let v: Vec<f64> = self
-            .cells
-            .iter()
-            .filter(|c| c.technique == technique)
-            .map(|c| c.event_ipc)
-            .collect();
-        if v.is_empty() {
-            0.0
-        } else {
-            v.iter().sum::<f64>() / v.len() as f64
-        }
-    }
 }
 
 /// Cross-checks the analytic Figure 13 against the event-driven bank
@@ -291,6 +276,17 @@ impl fmt::Display for Fig13Result {
 mod tests {
     use super::*;
 
+    /// Mean event-driven normalized IPC of a technique across benchmarks.
+    fn event_mean(check: &CrossCheckResult, technique: &str) -> f64 {
+        let v: Vec<f64> = check
+            .cells
+            .iter()
+            .filter(|c| c.technique == technique)
+            .map(|c| c.event_ipc)
+            .collect();
+        v.iter().sum::<f64>() / v.len() as f64
+    }
+
     #[test]
     fn impacts_are_small_and_ordered() {
         let r = run(Scale::Small, 1);
@@ -344,9 +340,9 @@ mod tests {
         }
         // The paper's shape survives the event-driven lane: every technique
         // within a few percent of unencoded, DBI ahead of VCC ahead of RCC.
-        let dbi = check.event_mean("DBI/FNW");
-        let vcc = check.event_mean("VCC-256");
-        let rcc = check.event_mean("RCC-256");
+        let dbi = event_mean(&check, "DBI/FNW");
+        let vcc = event_mean(&check, "VCC-256");
+        let rcc = event_mean(&check, "RCC-256");
         assert!(rcc > 0.92 && rcc <= 1.0, "RCC event mean {rcc}");
         assert!(
             vcc >= rcc && dbi >= vcc,

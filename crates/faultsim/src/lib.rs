@@ -90,13 +90,6 @@ pub struct WriteFaults {
     pub panic_worker: bool,
 }
 
-impl WriteFaults {
-    /// True when no fault fires on this write.
-    pub fn is_clean(&self) -> bool {
-        !(self.stuck_burst || self.kill_row || self.force_uncorrectable || self.panic_worker)
-    }
-}
-
 serde::counters! {
     /// Mergeable counters describing every fault injected and every recovery
     /// action taken. Lives beside (not inside) `PipelineStats` so the legacy
@@ -272,7 +265,7 @@ mod tests {
     fn empty_plan_is_inert() {
         let mut inj = FaultInjector::new(FaultPlan::default());
         for row in 0..256u64 {
-            assert!(inj.on_write(row).is_clean());
+            assert_eq!(inj.on_write(row), WriteFaults::default());
             assert!(!inj.on_read(row));
         }
         assert!(inj.log().is_empty());

@@ -90,14 +90,6 @@ impl GateBill {
             critical_path_stages: self.critical_path_stages.max(other.critical_path_stages),
         }
     }
-
-    /// Component-wise sum with critical paths added (series composition).
-    pub fn merge_series(&self, other: &GateBill) -> GateBill {
-        GateBill {
-            critical_path_stages: self.critical_path_stages + other.critical_path_stages,
-            ..self.merge_parallel(other)
-        }
-    }
 }
 
 /// Number of full adders in a population-count tree over `bits` inputs.
@@ -203,9 +195,6 @@ mod tests {
         let p = a.merge_parallel(&b);
         assert_eq!(p.xor2, 30);
         assert_eq!(p.critical_path_stages, 7);
-        let s = a.merge_series(&b);
-        assert_eq!(s.xor2, 30);
-        assert_eq!(s.critical_path_stages, 12);
     }
 
     #[test]

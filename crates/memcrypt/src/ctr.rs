@@ -120,16 +120,6 @@ impl CtrEngine {
     ) -> [u64; LINE_WORDS] {
         self.encrypt_line(line_addr, counter, ciphertext)
     }
-
-    /// Encrypts a single 64-bit word at word index `word_idx` of the line.
-    ///
-    /// Runs exactly one AES block — the one whose keystream covers
-    /// `word_idx` — instead of generating the full 512-bit pad, so
-    /// word-granularity callers pay a quarter of the line-pad cost.
-    pub fn encrypt_word(&self, line_addr: u64, counter: u64, word_idx: usize, word: u64) -> u64 {
-        assert!(word_idx < LINE_WORDS, "word index out of range");
-        word ^ self.pad_block(line_addr, counter, word_idx / 2)[word_idx % 2]
-    }
 }
 
 /// Tracks per-line write counters for a memory region, as the paper's
@@ -220,13 +210,26 @@ mod tests {
         );
     }
 
+    /// Encrypts the 64-bit word at index `word_idx` of a line with the one
+    /// AES block whose keystream covers it, the reference the line pad is
+    /// checked against word by word.
+    fn encrypt_word(
+        engine: &CtrEngine,
+        line_addr: u64,
+        counter: u64,
+        word_idx: usize,
+        word: u64,
+    ) -> u64 {
+        word ^ engine.pad_block(line_addr, counter, word_idx / 2)[word_idx % 2]
+    }
+
     #[test]
     fn word_encryption_matches_line_encryption() {
         let engine = CtrEngine::new([5u8; 16]);
         let line = [42u64; 8];
         let ct = engine.encrypt_line(0x100, 7, &line);
         for (i, expect) in ct.iter().enumerate() {
-            assert_eq!(engine.encrypt_word(0x100, 7, i, line[i]), *expect);
+            assert_eq!(encrypt_word(&engine, 0x100, 7, i, line[i]), *expect);
         }
     }
 

@@ -135,26 +135,6 @@ impl TransitionCosts {
     }
 }
 
-/// Renders Table I (old state rows × new state columns, values "-", "low",
-/// "high") exactly as the paper lays it out, for reports and documentation.
-pub fn render_table_i() -> String {
-    let order = [0b00u8, 0b01, 0b11, 0b10];
-    let mut out = String::from("        N(00)  N(01)  N(11)  N(10)\n");
-    for old in order {
-        out.push_str(&format!("O({:02b})", old));
-        for new in order {
-            let cell = match classify_mlc(old, new) {
-                TransitionClass::NoChange => "-",
-                TransitionClass::Low => "low",
-                TransitionClass::High => "high",
-            };
-            out.push_str(&format!("{cell:>7}"));
-        }
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,16 +175,6 @@ mod tests {
                 assert_eq!(t.energy(old, new), expect);
             }
         }
-    }
-
-    #[test]
-    fn render_contains_all_rows() {
-        let s = render_table_i();
-        for row in ["O(00)", "O(01)", "O(11)", "O(10)"] {
-            assert!(s.contains(row), "missing {row} in:\n{s}");
-        }
-        assert_eq!(s.matches("high").count(), 6);
-        assert_eq!(s.matches("low").count(), 6);
     }
 
     #[test]

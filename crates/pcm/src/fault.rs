@@ -13,7 +13,6 @@
 //! Section II-A.
 
 use coset::symbol::CellKind;
-use coset::StuckBits;
 use memcrypt::SplitMix64;
 
 /// A deterministic, sparse description of stuck cells at a fixed incidence
@@ -127,51 +126,32 @@ impl FaultMap {
             None
         }
     }
-
-    /// Builds the [`StuckBits`] view for a `word_bits`-wide word starting at
-    /// cell index `first_cell` of row `row_addr`.
-    pub fn stuck_bits_for_word(
-        &self,
-        row_addr: u64,
-        first_cell: usize,
-        word_bits: usize,
-    ) -> StuckBits {
-        let bpc = self.cell_kind.bits_per_cell();
-        let cells = word_bits / bpc;
-        let mut stuck = StuckBits::none(word_bits);
-        for c in 0..cells {
-            if let Some(sym) = self.stuck_symbol(row_addr, first_cell + c) {
-                stuck.stick_cell(c, bpc, sym);
-            }
-        }
-        stuck
-    }
-
-    /// Counts stuck cells in the first `cells` cells of `rows` rows —
-    /// useful for verifying the empirical incidence rate.
-    pub fn count_stuck(&self, rows: u64, cells_per_row: usize) -> u64 {
-        let mut count = 0;
-        for r in 0..rows {
-            for c in 0..cells_per_row {
-                if self.stuck_symbol(r, c).is_some() {
-                    count += 1;
-                }
-            }
-        }
-        count
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Counts stuck cells in the first `cells_per_row` cells of `rows`
+    /// rows, for checking the empirical incidence rate.
+    fn count_stuck(map: &FaultMap, rows: u64, cells_per_row: usize) -> u64 {
+        let mut count = 0;
+        for r in 0..rows {
+            for c in 0..cells_per_row {
+                if map.stuck_symbol(r, c).is_some() {
+                    count += 1;
+                }
+            }
+        }
+        count
+    }
+
     #[test]
     fn empirical_rate_matches_nominal() {
         let map = FaultMap::uniform(1e-2, CellKind::Mlc, 1);
         let rows = 2000;
         let cells = 288;
-        let stuck = map.count_stuck(rows, cells);
+        let stuck = count_stuck(&map, rows, cells);
         let empirical = stuck as f64 / (rows as f64 * cells as f64);
         assert!(
             (empirical - 1e-2).abs() < 2e-3,
@@ -184,7 +164,7 @@ mod tests {
         let map = FaultMap::clustered(1e-2, CellKind::Mlc, 3, 0.1, 3.0);
         let rows = 4000;
         let cells = 288;
-        let stuck = map.count_stuck(rows, cells);
+        let stuck = count_stuck(&map, rows, cells);
         let empirical = stuck as f64 / (rows as f64 * cells as f64);
         assert!(
             (empirical - 1e-2).abs() < 2e-3,
@@ -234,22 +214,9 @@ mod tests {
     }
 
     #[test]
-    fn stuck_bits_for_word_covers_whole_cells() {
-        let map = FaultMap::uniform(0.2, CellKind::Mlc, 11);
-        let stuck = map.stuck_bits_for_word(5, 0, 64);
-        assert_eq!(stuck.len(), 64);
-        // Every stuck cell freezes both of its bits.
-        for cell in 0..32 {
-            let a = stuck.is_stuck(2 * cell);
-            let b = stuck.is_stuck(2 * cell + 1);
-            assert_eq!(a, b, "cell {cell} is half-stuck");
-        }
-    }
-
-    #[test]
     fn zero_rate_has_no_faults() {
         let map = FaultMap::uniform(0.0, CellKind::Slc, 4);
-        assert_eq!(map.count_stuck(500, 64), 0);
+        assert_eq!(count_stuck(&map, 500, 64), 0);
     }
 
     #[test]

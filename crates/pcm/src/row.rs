@@ -31,7 +31,6 @@
 //! as with exact limits, and each cell settles its limit at most once.
 
 use coset::block::Block;
-use coset::symbol::CellKind;
 use coset::StuckBits;
 
 use crate::config::PcmConfig;
@@ -313,11 +312,6 @@ impl Row {
         self.bits_per_cell
     }
 
-    /// Number of data cells per word.
-    pub fn data_cells_per_word(&self) -> usize {
-        self.cells_per_word
-    }
-
     /// Number of auxiliary cells per word.
     pub fn aux_cells_per_word(&self) -> usize {
         self.aux_cells_per_word
@@ -452,18 +446,10 @@ impl Row {
     }
 }
 
-/// Splits a stored word into per-cell symbols (LSB-first cell order).
-pub fn word_symbols(word: u64, cells: usize, kind: CellKind) -> Vec<u8> {
-    let bpc = kind.bits_per_cell();
-    let mask = (1u64 << bpc) - 1;
-    (0..cells)
-        .map(|c| ((word >> (c * bpc)) & mask) as u8)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coset::symbol::CellKind;
 
     fn small_config() -> PcmConfig {
         PcmConfig::scaled(64 * 1024, 1e4)
@@ -482,7 +468,6 @@ mod tests {
         assert_eq!(row.data_word(3), 0xABCD);
         assert_eq!(row.aux_word(3), 0);
         assert_eq!(row.stuck_cells(), 0);
-        assert_eq!(row.data_cells_per_word(), 32);
         assert_eq!(row.aux_cells_per_word(), 4);
         assert_eq!(row.bits_per_cell(), 2);
         assert!(row.limit(0) > 0);
@@ -715,13 +700,5 @@ mod tests {
         row.commit_word(1, 0, u64::MAX, 0, &costs, &mut o2);
         assert_eq!(row.aux_word(1), 0);
         assert_eq!(o2.cells_programmed, 0);
-    }
-
-    #[test]
-    fn word_symbols_extraction() {
-        let syms = word_symbols(0b11_01_00_10, 4, CellKind::Mlc);
-        assert_eq!(syms, vec![0b10, 0b00, 0b01, 0b11]);
-        let bits = word_symbols(0b1011, 4, CellKind::Slc);
-        assert_eq!(bits, vec![1, 1, 0, 1]);
     }
 }

@@ -168,24 +168,6 @@ impl MemoryStats {
         }
         self.dead_cells += w.new_dead_cells as u64;
     }
-
-    /// Average programming energy per row write, in pJ.
-    pub fn energy_per_row_write(&self) -> f64 {
-        if self.row_writes == 0 {
-            0.0
-        } else {
-            self.energy_pj / self.row_writes as f64
-        }
-    }
-
-    /// Observed stuck-at-wrong rate per word write.
-    pub fn saw_rate_per_word(&self) -> f64 {
-        if self.word_writes == 0 {
-            0.0
-        } else {
-            self.saw_cells as f64 / self.word_writes as f64
-        }
-    }
 }
 
 /// Nearest-rank percentile of a histogram, in permille (`500` = p50, `990`
@@ -443,8 +425,6 @@ mod tests {
             ..Default::default()
         });
         assert_eq!(s.word_writes, 2);
-        assert_eq!(s.energy_per_row_write(), 75.0);
-        assert_eq!(s.saw_rate_per_word(), 1.0);
         assert_eq!(s.saw_word_events, 1);
     }
 
@@ -562,13 +542,6 @@ mod tests {
         }
         first.merge(&second);
         assert_eq!(first, whole);
-    }
-
-    #[test]
-    fn empty_stats_rates_are_zero() {
-        let s = MemoryStats::default();
-        assert_eq!(s.energy_per_row_write(), 0.0);
-        assert_eq!(s.saw_rate_per_word(), 0.0);
     }
 
     #[test]

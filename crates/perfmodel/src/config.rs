@@ -60,11 +60,6 @@ impl SystemConfig {
         Self::default()
     }
 
-    /// Total banks across the memory system.
-    pub fn total_banks(&self) -> u32 {
-        self.channels * self.ranks_per_channel * self.banks_per_rank
-    }
-
     /// Validates the configuration.
     ///
     /// # Panics
@@ -109,7 +104,6 @@ mod tests {
         c.validate();
         assert_eq!(c.cores, 4);
         assert_eq!(c.issue_width, 4);
-        assert_eq!(c.total_banks(), 16);
         assert_eq!(c.base_access_ns, 84.0);
     }
 

@@ -62,14 +62,6 @@ impl EcpRow {
         }
     }
 
-    /// The replacement value for a cell, if it has been repaired.
-    pub fn replacement_for(&self, cell_index: u16) -> Option<u8> {
-        self.entries
-            .iter()
-            .find(|e| e.cell_index == cell_index)
-            .map(|e| e.replacement)
-    }
-
     /// Applies the repairs to a row image given as per-cell symbols,
     /// returning the corrected symbols.
     pub fn apply(&self, symbols: &[u8]) -> Vec<u8> {
@@ -80,14 +72,6 @@ impl EcpRow {
             }
         }
         out
-    }
-
-    /// Storage overhead in bits for this structure, assuming `row_cells`
-    /// addressable cells and `bits_per_cell` wide replacement cells, plus a
-    /// "full" bit per entry (as in the original ECP design).
-    pub fn overhead_bits(capacity: usize, row_cells: usize, bits_per_cell: usize) -> usize {
-        let ptr_bits = (usize::BITS - (row_cells - 1).leading_zeros()) as usize;
-        capacity * (ptr_bits + bits_per_cell + 1)
     }
 }
 
@@ -102,8 +86,6 @@ mod tests {
         assert!(ecp.repair(5, 0b10));
         assert!(ecp.repair(100, 0b01));
         assert_eq!(ecp.used(), 2);
-        assert_eq!(ecp.replacement_for(5), Some(0b10));
-        assert_eq!(ecp.replacement_for(6), None);
 
         let mut symbols = vec![0u8; 128];
         symbols[5] = 0b11; // faulty readout
@@ -119,7 +101,7 @@ mod tests {
         assert!(ecp.repair(7, 0b01));
         assert!(ecp.repair(7, 0b11));
         assert_eq!(ecp.used(), 1);
-        assert_eq!(ecp.replacement_for(7), Some(0b11));
+        assert_eq!(ecp.apply(&[0u8; 8])[7], 0b11);
     }
 
     #[test]
@@ -129,16 +111,6 @@ mod tests {
         assert!(ecp.repair(2, 1));
         assert!(!ecp.repair(3, 2), "third repair must fail for ECP-2");
         assert_eq!(ecp.used(), 2);
-    }
-
-    #[test]
-    fn overhead_matches_ecp_paper_shape() {
-        // 512 SLC cells per row: 9-bit pointer + 1 replacement bit + 1 full
-        // bit = 11 bits per entry.
-        assert_eq!(EcpRow::overhead_bits(1, 512, 1), 11);
-        assert_eq!(EcpRow::overhead_bits(6, 512, 1), 66);
-        // 256 MLC cells per row: 8-bit pointer + 2 replacement bits + 1.
-        assert_eq!(EcpRow::overhead_bits(3, 256, 2), 33);
     }
 
     #[test]

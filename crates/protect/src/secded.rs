@@ -147,11 +147,6 @@ impl Secded {
         }
         data
     }
-
-    /// Number of stuck-at-wrong bits this scheme can repair per word.
-    pub fn correctable_errors_per_word(&self) -> u32 {
-        1
-    }
 }
 
 #[cfg(test)]
@@ -228,7 +223,6 @@ mod tests {
 
     #[test]
     fn capacity_constant() {
-        assert_eq!(Secded::new().correctable_errors_per_word(), 1);
         assert_eq!(CODE_BITS, 72);
     }
 }
