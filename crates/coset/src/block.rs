@@ -202,7 +202,7 @@ impl Block {
 
 /// Mask of the low `len` bits (`1..=64`).
 #[inline]
-pub(crate) fn low_bits(len: usize) -> u64 {
+pub(crate) const fn low_bits(len: usize) -> u64 {
     if len >= 64 {
         u64::MAX
     } else {

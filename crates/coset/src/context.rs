@@ -342,6 +342,19 @@ impl CostModel<'_> {
         )
     }
 
+    /// The class planes of writing `new` over the destination word.
+    #[inline(always)]
+    pub(crate) fn planes(&self, new: u64) -> [u64; ClassSet::MAX] {
+        self.classes
+            .planes(new, self.old, self.stuck_mask, self.stuck_value, self.mask)
+    }
+
+    /// The mask of the data word's significant bits.
+    #[inline]
+    pub(crate) fn mask(&self) -> u64 {
+        self.mask
+    }
+
     /// Whether the candidate search prices every candidate over
     /// `field_bits`-wide partitions exactly: the partition fields and the
     /// aux lanes both hold the objective's worst case
@@ -382,7 +395,7 @@ impl CostModel<'_> {
             (self.aux_stuck_value & self.aux_mask) * BROADCAST,
             self.aux_mask * BROADCAST,
         );
-        let counts = self.classes.field_counts(&planes, AUX_LANE_BITS);
+        let counts = self.classes.field_counts::<AUX_LANE_BITS>(&planes);
         let (primary, secondary) = self.classes.weighted_fields(&counts);
         std::array::from_fn(|l| FixedCost {
             primary: (primary >> (AUX_LANE_BITS * l)) & field,

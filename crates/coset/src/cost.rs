@@ -236,10 +236,11 @@ impl CompiledClass {
 /// The transition classes of a cost function (at most [`ClassSet::MAX`]).
 ///
 /// Obtained from [`CostFunction::classes`]; the encoders' candidate search
-/// evaluates it per partition field of class planes mixed from four base
-/// plane sets ([`ClassSet::field_counts`]), weighted into packed per-field
-/// cost words ([`ClassSet::weighted_fields`]) — which lets one search cost
-/// every partition of a block with a handful of popcounts.
+/// prices every partition field of a block at once from these classes'
+/// planes: per-field popcounts of planes mixed from base plane sets, or
+/// per-cell cost tables for right-digit candidates. The packed aux cost
+/// counts its lanes with [`ClassSet::field_counts`] and weights them with
+/// [`ClassSet::weighted_fields`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClassSet {
     classes: [CostClass; ClassSet::MAX],
@@ -263,32 +264,39 @@ impl Default for ClassSet {
     }
 }
 
-/// Splits a word into `field_bits`-wide fields (a power of two up to 64)
+/// Splits a word into `FIELD_BITS`-wide fields (a power of two up to 64)
 /// and returns a word holding each field's population count in place — the
 /// SWAR primitive that costs every VCC partition of a class plane at once.
+/// The width is a compile-time constant, so each width's copy is the bare
+/// ladder of adds it needs.
 #[inline(always)]
-pub fn per_field_popcount(x: u64, field_bits: usize) -> u64 {
-    debug_assert!(field_bits.is_power_of_two() && field_bits <= 64);
-    if field_bits == 64 {
+pub fn per_field_popcount<const FIELD_BITS: usize>(x: u64) -> u64 {
+    const {
+        assert!(
+            FIELD_BITS.is_power_of_two() && FIELD_BITS <= 64,
+            "fields must be a power of two up to 64 bits wide"
+        )
+    };
+    if FIELD_BITS == 64 {
         return u64::from(x.count_ones());
     }
-    if field_bits == 1 {
+    if FIELD_BITS == 1 {
         return x;
     }
     let mut x = x - ((x >> 1) & 0x5555_5555_5555_5555);
-    if field_bits == 2 {
+    if FIELD_BITS == 2 {
         return x;
     }
     x = (x & 0x3333_3333_3333_3333) + ((x >> 2) & 0x3333_3333_3333_3333);
-    if field_bits == 4 {
+    if FIELD_BITS == 4 {
         return x;
     }
     x = (x + (x >> 4)) & 0x0F0F_0F0F_0F0F_0F0F;
-    if field_bits == 8 {
+    if FIELD_BITS == 8 {
         return x;
     }
     x = (x + (x >> 8)) & 0x00FF_00FF_00FF_00FF;
-    if field_bits == 16 {
+    if FIELD_BITS == 16 {
         return x;
     }
     (x + (x >> 16)) & 0x0000_FFFF_0000_FFFF
@@ -304,7 +312,9 @@ pub fn per_field_popcount(x: u64, field_bits: usize) -> u64 {
 /// `c`'s two bits there. The MLC rules fold a cell's flags onto its right
 /// digit and the other rules are bitwise, so the right-digit difference
 /// planes `d0` and `d1` vanish on left digits, and `c` itself selects the
-/// right-digit half with no spreading.
+/// right-digit half with no spreading. Candidates that flip right digits
+/// only (generated kernels) are priced from per-cell tables instead (the
+/// `search` module's `Tables`).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct BasePlanes {
     /// Planes of `new` (pattern `00`).
@@ -322,9 +332,6 @@ pub(crate) struct BasePlanes {
 pub(crate) enum Bases {
     /// All four: candidates flip any bits.
     Four,
-    /// `00` and `01`: candidates flip right digits only (zero high
-    /// selector).
-    RightDigits,
     /// `00` and `11`: the only candidate is `new` itself (selector 0), so
     /// [`BasePlanes::mix`] yields its planes and those of `!new`.
     Pair,
@@ -342,8 +349,7 @@ impl BasePlanes {
     /// Class `k`'s planes of the candidates `new ^ c` and `new ^ !c`, with
     /// `hi` the [`BasePlanes::high_selector`] of `c`: one mix of the
     /// right-digit planes per left-digit value, then one mix between the
-    /// two. With `hi == 0` (a candidate that flips right digits only) the
-    /// first plane is `p00 ^ (d0 & c)`, and only `p00` and `d0` are read.
+    /// two.
     #[inline(always)]
     pub(crate) fn mix(&self, k: usize, c: u64, hi: u64) -> (u64, u64) {
         let low = self.p00[k] ^ (self.d0[k] & c);
@@ -411,29 +417,32 @@ impl ClassSet {
     }
 
     /// Per-partition population counts of precomputed planes: each entry is
-    /// a word whose `field_bits`-wide fields hold that partition's plane
-    /// popcount ([`per_field_popcount`]). `field_bits` must be a power of
-    /// two — always the case in the candidate search, whose gates require
-    /// partition widths dividing 64.
+    /// a word whose `FIELD_BITS`-wide fields hold that partition's plane
+    /// popcount ([`per_field_popcount`]).
     #[inline(always)]
-    pub fn field_counts(&self, planes: &[u64; Self::MAX], field_bits: usize) -> [u64; Self::MAX] {
+    pub fn field_counts<const FIELD_BITS: usize>(
+        &self,
+        planes: &[u64; Self::MAX],
+    ) -> [u64; Self::MAX] {
         let mut counts = [0u64; Self::MAX];
         for (c, p) in counts.iter_mut().zip(planes[..self.len as usize].iter()) {
-            *c = per_field_popcount(*p, field_bits);
+            *c = per_field_popcount::<FIELD_BITS>(*p);
         }
         counts
     }
 
     /// Whether the candidate search's packed lanes are exact on
-    /// `field_bits`-wide fields: the width is a power of two up to 64 that
-    /// holds whole cells, and each cost component's worst case
+    /// `field_bits`-wide fields: the width is a power of two from 4 to 64
+    /// that holds whole cells, and each cost component's worst case
     /// `unit sum × field_bits` stays below the field's top bit, which the
-    /// packed cheaper-of-two borrows.
+    /// packed cheaper-of-two borrows. (Below 4 bits only an objective that
+    /// charges nothing would fit, so the search compiles no narrower
+    /// lanes.)
     pub(crate) fn lanes_fit(&self, field_bits: usize) -> bool {
         let below_top =
             |sum: u64| u128::from(sum) * (field_bits as u128) < 1u128 << (field_bits - 1);
         field_bits.is_power_of_two()
-            && field_bits <= 64
+            && (4..=64).contains(&field_bits)
             && field_bits.is_multiple_of(usize::from(self.cell_bits))
             && below_top(self.unit_sums.0)
             && below_top(self.unit_sums.1)
@@ -526,12 +535,6 @@ impl ClassSet {
                     d1: diff(p10, planes(u64::MAX)),
                 }
             }
-            Bases::RightDigits => BasePlanes {
-                p00,
-                d0: diff(p00, planes(MLC_RIGHT_DIGITS)),
-                p10: zero,
-                d1: zero,
-            },
             // Selector 0 reads `p00` and `p10 ^ d1` alone.
             Bases::Pair => BasePlanes {
                 p00,
@@ -1408,25 +1411,32 @@ mod tests {
     fn per_field_popcount_all_widths() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
+        fn check<const FIELD: usize>(x: u64) {
+            let counts = per_field_popcount::<FIELD>(x);
+            let mask = if FIELD == 64 {
+                u64::MAX
+            } else {
+                (1u64 << FIELD) - 1
+            };
+            for j in 0..64 / FIELD {
+                let expect = ((x >> (j * FIELD)) & mask).count_ones() as u64;
+                assert_eq!(
+                    (counts >> (j * FIELD)) & mask,
+                    expect,
+                    "field {FIELD} index {j} of {x:#x}"
+                );
+            }
+        }
         let mut rng = StdRng::seed_from_u64(17);
         for _ in 0..200 {
             let x: u64 = rng.gen();
-            for field in [1usize, 2, 4, 8, 16, 32, 64] {
-                let counts = per_field_popcount(x, field);
-                let mask = if field == 64 {
-                    u64::MAX
-                } else {
-                    (1u64 << field) - 1
-                };
-                for j in 0..64 / field {
-                    let expect = ((x >> (j * field)) & mask).count_ones() as u64;
-                    assert_eq!(
-                        (counts >> (j * field)) & mask,
-                        expect,
-                        "field {field} index {j} of {x:#x}"
-                    );
-                }
-            }
+            check::<1>(x);
+            check::<2>(x);
+            check::<4>(x);
+            check::<8>(x);
+            check::<16>(x);
+            check::<32>(x);
+            check::<64>(x);
         }
     }
 
@@ -1550,7 +1560,6 @@ mod tests {
             // Whole-cell and single-bit stuck masks: the identity holds for
             // both, since no rule couples two cells.
             let sm = rng.gen::<u64>() & rng.gen::<u64>();
-            let right = c & MLC_RIGHT_DIGITS;
             let mask = u64::MAX >> (2 * rng.gen_range(0..32u32));
             for rule in rules {
                 let set = ClassSet::single(rule, 1);
@@ -1560,9 +1569,6 @@ mod tests {
                 let (p, p_c) = four.mix(0, c, BasePlanes::high_selector(c));
                 assert_eq!(p, direct(new ^ c), "{rule:?}: new {new:#x} c {c:#x}");
                 assert_eq!(p_c, direct(new ^ !c), "{rule:?}: complement of {c:#x}");
-                // Two bases: right-digit candidates, high selector zero.
-                let two = set.base_planes(new, old, sm, sv, mask, Bases::RightDigits);
-                assert_eq!(two.mix(0, right, 0).0, direct(new ^ right), "{rule:?}");
                 // The pair: the word itself and its complement.
                 let pair = set.base_planes(new, old, sm, sv, mask, Bases::Pair);
                 assert_eq!(pair.mix(0, 0, 0), (direct(new), direct(!new)), "{rule:?}");
@@ -1584,10 +1590,11 @@ mod tests {
         assert!(lex.lanes_fit(16) && lex.lanes_fit(64));
         assert!(!lex.lanes_fit(8));
         // A count of 4 is below a 4-bit field's top bit; 2 is a 2-bit
-        // field's top bit itself.
+        // field's top bit itself, and no lanes are narrower than 4 bits.
         let ones = OnesCount.classes().unwrap();
         assert!(ones.lanes_fit(4));
         assert!(!ones.lanes_fit(2));
+        assert!(!ClassSet::default().lanes_fit(2));
         // Widths must be powers of two.
         assert!(!ones.lanes_fit(12));
     }

@@ -89,18 +89,30 @@
 //!   so the planes of `data ^ c` are a per-cell choice among the planes of
 //!   `data ^ q` for the four repeated cell patterns `q`, selected by `c`'s
 //!   low and high cell bits: a few operations per class, from base planes
-//!   derived once per write. Right-digit candidates have no high selector
-//!   and mix from two bases; a lone candidate (the one-kernel selective
-//!   inversion sets) is costed from its own two forms.
-//! * **One costing mode: packed lanes.** Per-field popcounts count every
-//!   partition at once ([`cost::per_field_popcount`]), weighted into
-//!   per-field `(primary, secondary)` cost words. The cheaper-of-two and the
-//!   field sums then run packed over `[u64; 4]` lane arrays, one candidate
-//!   per lane, with no per-candidate branch. A lexicographic objective
-//!   ("Opt. SAW", "Opt. Energy") takes the complement form where its
-//!   primary is lower, or where the primaries tie and its secondary is
-//!   lower; an objective with no secondary unit runs no secondary work,
-//!   chosen once per write.
+//!   derived once per write. RCC cosets and stored kernels are priced this
+//!   way; a lone candidate (the one-kernel selective inversion sets) is
+//!   costed from its own two forms.
+//! * **Table pricing for right-digit candidates.** A generated kernel
+//!   keeps or flips each cell's right digit, so every cell has two
+//!   candidate states and a kernel's cost is a sum of per-cell terms. Per
+//!   write, the search derives each cell's kept cost and the difference
+//!   flipping makes, packed one field per partition, and builds a 16-entry
+//!   table per group of four cells by doubling. A kernel's direct cost is
+//!   then one lookup per group, indexed by its unspread bits, and its
+//!   complement costs the pair sum (kept plus flipped) minus the direct
+//!   cost. The winner alone is spread onto the right-digit positions.
+//! * **One costing mode: packed lanes.** Each candidate's per-field
+//!   `(primary, secondary)` cost words (per-field popcounts
+//!   ([`cost::per_field_popcount`]) times the class units, or table
+//!   lookups) feed one packed cheaper-of-two and field sum over `[u64; 4]`
+//!   lane arrays, one candidate per lane, with no per-candidate branch. A
+//!   lexicographic objective ("Opt. SAW", "Opt. Energy") takes the
+//!   complement form where its primary is lower, or where the primaries
+//!   tie and its secondary is lower; an objective with no secondary unit
+//!   runs no secondary work. Both choices are made once per write: the
+//!   objective's shape, and the field width, a const generic from 4 to 64
+//!   bits, so the select, the sums, the flag gather and the winner's flip
+//!   compile to straight-line code for each width.
 //! * **Packed aux cost.** The four candidate aux words of a pass sit in
 //!   16-bit fields of one word, costed against the destination's aux state
 //!   broadcast to every field. Selection then scans the lanes in index
@@ -116,15 +128,16 @@
 //! **When the scalar fallback runs:** objectives without classes (custom
 //! non-per-class or non-integer energy tables, or any cost wrapped in
 //! [`cost::ScalarOnly`]); layouts the packed lanes cannot hold exactly —
-//! partition widths that are not a power of two or split cells (stored
-//! kernel widths that do not tile a 64-bit word, e.g. selective-inversion
-//! sub-blocks of a 48-bit block split 24/24), fields too narrow for the
-//! objective's worst case below their top bit (8-bit fields under an
-//! energy objective), and aux words wider than 16 bits; and Flipcy (three
-//! candidates never amortize the model build). Every paper configuration
-//! (FNW16, stored and generated VCC-32…256, RCC) stays on the search under
-//! every paper objective. The scalar loops are retained as the reference
-//! oracle.
+//! partition widths that are not a power of two from 4 to 64 bits or
+//! split cells (stored kernel widths that do not tile a 64-bit word, e.g.
+//! selective-inversion sub-blocks of a 48-bit block split 24/24), fields
+//! too narrow for the objective's worst case below their top bit (8-bit
+//! fields under an energy objective), and aux words wider than 16 bits;
+//! and Flipcy (three candidates never amortize the model build). Every
+//! paper configuration (FNW16, stored and generated VCC-32…256, RCC) stays
+//! on the search under every paper objective, and generated VCC always
+//! takes table pricing there. The scalar loops are retained as the
+//! reference oracle.
 //!
 //! # Crate layout
 //!

@@ -32,13 +32,15 @@
 //!
 //! **One search for both modes.** Encoding runs the crate's one candidate
 //! search, shared with RCC (see the crate docs): stored mode feeds it the
-//! kernel broadcasts, each partition taking the kernel or its complement;
-//! generated mode feeds it the Algorithm-2 kernels in closed form on the
-//! right digits, each partition taking the kernel or its right-digit
-//! complement. The search prices every candidate through packed lanes;
-//! the per-partition scalar loops remain as the reference oracles, and run
-//! for objectives without transition classes and for layouts the lanes
-//! cannot hold.
+//! kernel broadcasts, each partition taking the kernel or its complement,
+//! priced by plane mixing; generated mode feeds it the unspread
+//! Algorithm-2 kernels in closed form, each partition taking the kernel or
+//! its right-digit complement, priced from per-cell tables built once per
+//! write (a right-digit kernel gives each cell two states, so its cost is
+//! a sum of per-cell terms). The search prices every candidate through
+//! packed lanes; the per-partition scalar loops remain as the reference
+//! oracles, and run for objectives without transition classes and for
+//! layouts the lanes cannot hold.
 
 use rand::Rng;
 
@@ -52,7 +54,7 @@ use crate::kernel::{
 use crate::search::{search, Complement, Layout, Winner, LANES};
 use crate::symbol::{
     compress_even_bits_word, extract_left_digits, extract_right_digits, interleave_digits,
-    interleave_word, spread_to_right_digits,
+    interleave_word,
 };
 
 /// How a [`Vcc`] instance obtains kernels and which bits it encodes.
@@ -368,13 +370,24 @@ impl Vcc {
         (idx, flags)
     }
 
-    /// The partitions the one candidate search costs: kernel-wide fields
-    /// under the whole-field complement (stored kernels), or a kernel's
-    /// symbol fields under the right-digit complement (generated kernels).
-    fn layout(&self) -> Layout {
-        let (field_bits, complement) = match self.mode {
-            VccMode::FullBlock { .. } => (self.kernel_bits, Complement::Field),
-            VccMode::MlcGenerated { .. } => (2 * self.kernel_bits, Complement::RightDigits),
+    /// What a partition's complement form flips: the whole field (stored
+    /// kernels) or its right digits (generated kernels).
+    pub(crate) fn complement(&self) -> Complement {
+        match self.mode {
+            VccMode::FullBlock { .. } => Complement::Field,
+            VccMode::MlcGenerated { .. } => Complement::RightDigits,
+        }
+    }
+
+    /// The partitions the one candidate search costs under `complement`:
+    /// kernel-wide fields under the whole-field complement, or a kernel's
+    /// symbol fields under the right-digit complement. Each encoder names
+    /// its own rule, so the search's copy in it holds that rule's pricing
+    /// alone.
+    fn layout(&self, complement: Complement) -> Layout {
+        let field_bits = match complement {
+            Complement::RightDigits => 2 * self.kernel_bits,
+            _ => self.kernel_bits,
         };
         Layout {
             field_bits,
@@ -399,7 +412,7 @@ impl Vcc {
                 return None;
             }
         }
-        let field_bits = self.layout().field_bits;
+        let field_bits = self.layout(self.complement()).field_bits;
         ctx.cost_model(cost)
             .filter(|model| model.lanes_fit(field_bits))
     }
@@ -430,8 +443,8 @@ impl Vcc {
                 *c = kernels.broadcast(i);
             }
         };
-        search(&model, data.as_u64(), self.layout(), kernels.len(), fill)
-            .store(self.block_bits, out);
+        let layout = self.layout(Complement::Field);
+        search(&model, data.as_u64(), layout, kernels.len(), fill).store(self.block_bits, out);
     }
 
     /// Scalar full-block reference path: per-partition extract / XOR /
@@ -505,17 +518,17 @@ impl Vcc {
         }
     }
 
-    /// The generated kernels as candidates of the one search, in the symbol
-    /// domain: spreading a kernel broadcast onto the right-digit positions
-    /// ([`spread_to_right_digits`]) turns the per-partition right-digit XOR
-    /// into `data ^ k_sym`, and the complement form flips the field's right
-    /// digits ([`Complement::RightDigits`]). Digit extraction and
-    /// re-interleaving vanish from the search entirely.
+    /// The generated kernels as candidates of the one search. Each kernel
+    /// keeps or flips one right digit per cell of every partition, so the
+    /// search prices it from per-cell cost tables built once per write
+    /// (table pricing, [`Complement::RightDigits`]): one lookup per four
+    /// cells, and the complement form is the pair sum minus the direct
+    /// cost. Only the winner is spread onto the right-digit positions;
+    /// digit extraction and re-interleaving vanish from the search
+    /// entirely.
     ///
     /// The kernels come in closed form: Algorithm 2 is linear, so kernel
-    /// `v·b + j` is base vector `j` of the seed XOR variant mask `v`. Both
-    /// spread to one partition's symbol field, and one multiplication by a
-    /// word with a set bit per field repeats the XOR across the block — no
+    /// `v·b + j` is base vector `j` of the seed XOR variant mask `v` — no
     /// kernel set and no per-kernel broadcast loop.
     fn generated_search(
         &self,
@@ -525,44 +538,33 @@ impl Vcc {
         config: &GeneratorConfig,
     ) -> Winner {
         let m = self.kernel_bits; // right-digit bits per partition
-        let f = 2 * m; // symbol bits per partition
         let digit_bits = self.block_bits / 2;
         let dw = data.as_u64();
         let sm = ctx.stuck.mask().as_u64();
         let sv = ctx.stuck.value().as_u64();
-        let block_mask = low_bits(self.block_bits);
-        let sym_mask = low_bits(f);
+        let kernel_mask = low_bits(m);
 
         // Seed Algorithm 2 with the left digits as they will actually be
         // stored (stuck cells keep their frozen value), like the scalar
-        // path and the decoder. The search only runs on power-of-two
-        // fields, so the partition fields tile the word and `repeat` has
-        // one set bit per field.
+        // path and the decoder.
         let seed = compress_even_bits_word(((dw & !sm) | (sv & sm)) >> 1) & low_bits(digit_bits);
-        let seed_sym = spread_to_right_digits(seed);
         let (b, mask_bits) = config.shape(digit_bits);
-        let repeat = u64::MAX / sym_mask;
-        let variant_field = |v: usize| spread_to_right_digits(repeat_mask(v as u64, mask_bits, m));
+        let variant = |v: usize| repeat_mask(v as u64, mask_bits, m);
 
         // Kernel i = v·b + j, filled in index order.
         let (mut v, mut j) = (0usize, 0usize);
-        let mut v_field = variant_field(0);
-        search(
-            model,
-            dw,
-            self.layout(),
-            self.num_kernels,
-            |first, batch| {
-                for k in batch.iter_mut().take(self.num_kernels - first) {
-                    if j == b {
-                        (v, j) = (v + 1, 0);
-                        v_field = variant_field(v);
-                    }
-                    *k = ((((seed_sym >> (j * f)) & sym_mask) ^ v_field) * repeat) & block_mask;
-                    j += 1;
+        let mut v_mask = variant(0);
+        let layout = self.layout(Complement::RightDigits);
+        search(model, dw, layout, self.num_kernels, |first, batch| {
+            for k in batch.iter_mut().take(self.num_kernels - first) {
+                if j == b {
+                    (v, j) = (v + 1, 0);
+                    v_mask = variant(v);
                 }
-            },
-        )
+                *k = ((seed >> (j * m)) & kernel_mask) ^ v_mask;
+                j += 1;
+            }
+        })
     }
 
     /// Scalar generated-kernel reference path (digit extraction, per-bit

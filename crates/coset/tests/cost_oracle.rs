@@ -139,6 +139,10 @@ fn encoders(seed: u64) -> Vec<Box<dyn Encoder>> {
         // reaches the fields' top bit).
         Box::new(Vcc::generated_mlc(64, 16, 4)),
         Box::new(Vcc::generated_mlc(64, 4, 4)),
+        // 32-bit kernels: one 64-bit symbol field, so the widest table set
+        // (eight four-cell groups) and a 2-bit aux word; the search under
+        // every objective.
+        Box::new(Vcc::generated_mlc(64, 32, 2)),
         // Kernel counts around the four-kernel batches of the generated
         // search: one kernel (a single, partial batch) and 128 kernels (32
         // batches, 32 variant masks per base vector).

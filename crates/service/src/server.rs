@@ -734,12 +734,21 @@ pub struct TenantReport {
     /// cycles) summarizing `timing.writes`.
     pub write_latency: LatencySummary,
     /// Median lane occupancy observed at command pop time.
+    ///
+    /// Advisory, like the other two queue-depth fields: occupancy at pop
+    /// time depends on how the producer and worker threads are scheduled,
+    /// so it can differ between two runs of the same configuration. It is
+    /// outside the determinism contract; the pinned loadgen report test
+    /// (`loadgen_tenant_reports_render_pinned_json` in the experiments
+    /// crate's `service_cli.rs`) masks all three fields before comparing.
     pub queue_depth_p50: usize,
     /// Pops that found a lane deeper than the configured capacity (the
-    /// overflow bucket of the depth histogram; normally zero).
+    /// overflow bucket of the depth histogram; normally zero). Depends on
+    /// thread scheduling (see [`TenantReport::queue_depth_p50`]).
     pub queue_depth_overflow: u64,
     /// Maximum lane occupancy observed at command pop time; `None` when no
     /// command was ever popped (distinct from an observed maximum of 0).
+    /// Depends on thread scheduling (see [`TenantReport::queue_depth_p50`]).
     pub queue_depth_max: Option<usize>,
     /// Seconds the tenant's producer was active.
     pub active_secs: f64,

@@ -75,6 +75,11 @@ fn headline() {
     let scalar_energy = ScalarOnly(WriteEnergy::mlc());
     let rows: Vec<(&str, Box<dyn Encoder>)> = vec![
         ("vcc256_generated", Box::new(Vcc::paper_mlc(256))),
+        // The fewest-kernel generated sets: 4 and 2 kernels share each
+        // write's cell-cost tables (VCC-64 is the serving workloads'
+        // encoder).
+        ("vcc64_generated", Box::new(Vcc::paper_mlc(64))),
+        ("vcc32_generated", Box::new(Vcc::paper_mlc(32))),
         ("vcc256_stored", Box::new(Vcc::paper_stored(256, &mut rng))),
         ("rcc256", Box::new(Rcc::random(64, 256, &mut rng))),
         // Flip-N-Write is VCC over the one all-zero kernel: the same
