@@ -13,10 +13,40 @@
 //! blocked producers panic instead of waiting forever ([`WorkerGuard`]),
 //! and an exiting producer closes its lanes so workers drain and exit
 //! ([`LaneCloser`]).
+//!
+//! # Spin, then park
+//!
+//! The mailbox's two common waits are short: a producer waiting on its
+//! [`ReplySlot`] for an owned fill read, and a worker whose lanes ran dry
+//! until the next push. Parking on a condvar for either costs a
+//! futex round trip (sleep, then a wake-up syscall from the other side), so
+//! a waiting thread first polls a lock-free hint — the slot's "answered"
+//! flag, or the mailbox's count of queued events and its "every lane
+//! closed" flag — and parks only when the hint stays quiet for the whole
+//! spin. The hint only ends the spin; what the waiter acts on is read under
+//! the mutex, so nothing a command sees depends on the spin.
+//!
+//! Wake rules: a waiter sets its parked flag under the state mutex before
+//! it waits, and a notifier signals only when it finds that flag set,
+//! clearing it as it does. The flag and the state it guards change under
+//! one lock, and a condvar wait releases that lock atomically, so no
+//! wake-up can be lost; a spurious wake-up re-checks the state and parks
+//! again. `push` signals `not_empty` only if the worker is parked, `pop`
+//! signals `not_full` only if a producer is parked, and `put` notifies only
+//! a parked taker.
+//!
+//! The spin budget (`SPIN_BUDGET`) counts iterations, not wall-clock time:
+//! no clock is read, so nothing here can leak timing into a report. Every
+//! `SPIN_YIELD_EVERY` iterations the spinner yields its CPU, so it cannot
+//! starve the thread it waits for when threads outnumber CPUs (the engine
+//! runs one producer plus one worker per shard, the service one producer
+//! per tenant plus one worker per shard, on however few CPUs there are).
+//! Producers blocked on a full lane do not spin: the worker has at least
+//! half a lane of work ahead before they can go on.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 
 use controller::WritePipeline;
@@ -33,6 +63,28 @@ use crate::{panic_message, relock};
 fn rewait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
     cv.wait(guard)
         .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// Lock-free polls of a wait's hint before the waiter parks.
+const SPIN_BUDGET: u32 = 4096;
+
+/// A spinning waiter yields its CPU once per this many polls.
+const SPIN_YIELD_EVERY: u32 = 64;
+
+/// Polls `news` until it holds or [`SPIN_BUDGET`] polls have failed,
+/// yielding every [`SPIN_YIELD_EVERY`] polls. The caller re-checks its
+/// state under the lock either way.
+fn spin_until(news: impl Fn() -> bool) {
+    for i in 1..=SPIN_BUDGET {
+        if news() {
+            return;
+        }
+        if i % SPIN_YIELD_EVERY == 0 {
+            std::thread::yield_now();
+        } else {
+            std::hint::spin_loop();
+        }
+    }
 }
 
 /// One command in a lane: a write-back to commit, a fill read to answer
@@ -118,6 +170,11 @@ struct MailboxState {
     /// Set when the consuming worker died without draining; producers then
     /// fail fast instead of blocking on a mailbox nobody will pop.
     consumer_gone: bool,
+    /// The worker waits on `not_empty` (cleared by whoever wakes it).
+    worker_parked: bool,
+    /// At least one producer waits on `not_full` (cleared by whoever wakes
+    /// them all).
+    producers_parked: bool,
 }
 
 /// A bank shard's work queues: one bounded lane per producer, one consumer.
@@ -127,6 +184,13 @@ pub struct ShardMailbox {
     state: Mutex<MailboxState>,
     not_empty: Condvar,
     not_full: Condvar,
+    /// Events queued across all lanes: the idle worker's spin hint, kept
+    /// in step with the lanes under the state lock. Like `all_closed`, it
+    /// publishes no data (the worker reads the lanes under the lock once
+    /// the spin ends), so `Relaxed` suffices.
+    queued: AtomicUsize,
+    /// Set once every lane is closed: also ends the idle worker's spin.
+    all_closed: AtomicBool,
 }
 
 impl ShardMailbox {
@@ -148,9 +212,13 @@ impl ShardMailbox {
                     })
                     .collect(),
                 consumer_gone: false,
+                worker_parked: false,
+                producers_parked: false,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
+            queued: AtomicUsize::new(0),
+            all_closed: AtomicBool::new(false),
         }
     }
 
@@ -178,26 +246,27 @@ impl ShardMailbox {
             if queued.events + n <= self.capacity {
                 break;
             }
+            st.producers_parked = true;
             st = rewait(&self.not_full, st);
         }
         let queued = &mut st.lanes[lane];
-        let was_empty = queued.items.is_empty();
         queued.events += n;
         queued.items.push_back(cmd);
+        self.queued.fetch_add(n, Ordering::Relaxed);
         gauge.add(n);
+        let wake = std::mem::take(&mut st.worker_parked);
         drop(st);
-        // The worker parks only when every lane is empty, so only a push
-        // into an empty lane can find it parked.
-        if was_empty {
+        if wake {
             self.not_empty.notify_one();
         }
     }
 
     /// Pops the next command round-robin across lanes, starting the scan at
     /// `*cursor` and advancing it past the served lane (each lane gets at
-    /// most one command per turn — the fairness policy). Blocks while
-    /// all lanes are empty but at least one is open; returns `None` once
-    /// every lane is closed and drained.
+    /// most one command per turn — the fairness policy). Waits while all
+    /// lanes are empty but at least one is open — first spinning on the
+    /// queued-event count and the all-closed flag, then parked on
+    /// `not_empty`; returns `None` once every lane is closed and drained.
     ///
     /// The returned `depth` is the number of events the served lane held
     /// when the worker turned to it (popped command included) — the queue
@@ -208,6 +277,7 @@ impl ShardMailbox {
         gauge: &InFlightGauge,
     ) -> Option<(usize, usize, Cmd)> {
         let mut st = relock(&self.state);
+        let mut spun = false;
         loop {
             let lanes = st.lanes.len();
             for turn in 0..lanes {
@@ -216,16 +286,18 @@ impl ShardMailbox {
                 if let Some(cmd) = lane.items.pop_front() {
                     let depth = lane.events;
                     lane.events -= cmd.events();
+                    self.queued.fetch_sub(cmd.events(), Ordering::Relaxed);
                     gauge.sub(cmd.events());
-                    let roomy = lane.events <= self.capacity / 2;
-                    *cursor = (t + 1) % lanes;
-                    drop(st);
                     // Producers parked on a full lane wake once it is at
                     // most half full, then refill it in one go, rather
                     // than trading the lock with the worker on every pop.
                     // Every later pop wakes them again, so a command of up
                     // to `capacity` events is admitted once the lane drains.
-                    if roomy {
+                    let wake = lane.events <= self.capacity / 2
+                        && std::mem::take(&mut st.producers_parked);
+                    *cursor = (t + 1) % lanes;
+                    drop(st);
+                    if wake {
                         self.not_full.notify_all();
                     }
                     return Some((t, depth, cmd));
@@ -234,8 +306,24 @@ impl ShardMailbox {
             if st.lanes.iter().all(|lane| lane.closed) {
                 return None;
             }
-            st = rewait(&self.not_empty, st);
+            if spun {
+                st.worker_parked = true;
+                st = rewait(&self.not_empty, st);
+            } else {
+                // Spin once per call, then rescan under the lock before
+                // parking.
+                drop(st);
+                spin_until(|| self.has_news());
+                spun = true;
+                st = relock(&self.state);
+            }
         }
+    }
+
+    /// The idle worker's spin hint: an event is queued, or every lane is
+    /// closed.
+    fn has_news(&self) -> bool {
+        self.queued.load(Ordering::Relaxed) > 0 || self.all_closed.load(Ordering::Relaxed)
     }
 
     /// Closes one lane (no further pushes; the worker drains what remains
@@ -243,14 +331,28 @@ impl ShardMailbox {
     fn close_lane(&self, lane: usize) {
         let mut st = relock(&self.state);
         st.lanes[lane].closed = true;
+        // Only the last close changes what an idle worker does (it returns
+        // `None`); earlier ones leave it waiting.
+        if !st.lanes.iter().all(|lane| lane.closed) {
+            return;
+        }
+        self.all_closed.store(true, Ordering::Relaxed);
+        let wake = std::mem::take(&mut st.worker_parked);
         drop(st);
-        self.not_empty.notify_all();
+        if wake {
+            self.not_empty.notify_one();
+        }
     }
 
     /// Marks the consuming worker dead so blocked producers fail fast.
     fn mark_consumer_gone(&self) {
-        relock(&self.state).consumer_gone = true;
-        self.not_full.notify_all();
+        let mut st = relock(&self.state);
+        st.consumer_gone = true;
+        let wake = std::mem::take(&mut st.producers_parked);
+        drop(st);
+        if wake {
+            self.not_full.notify_all();
+        }
     }
 
     /// Events currently queued in one lane (live gauge for the stats
@@ -265,6 +367,8 @@ impl ShardMailbox {
 struct ReplyState {
     value: Option<Option<LineData>>,
     poisoned: bool,
+    /// The taker waits on `ready` (cleared by whoever wakes it).
+    parked: bool,
 }
 
 /// A producer's one-slot rendezvous for fill-read answers (each producer
@@ -273,37 +377,57 @@ struct ReplyState {
 pub struct ReplySlot {
     slot: Mutex<ReplyState>,
     ready: Condvar,
+    /// Set with an answer or the poison mark, cleared when the answer is
+    /// taken: the taker's spin hint. It publishes no data (the answer is
+    /// read under `slot` once the spin ends), so `Relaxed` suffices.
+    answered: AtomicBool,
 }
 
 impl ReplySlot {
     /// Hands the producer its answer.
     pub fn put(&self, value: Option<LineData>) {
-        relock(&self.slot).value = Some(value);
-        self.ready.notify_one();
+        let mut st = relock(&self.slot);
+        st.value = Some(value);
+        self.answered.store(true, Ordering::Relaxed);
+        let wake = std::mem::take(&mut st.parked);
+        drop(st);
+        if wake {
+            self.ready.notify_one();
+        }
     }
 
     /// Marks the slot dead so a producer waiting for an answer fails fast
     /// (used when a bank worker thread dies outside [`execute`]).
     fn poison(&self) {
-        relock(&self.slot).poisoned = true;
-        self.ready.notify_all();
+        let mut st = relock(&self.slot);
+        st.poisoned = true;
+        self.answered.store(true, Ordering::Relaxed);
+        let wake = std::mem::take(&mut st.parked);
+        drop(st);
+        if wake {
+            self.ready.notify_one();
+        }
     }
 
-    /// Blocks until the worker answers, then returns the answer.
+    /// Waits until the worker answers — spinning on the answered flag,
+    /// then parked on `ready` — and returns the answer.
     ///
     /// # Panics
     ///
     /// Panics if the slot was poisoned (the worker died).
     pub fn take(&self) -> Option<LineData> {
+        spin_until(|| self.answered.load(Ordering::Relaxed));
         let mut st = relock(&self.slot);
         loop {
             if let Some(value) = st.value.take() {
+                self.answered.store(false, Ordering::Relaxed);
                 return value;
             }
             assert!(
                 !st.poisoned,
                 "bank worker terminated while a fill read was pending"
             );
+            st.parked = true;
             st = rewait(&self.ready, st);
         }
     }
@@ -511,11 +635,26 @@ mod tests {
         rx
     }
 
-    /// Gives a spawned thread time to reach its condvar wait. The
-    /// assertions hold whether or not it got there; parked first is the
-    /// interleaving the wake rule has to get right.
-    fn let_it_park() {
-        std::thread::sleep(std::time::Duration::from_millis(50));
+    /// Polls `parked` until it holds, failing the test at [`DEADLINE`]:
+    /// the spawned thread has spun out and reached its condvar wait.
+    fn wait_until_parked(parked: impl Fn() -> bool) {
+        let start = std::time::Instant::now();
+        while !parked() {
+            assert!(start.elapsed() < DEADLINE, "the thread never parked");
+            std::thread::yield_now();
+        }
+    }
+
+    fn worker_parked(mb: &ShardMailbox) -> bool {
+        relock(&mb.state).worker_parked
+    }
+
+    fn producers_parked(mb: &ShardMailbox) -> bool {
+        relock(&mb.state).producers_parked
+    }
+
+    fn taker_parked(slot: &ReplySlot) -> bool {
+        relock(&slot.slot).parked
     }
 
     /// Fills lane 0 of a `lanes`-lane mailbox with `capacity` single
@@ -540,7 +679,7 @@ mod tests {
         };
         let mut cursor = 0;
         for &lane in order {
-            let_it_park();
+            wait_until_parked(|| producers_parked(&mb));
             assert!(pushed.try_recv().is_err(), "a full lane admitted the batch");
             let (t, _, _) = mb.pop_round_robin(&mut cursor, &gauge).unwrap();
             assert_eq!(t, lane);
@@ -575,12 +714,48 @@ mod tests {
                     (t, depth)
                 })
             };
-            let_it_park();
+            wait_until_parked(|| worker_parked(&mb));
             assert!(popped.try_recv().is_err(), "popped from empty lanes");
             mb.push(lane, Cmd::Read(64), &gauge);
             let served = popped.recv_timeout(DEADLINE).expect("worker never woke");
             assert_eq!(served, (lane, 1));
         }
+    }
+
+    #[test]
+    fn spinning_worker_returns_none_once_every_lane_closes() {
+        let mb = Arc::new(ShardMailbox::new(2, 4));
+        let gauge = Arc::new(InFlightGauge::default());
+        assert!(!mb.has_news(), "empty open lanes must keep the worker idle");
+        let popped = {
+            let (mb, gauge) = (Arc::clone(&mb), Arc::clone(&gauge));
+            spawn_reporting(move || mb.pop_round_robin(&mut 0, &gauge).is_none())
+        };
+        // One closed lane of two leaves the worker waiting, spinning or
+        // parked; the last close ends the spin as well as the park.
+        mb.close_lane(0);
+        assert!(!mb.has_news(), "an open lane is left");
+        mb.close_lane(1);
+        assert!(mb.has_news(), "closing the last lane must end the spin");
+        let drained = popped
+            .recv_timeout(DEADLINE)
+            .expect("worker never saw the close");
+        assert!(drained, "closed, empty lanes yield None");
+    }
+
+    #[test]
+    fn parked_worker_returns_none_when_the_last_lane_closes() {
+        let mb = Arc::new(ShardMailbox::new(2, 4));
+        let gauge = Arc::new(InFlightGauge::default());
+        let popped = {
+            let (mb, gauge) = (Arc::clone(&mb), Arc::clone(&gauge));
+            spawn_reporting(move || mb.pop_round_robin(&mut 0, &gauge).is_none())
+        };
+        mb.close_lane(0);
+        wait_until_parked(|| worker_parked(&mb));
+        assert!(popped.try_recv().is_err(), "one lane is still open");
+        mb.close_lane(1);
+        assert!(popped.recv_timeout(DEADLINE).expect("worker never woke"));
     }
 
     #[test]
@@ -608,6 +783,26 @@ mod tests {
     }
 
     #[test]
+    fn parked_producer_fails_fast_when_the_consumer_dies() {
+        let mb = Arc::new(ShardMailbox::new(1, 1));
+        let gauge = Arc::new(InFlightGauge::default());
+        mb.push(0, Cmd::Read(0), &gauge);
+        let pushed = {
+            let (mb, gauge) = (Arc::clone(&mb), Arc::clone(&gauge));
+            spawn_reporting(move || {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    mb.push(0, Cmd::Read(64), &gauge)
+                }))
+                .is_err()
+            })
+        };
+        wait_until_parked(|| producers_parked(&mb));
+        mb.mark_consumer_gone();
+        let failed = pushed.recv_timeout(DEADLINE).expect("producer never woke");
+        assert!(failed, "a parked producer must fail once the consumer died");
+    }
+
+    #[test]
     fn reply_slot_round_trip_and_poison() {
         let slot = ReplySlot::default();
         std::thread::scope(|scope| {
@@ -617,6 +812,47 @@ mod tests {
         slot.poison();
         let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| slot.take()));
         assert!(poisoned.is_err());
+    }
+
+    #[test]
+    fn answer_put_before_take_is_taken_without_waiting() {
+        let slot = ReplySlot::default();
+        slot.put(None);
+        assert_eq!(slot.take(), None);
+        assert!(!taker_parked(&slot));
+        // The slot is reusable: the next answer is a fresh one.
+        slot.put(Some([7u64; 8]));
+        assert_eq!(slot.take(), Some([7u64; 8]));
+        assert!(!slot.answered.load(Ordering::Relaxed));
+    }
+
+    #[test]
+    fn parked_taker_wakes_on_put() {
+        let slot = Arc::new(ReplySlot::default());
+        let taken = {
+            let slot = Arc::clone(&slot);
+            spawn_reporting(move || slot.take())
+        };
+        wait_until_parked(|| taker_parked(&slot));
+        slot.put(Some([9u64; 8]));
+        let answer = taken.recv_timeout(DEADLINE).expect("taker never woke");
+        assert_eq!(answer, Some([9u64; 8]));
+        assert!(!taker_parked(&slot), "the wake clears the parked flag");
+    }
+
+    #[test]
+    fn parked_taker_fails_fast_when_the_slot_is_poisoned() {
+        let slot = Arc::new(ReplySlot::default());
+        let taken = {
+            let slot = Arc::clone(&slot);
+            spawn_reporting(move || {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| slot.take())).is_err()
+            })
+        };
+        wait_until_parked(|| taker_parked(&slot));
+        slot.poison();
+        let failed = taken.recv_timeout(DEADLINE).expect("taker never woke");
+        assert!(failed, "a poisoned slot must fail the waiting taker");
     }
 
     #[test]

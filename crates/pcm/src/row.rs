@@ -395,11 +395,12 @@ impl Row {
         // Transition classes by per-class population count: an MLC cell
         // programmed into a right-digit-1 symbol is high class, everything
         // else (including every SLC flip) is low class.
-        let high_cells = if costs.is_mlc {
-            (programmed & desired).count_ones()
+        let high_markers = if costs.is_mlc {
+            programmed & desired
         } else {
             0
         };
+        let high_cells = high_markers.count_ones();
         let low_cells = programmed_count - high_cells;
         outcome.high_energy_programs += high_cells;
         outcome.energy_pj += high_cells as f64 * costs.high_pj + low_cells as f64 * costs.low_pj;
@@ -417,18 +418,20 @@ impl Row {
         // Wear accounting for the programmed cells only, in ascending cell
         // order (matching the scalar loop). A cell that exceeds its limit
         // still completes this final programming — it is frozen at the value
-        // just written.
+        // just written. Each cell's units are selected arithmetically from
+        // its bit of `high_markers`, so the loop does not branch on the data.
+        let wear_toggle = costs.wear_low ^ costs.wear_high;
+        // Cells are 1 or 2 bits wide, so dividing by the width is a shift.
+        let cell_shift = bpc.trailing_zeros();
         let mut markers = programmed;
         while markers != 0 {
             let bit = markers.trailing_zeros() as usize;
             markers &= markers - 1;
-            let cell_offset = bit / bpc;
+            // SWAR-OK: `bit` is a bit index below 64, not a packed lane; the shift divides it by the cell width.
+            let cell_offset = bit >> cell_shift;
             let cell = base_cell + cell_offset;
-            let units = if costs.is_mlc && (desired >> bit) & 1 == 1 {
-                costs.wear_high
-            } else {
-                costs.wear_low
-            };
+            let high = (high_markers >> bit) & 1;
+            let units = costs.wear_low ^ (wear_toggle & high.wrapping_neg());
             self.wear[cell] = self.wear[cell].saturating_add(units);
             if self.reached_limit(cell) {
                 outcome.new_dead_cells += 1;
